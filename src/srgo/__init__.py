@@ -58,6 +58,7 @@ from .integrate import (
     find_fixed_points,
     integrate_horizontal,
     integrate_vertical,
+    integrate_vertical_batch,
     sample_momenta,
 )
 from .models import (
@@ -107,6 +108,7 @@ __all__ = [
     "hamiltonian_value",
     "integrate_horizontal",
     "integrate_vertical",
+    "integrate_vertical_batch",
     "invariant_polynomials",
     "is_solvable",
     "lie_closure",

@@ -22,7 +22,12 @@ from .homogeneity import (
     NOT_HOMOGENEOUS,
     check_homogeneous,
 )
-from .integrate import integrate_horizontal, integrate_vertical, sample_momenta
+from .integrate import (
+    integrate_horizontal,
+    integrate_vertical,
+    integrate_vertical_batch,
+    sample_momenta,
+)
 from .models import list_models, load_model, load_model_file
 
 EXIT_OK = 0
@@ -62,11 +67,13 @@ def _parse_p0(text, structure):
 
 
 def _emit(text, out):
+    """Write a string, or an iterable of string chunks, to out or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _json(obj):
@@ -112,25 +119,16 @@ def _phase_portrait_csv(spec, args):
         + ","
         + ",".join(f"v_{i + 1}" for i in range(n))
     ]
+    values = ",".join(["%.17g"] * n)
+    arrow = "arrow,%d,0," + values + "," + values
     for i, p in enumerate(points):
-        v = vertical_field_coords(s, p)
-        lines.append(
-            "arrow,%d,0," % i
-            + ",".join("%.17g" % x for x in p)
-            + ","
-            + ",".join("%.17g" % x for x in v)
-        )
-    zero = ",".join("0" for _ in range(n))
-    for i, p in enumerate(points[: min(8, len(points))]):
-        traj = integrate_vertical(Momentum(p, s), args.T, args.step)
+        lines.append(arrow % (i, *p, *vertical_field_coords(s, p)))
+    trajectory = "trajectory,%d,%.17g," + values + "," + ",".join(["0"] * n)
+    trajs = integrate_vertical_batch(s, points[:8], args.T, args.step)
+    for i, traj in enumerate(trajs):
         stride = max(1, traj.n_samples // 200)
         for t, row in zip(traj.times[::stride], traj.momenta[::stride]):
-            lines.append(
-                "trajectory,%d,%.17g," % (i, t)
-                + ",".join("%.17g" % x for x in row)
-                + ","
-                + zero
-            )
+            lines.append(trajectory % (i, t, *row))
     return "\n".join(lines) + "\n"
 
 
@@ -154,7 +152,7 @@ def cmd_integrate(args):
         return EXIT_BAD_INPUT
     if args.horizontal and s.representation is not None:
         traj = integrate_horizontal(traj)
-    _emit(traj.to_csv_text(), args.out)
+    _emit(traj.csv_chunks(), args.out)
     drifts = ", ".join(
         f"{k}={v:.3e}" for k, v in sorted(traj.casimir_drifts().items())
     )

@@ -126,7 +126,7 @@ def orbit_tangency_check(traj, invariants, tolerance=1e-8) -> TangencyReport:
     coords = traj.momenta @ s.m_basis_float  # m*-coordinates per sample
     gaps = {}
     for i, poly in enumerate(invariants):
-        vals = np.array([poly(c) for c in coords])
+        vals = poly(coords)
         gaps[f"F{i + 1}"] = float(np.max(np.abs(vals - vals[0])))
     return TangencyReport(gaps, tolerance)
 

@@ -1,7 +1,9 @@
 """Integration of the vertical momentum system and horizontal lifts.
 
-Fixed-step classical RK4 throughout (reproducible diagnostics); the
-vertical loop runs through the compiled kernel in kernels.py.
+Fixed-step classical RK4 throughout (reproducible diagnostics). The
+vertical loop runs in the batched kernel of kernels.py; the work done per
+sample afterwards (H and Casimirs, the lift's propagators, CSV rows) runs
+on whole arrays.
 """
 
 from dataclasses import dataclass, field
@@ -9,7 +11,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import Momentum, vertical_field_coords
-from .kernels import vertical_rk4
+from .kernels import (
+    rk4_stage_points,
+    vertical_form,
+    vertical_rk4,
+    vertical_rk4_batch,
+)
+
+# Rows per block of CSV text, and steps per block of lift propagators.
+CSV_BLOCK_ROWS = 2048
+LIFT_BLOCK_STEPS = 1024
 
 
 @dataclass
@@ -41,28 +52,52 @@ class Trajectory:
             if name != "H"
         }
 
-    def to_csv_text(self):
-        """CSV export: t, p_1..p_n, H, casimirs, then flattened group points."""
+    def csv_chunks(self):
+        """CSV export in pieces: the header line, then blocks of rows.
+
+        Columns are t, p_1..p_n, H, casimirs, then flattened group points;
+        every value is printed with %.17g.
+        """
         n = self.momenta.shape[1]
-        cols = ["t"] + [f"p_{i + 1}" for i in range(n)] + ["H"]
         names = [k for k in self.diagnostics if k != "H"]
-        cols += names
-        blocks = [self.times.reshape(-1, 1), self.momenta,
-                  self.diagnostics["H"].reshape(-1, 1)]
-        blocks += [self.diagnostics[k].reshape(-1, 1) for k in names]
+        cols = ["t"] + [f"p_{i + 1}" for i in range(n)] + ["H"] + names
+        parts = [self.times[:, None], self.momenta,
+                 self.diagnostics["H"][:, None]]
+        parts += [self.diagnostics[k][:, None] for k in names]
         if self.group_points is not None:
             r = self.group_points.shape[1]
             cols += [f"g_{i + 1}{j + 1}" for i in range(r) for j in range(r)]
-            blocks.append(self.group_points.reshape(self.n_samples, r * r))
-        data = np.concatenate(blocks, axis=1)
-        lines = [",".join(cols)]
-        for row in data:
-            lines.append(",".join("%.17g" % v for v in row))
-        return "\n".join(lines) + "\n"
+            parts.append(self.group_points.reshape(self.n_samples, r * r))
+        yield ",".join(cols) + "\n"
+        row = ",".join(["%.17g"] * len(cols)) + "\n"
+        for start in range(0, self.n_samples, CSV_BLOCK_ROWS):
+            block = np.concatenate(
+                [a[start:start + CSV_BLOCK_ROWS] for a in parts], axis=1)
+            yield (row * len(block)) % tuple(block.ravel().tolist())
+
+    def to_csv_text(self):
+        return "".join(self.csv_chunks())
 
     def to_csv(self, path):
         with open(path, "w") as fh:
-            fh.write(self.to_csv_text())
+            fh.writelines(self.csv_chunks())
+
+
+def _nsteps(T, step):
+    if not (T > 0 and 0 < step <= T):
+        raise ValueError("need T > 0 and 0 < step <= T")
+    return int(round(T / step))
+
+
+def _trajectory(s, samples, last, step, casimirs):
+    """The Trajectory of kernel output ``samples`` valid up to ``last``."""
+    momenta = samples[: last + 1]
+    times = step * np.arange(last + 1)
+    diagnostics = {"H": 0.5 * np.einsum("ti,ij,tj->t", momenta, s.dmat, momenta)}
+    for name, poly in (casimirs or {}).items():
+        diagnostics[name] = poly(momenta)
+    return Trajectory(s, times, momenta, diagnostics=diagnostics,
+                      aborted=last < len(samples) - 1)
 
 
 def integrate_vertical(p0: Momentum, T, step, casimirs=None) -> Trajectory:
@@ -72,20 +107,26 @@ def integrate_vertical(p0: Momentum, T, step, casimirs=None) -> Trajectory:
     per sample alongside H. On a non-finite state the trajectory is
     truncated at the last valid sample and flagged aborted.
     """
-    if not (T > 0 and 0 < step <= T):
-        raise ValueError("need T > 0 and 0 < step <= T")
+    nsteps = _nsteps(T, step)
     s = p0.structure
-    nsteps = int(round(T / step))
     samples, last = vertical_rk4(
         s.algebra.c_float, s.dmat, p0.coords, step, nsteps
     )
-    aborted = last < nsteps
-    momenta = samples[: last + 1]
-    times = step * np.arange(last + 1)
-    diagnostics = {"H": 0.5 * np.einsum("ti,ij,tj->t", momenta, s.dmat, momenta)}
-    for name, poly in (casimirs or {}).items():
-        diagnostics[name] = np.array([poly(p) for p in momenta])
-    return Trajectory(s, times, momenta, diagnostics=diagnostics, aborted=aborted)
+    return _trajectory(s, samples, last, step, casimirs)
+
+
+def integrate_vertical_batch(structure, momenta, T, step, casimirs=None):
+    """integrate_vertical for each row of ``momenta`` (shape (B, n)), the
+    rows advanced together by one kernel call; returns B trajectories."""
+    nsteps = _nsteps(T, step)
+    s = structure
+    for row in momenta:
+        Momentum(row, s)  # rejects a row that does not annihilate k
+    samples, last = vertical_rk4_batch(
+        s.algebra.c_float, s.dmat, momenta, step, nsteps
+    )
+    return [_trajectory(s, samples[:, b], int(last[b]), step, casimirs)
+            for b in range(samples.shape[1])]
 
 
 def closed_form_axisymmetric(p0: Momentum, t, kappa) -> Momentum:
@@ -110,31 +151,38 @@ def closed_form_axisymmetric(p0: Momentum, t, kappa) -> Momentum:
 def integrate_horizontal(traj: Trajectory) -> Trajectory:
     """Fill group_points by solving G' = G rho(dH(p(t))), G(0) = I.
 
-    RK4 on the same grid; p is interpolated linearly inside each step,
-    which keeps the combined scheme fourth order.
+    Each sample interval is one classical RK4 step of the joint system
+    (p, G): the stage values of p are recomputed from the stored sample with
+    the vertical field, so the lift is fourth order like the vertical flow.
+    An RK4 step is linear in G, G_{i+1} = G_i Phi_i; the propagators Phi_i
+    are built for blocks of LIFT_BLOCK_STEPS steps at once, and only the
+    products G_i Phi_i run one step at a time.
     """
     s = traj.structure
     if s.representation is None:
         raise ValueError("structure carries no matrix representation")
     rho = np.stack(s.representation)
-    r = rho.shape[1]
+    n, r = rho.shape[0], rho.shape[1]
+    q = vertical_form(s.algebra.c_float, s.dmat)
+    lift = s.dmat.T @ rho.reshape(n, r * r)  # p -> rho(dH(p)), flattened
     nsamp = traj.n_samples
-    controls = traj.momenta @ s.dmat.T  # dH(p_i) per sample
-    rho_u = np.einsum("ta,aij->tij", controls, rho)
     gpts = np.empty((nsamp, r, r))
-    g = np.eye(r)
-    gpts[0] = g
-    for i in range(nsamp - 1):
-        dt = traj.times[i + 1] - traj.times[i]
-        a0 = rho_u[i]
-        a1 = rho_u[i + 1]
-        ah = 0.5 * (a0 + a1)
-        k1 = g @ a0
-        k2 = (g + 0.5 * dt * k1) @ ah
-        k3 = (g + 0.5 * dt * k2) @ ah
-        k4 = (g + dt * k3) @ a1
-        g = g + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        gpts[i + 1] = g
+    gpts[0] = np.eye(r)
+    for start in range(0, nsamp - 1, LIFT_BLOCK_STEPS):
+        stop = min(start + LIFT_BLOCK_STEPS, nsamp - 1)
+        dt = np.diff(traj.times[start:stop + 1])[:, None]
+        a1, a2, a3, a4 = (
+            (x @ lift).reshape(-1, r, r)
+            for x in rk4_stage_points(q, traj.momenta[start:stop], dt)
+        )
+        h = dt[:, :, None]
+        # G-stages k_i = G K_i: K1 = a1, K2 = a2 + h/2 K1 a2, ...
+        k2 = a2 + 0.5 * h * (a1 @ a2)
+        k3 = a3 + 0.5 * h * (k2 @ a3)
+        k4 = a4 + h * (k3 @ a4)
+        phi = np.eye(r) + h / 6.0 * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for i in range(start, stop):
+            np.matmul(gpts[i], phi[i - start], out=gpts[i + 1])
     return Trajectory(
         s, traj.times, traj.momenta, group_points=gpts,
         diagnostics=traj.diagnostics, aborted=traj.aborted,
@@ -182,8 +230,8 @@ def find_fixed_points(structure, samples, seed=0, residual_tol=1e-10,
     """Fixed points of the vertical field on the level set H = 1/2.
 
     Seeds are sampled momenta polished by Gauss-Newton on the stacked
-    system (vertical field, H - 1/2, k-pairings); converged points are
-    deduplicated by Euclidean distance.
+    system (vertical field, H - 1/2, k-pairings) with its exact Jacobian;
+    converged points are deduplicated by Euclidean distance.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
@@ -192,6 +240,8 @@ def find_fixed_points(structure, samples, seed=0, residual_tol=1e-10,
     rng = np.random.default_rng(seed)
     seeds = sample_momenta(s, samples, rng)
     kb = s.k_basis_float
+    q = vertical_form(s.algebra.c_float, s.dmat)
+    q3 = q.reshape(n, n, n)
 
     def residual(p):
         parts = [vertical_field_coords(s, p), [s.hamiltonian_value(p) - 0.5]]
@@ -200,13 +250,9 @@ def find_fixed_points(structure, samples, seed=0, residual_tol=1e-10,
         return np.concatenate([np.atleast_1d(np.asarray(x)) for x in parts])
 
     def jacobian(p):
-        eps = 1e-7
-        cols = []
-        for i in range(n):
-            dp = np.zeros(n)
-            dp[i] = eps
-            cols.append((residual(p + dp) - residual(p - dp)) / (2 * eps))
-        return np.stack(cols, axis=1)
+        # d/dp of the field's pᵀ Q_j p is (Q_j + Q_jᵀ) p; of H, dmat p.
+        field_jac = (q3 @ p).T + (p @ q).reshape(n, n)
+        return np.concatenate([field_jac, s.dH(p)[None, :], kb.T], axis=0)
 
     found = []
     for p in seeds:
@@ -224,7 +270,6 @@ def find_fixed_points(structure, samples, seed=0, residual_tol=1e-10,
                 break
         if not np.all(np.isfinite(x)):
             continue
-        r = residual(x)
         if np.linalg.norm(vertical_field_coords(s, x), np.inf) < residual_tol and \
            abs(s.hamiltonian_value(x) - 0.5) < 1e-9 and \
            (not s.k.dim or np.max(np.abs(kb.T @ x)) < 1e-9):

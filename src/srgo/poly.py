@@ -128,15 +128,29 @@ class Polynomial:
         )
 
     def __call__(self, p):
+        """Float value at p, or at every point of an array (..., nvars).
+
+        Powers of each variable are built once per call by repeated
+        multiplication and shared by all terms; a single point gives a
+        float, an array of points an array of shape p.shape[:-1].
+        """
         p = np.asarray(p, dtype=float)
-        total = 0.0
+        cols = np.moveaxis(p, -1, 0)
+        powers = {}  # (variable, exponent) -> values
+
+        def power(i, e):
+            if (i, e) not in powers:
+                powers[i, e] = cols[i] if e == 1 else power(i, e - 1) * cols[i]
+            return powers[i, e]
+
+        total = np.zeros(p.shape[:-1])
         for m, c in self.terms.items():
             v = float(c)
             for i, e in enumerate(m):
                 if e:
-                    v *= p[i] ** e
+                    v = v * power(i, e)
             total += v
-        return total
+        return float(total) if p.ndim == 1 else total
 
     def eval_exact(self, p):
         total = Fraction(0)

@@ -8,8 +8,10 @@ from srgo import (
     find_fixed_points,
     integrate_horizontal,
     integrate_vertical,
+    integrate_vertical_batch,
     sample_momenta,
 )
+from srgo.kernels import CHECK_EVERY, vertical_rk4, vertical_rk4_batch
 
 
 def _seed_momentum(structure, seed=0):
@@ -190,13 +192,116 @@ def test_csv_format(heisenberg, tmp_path):
     assert float(first[5]) == pytest.approx(0.5)
 
 
-def test_kernel_backends_agree(heisenberg):
-    from srgo.kernels import _rk4_numpy, vertical_rk4
+def _rk4_einsum_reference(c, dmat, p0, dt, nsteps):
+    """Single-trajectory RK4 with a three-operand einsum field."""
+    q = np.einsum("ia,ijk->jak", dmat, c)
 
-    s = heisenberg.structure
-    p0 = np.array([1.0, 0.3, 0.8, 0.0])
-    out_main, last = vertical_rk4(s.algebra.c_float, s.dmat, p0, 1e-3, 500)
-    out_np = np.zeros_like(out_main)
-    last_np = _rk4_numpy(s.algebra.c_float, s.dmat, p0, 1e-3, 500, out_np)
-    assert last == last_np == 500
-    assert np.max(np.abs(out_main - out_np)) < 1e-12
+    def rhs(p):
+        return np.einsum("jak,a,k->j", q, p, p)
+
+    out = [p0]
+    p = p0
+    for _ in range(nsteps):
+        k1 = rhs(p)
+        k2 = rhs(p + 0.5 * dt * k1)
+        k3 = rhs(p + 0.5 * dt * k2)
+        k4 = rhs(p + dt * k3)
+        p = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(p)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "cartan", "so3_generic"])
+def test_kernel_batch_rows_match_single_runs_and_reference(models, name):
+    s = models[name].structure
+    c, d = s.algebra.c_float, s.dmat
+    p0 = sample_momenta(s, 5, np.random.default_rng(1))
+    batch, last = vertical_rk4_batch(c, d, p0, 1e-3, 300)
+    assert batch.shape == (301, 5, s.dim)
+    assert list(last) == [300] * 5
+    for b in range(5):
+        single, single_last = vertical_rk4(c, d, p0[b], 1e-3, 300)
+        assert single.shape == (301, s.dim) and single_last == 300
+        assert np.max(np.abs(batch[:, b] - single)) < 1e-12
+        ref = _rk4_einsum_reference(c, d, p0[b], 1e-3, 300)
+        assert np.max(np.abs(batch[:, b] - ref)) < 1e-12
+
+
+def test_kernel_overflowing_rows_abort_alone(models):
+    s = models["so3_generic"].structure
+    c, d = s.algebra.c_float, s.dmat
+    # Row 1 overflows in the first step; row 3 grows until it overflows
+    # after the first finiteness check.
+    p0 = np.array([[1.0, 0.3, 0.8], [1e308, 1e308, 1e308], [0.2, -1.0, 0.5],
+                   [2724.9, 2 * 2724.9, 3 * 2724.9]])
+    samples, last = vertical_rk4_batch(c, d, p0, 1e-3, 200)
+    assert list(last[:3]) == [200, 0, 200]
+    assert np.array_equal(samples[0, 1], p0[1])
+    assert not np.any(samples[1:, 1])
+    late = last[3]
+    assert CHECK_EVERY < late < 200
+    assert np.all(np.isfinite(samples[:late + 1, 3]))
+    assert not np.any(samples[late + 1:, 3])
+    assert vertical_rk4(c, d, samples[late, 3], 1e-3, 1)[1] == 0
+    for b in (0, 2):
+        assert np.all(np.isfinite(samples[:, b]))
+        single, _ = vertical_rk4(c, d, p0[b], 1e-3, 200)
+        assert np.max(np.abs(samples[:, b] - single)) < 1e-12
+
+
+def test_integrate_vertical_batch_matches_single(models):
+    spec = models["so3_axisym"]
+    s = spec.structure
+    p0 = sample_momenta(s, 3, np.random.default_rng(2))
+    trajs = integrate_vertical_batch(s, p0, 1.0, 1e-2, casimirs=spec.casimirs)
+    for p, traj in zip(p0, trajs):
+        single = integrate_vertical(Momentum(p, s), 1.0, 1e-2,
+                                    casimirs=spec.casimirs)
+        assert np.array_equal(traj.times, single.times)
+        assert np.max(np.abs(traj.momenta - single.momenta)) < 1e-12
+        assert set(traj.diagnostics) == set(single.diagnostics)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "so3_generic"])
+def test_horizontal_lift_is_fourth_order(models, name):
+    s = models[name].structure
+    p0 = Momentum(sample_momenta(s, 1, np.random.default_rng(3))[0], s)
+    ends = [integrate_horizontal(integrate_vertical(p0, 2.0, h)).group_points[-1]
+            for h in (0.1, 0.05, 0.025)]
+    coarse = np.max(np.abs(ends[0] - ends[1]))
+    fine = np.max(np.abs(ends[1] - ends[2]))
+    assert np.log2(coarse / fine) >= 3.8
+
+
+def _csv_text_per_value(traj):
+    """CSV as formatted one value at a time over the concatenated columns."""
+    n = traj.momenta.shape[1]
+    cols = ["t"] + [f"p_{i + 1}" for i in range(n)] + ["H"]
+    names = [k for k in traj.diagnostics if k != "H"]
+    cols += names
+    blocks = [traj.times.reshape(-1, 1), traj.momenta,
+              traj.diagnostics["H"].reshape(-1, 1)]
+    blocks += [traj.diagnostics[k].reshape(-1, 1) for k in names]
+    if traj.group_points is not None:
+        r = traj.group_points.shape[1]
+        cols += [f"g_{i + 1}{j + 1}" for i in range(r) for j in range(r)]
+        blocks.append(traj.group_points.reshape(traj.n_samples, r * r))
+    data = np.concatenate(blocks, axis=1)
+    lines = [",".join(cols)]
+    for row in data:
+        lines.append(",".join("%.17g" % v for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_bytes_match_per_value_formatter(models, tmp_path):
+    spec = models["rolling_sphere"]
+    s = spec.structure
+    p0 = Momentum(sample_momenta(s, 1, np.random.default_rng(6))[0], s)
+    traj = integrate_horizontal(
+        integrate_vertical(p0, 5.0, 1e-3, casimirs=spec.casimirs))
+    assert traj.n_samples > 2 * srgo.integrate.CSV_BLOCK_ROWS
+    want = _csv_text_per_value(traj)
+    assert traj.to_csv_text() == want
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    assert path.read_bytes() == want.encode()

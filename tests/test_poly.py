@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srgo import invariant_polynomials
 from srgo.poly import Polynomial, monomials_of_degree, poly_from_string
 
 
@@ -80,3 +81,35 @@ def test_eval_matches_exact(p):
     assert p([float(x) for x in pt]) == pytest.approx(
         float(p.eval_exact(pt)), abs=1e-9
     )
+
+
+def _eval_per_term(poly, p):
+    """Scalar evaluation term by term, and the sum of the terms' sizes."""
+    total = scale = 0.0
+    for m, c in poly.terms.items():
+        v = float(c)
+        for i, e in enumerate(m):
+            if e:
+                v *= p[i] ** e
+        total += v
+        scale += abs(v)
+    return total, scale
+
+
+def test_array_eval_matches_scalar_on_bundled_polynomials(models):
+    polys = [(spec.structure.dim, f) for spec in models.values()
+             for f in spec.casimirs.values()]
+    for name in ["heisenberg", "free_step2_rank2", "so3_axisym", "cartan"]:
+        s = models[name].structure
+        polys += [(s.m.dim, f) for f in invariant_polynomials(s, 4).polynomials]
+    rng = np.random.default_rng(0)
+    for nvars, f in polys:
+        pts = rng.uniform(-2.0, 2.0, size=(50, nvars))
+        vals = f(pts)
+        assert vals.shape == (50,)
+        for x, v in zip(pts, vals):
+            want, scale = _eval_per_term(f, x)
+            assert abs(v - want) <= 1e-12 * max(scale, 1e-300)
+            assert f(x) == v
+        grid = f(pts.reshape(5, 10, nvars))
+        assert np.array_equal(grid.ravel(), vals)
