@@ -1,17 +1,20 @@
 """Lie algebra arithmetic from structure constants.
 
-Structure constants are exact rationals with a cached float mirror; all
+The structure constants are stored once, as their nonzero entries: a COO
+list (i, j, k, c) of exact rationals, grouped by i. The float tensor the
+kernels use and the dense exact view are both derived from it, and every
+exact loop (brackets, ad and coad matrices, the Killing form, the
+antisymmetry and Jacobi checks) runs over the nonzeros only. All
 structural checks (antisymmetry, Jacobi, reductivity, bracket generation)
 run in exact arithmetic.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import exactla
-from .exactla import fmat, fzeros, feye, to_float
+from .exactla import fmat, fzeros, to_float
 
 
 def _as_fraction_vec(v, n):
@@ -21,37 +24,83 @@ def _as_fraction_vec(v, n):
     return out
 
 
-class LieAlgebra:
-    """Finite-dimensional Lie algebra given by a structure tensor.
+def _nonzero_items(v, n):
+    """The (index, Fraction) pairs of the nonzero entries of a length-n vector."""
+    if len(v) != n:
+        raise ValueError("dimension mismatch")
+    return [(i, x if type(x) is Fraction else Fraction(x))
+            for i, x in enumerate(v) if x]
 
-    ``constants[i, j, k]`` is the coefficient of e_k in [e_i, e_j].
+
+def _object_vec(values):
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+class LieAlgebra:
+    """Finite-dimensional Lie algebra given by its structure constants.
+
+    ``constants`` is either a dense (n, n, n) array or a mapping
+    {(i, j, k): value}; entry (i, j, k) is the coefficient of e_k in
+    [e_i, e_j]. Only the nonzero entries are kept: ``by_i[i]`` is the tuple
+    of (j, k, c) with exact Fraction c, sorted by (j, k).
     """
 
     def __init__(self, dim, constants, labels=None):
         self.dim = dim
-        self.constants = constants  # (n, n, n) object array of Fractions
         self.labels = list(labels) if labels else [f"e{i + 1}" for i in range(dim)]
         if len(self.labels) != dim:
             raise ValueError("label count mismatch")
-        self.c_float = np.array(
-            [[[float(constants[i, j, k]) for k in range(dim)] for j in range(dim)]
-             for i in range(dim)],
-            dtype=float,
-        )
+        if isinstance(constants, dict):
+            items = constants.items()
+        else:
+            dense = np.asarray(constants, dtype=object)
+            if dense.shape != (dim, dim, dim):
+                raise ValueError("structure tensor must have shape (n, n, n)")
+            items = ((idx, dense[idx]) for idx in zip(*np.nonzero(dense)))
+        rows = [[] for _ in range(dim)]
+        for (i, j, k), v in items:
+            i, j, k = int(i), int(j), int(k)
+            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+                raise ValueError(f"structure constant index {(i, j, k)} out of range")
+            v = v if isinstance(v, Fraction) else Fraction(v)
+            if v:
+                rows[i].append((j, k, v))
+        self.by_i = tuple(tuple(sorted(row)) for row in rows)
+        self.c_float = np.zeros((dim, dim, dim))
+        for i, j, k, v in self.coo:
+            self.c_float[i, j, k] = float(v)
 
     @classmethod
     def from_brackets(cls, dim, brackets, labels=None):
         """Build from a dict {(i, j): {k: coeff}} with i < j, 0-based.
 
-        Antisymmetric counterparts are filled in automatically.
+        Antisymmetric counterparts are filled in automatically; a later
+        entry overwrites an earlier one at the same position.
         """
-        c = np.empty((dim, dim, dim), dtype=object)
-        c[:] = Fraction(0)
+        entries = {}
         for (i, j), comps in brackets.items():
             for k, v in comps.items():
-                c[i, j, k] = Fraction(v)
-                c[j, i, k] = -Fraction(v)
-        return cls(dim, c, labels)
+                entries[(i, j, k)] = Fraction(v)
+                entries[(j, i, k)] = -Fraction(v)
+        return cls(dim, entries, labels)
+
+    @property
+    def coo(self):
+        """The nonzero constants as (i, j, k, c), sorted by (i, j, k)."""
+        return [(i, j, k, c) for i, row in enumerate(self.by_i)
+                for j, k, c in row]
+
+    @property
+    def constants(self):
+        """Dense (n, n, n) object array of Fractions, built on each access."""
+        n = self.dim
+        c = np.empty((n, n, n), dtype=object)
+        c[:] = Fraction(0)
+        for i, j, k, v in self.coo:
+            c[i, j, k] = v
+        return c
 
     def bracket(self, a, b):
         """[a, b] for float coordinate vectors."""
@@ -62,21 +111,14 @@ class LieAlgebra:
         return np.einsum("i,j,ijk->k", a, b, self.c_float)
 
     def bracket_exact(self, a, b):
-        a = _as_fraction_vec(a, self.dim)
-        b = _as_fraction_vec(b, self.dim)
-        out = np.empty(self.dim, dtype=object)
-        out[:] = Fraction(0)
-        for i in range(self.dim):
-            if not a[i]:
-                continue
-            for j in range(self.dim):
-                if not b[j]:
-                    continue
-                for k in range(self.dim):
-                    cijk = self.constants[i, j, k]
-                    if cijk:
-                        out[k] += a[i] * b[j] * cijk
-        return out
+        b = dict(_nonzero_items(b, self.dim))
+        out = [Fraction(0)] * self.dim
+        for i, ai in _nonzero_items(a, self.dim):
+            for j, k, c in self.by_i[i]:
+                bj = b.get(j)
+                if bj is not None:
+                    out[k] += ai * bj * c
+        return _object_vec(out)
 
     def ad_matrix(self, x):
         """Matrix of ad x; column j is [x, e_j]."""
@@ -86,16 +128,10 @@ class LieAlgebra:
         return np.einsum("i,ijk->kj", x, self.c_float)
 
     def ad_matrix_exact(self, x):
-        x = _as_fraction_vec(x, self.dim)
         out = fzeros(self.dim, self.dim)
-        for i in range(self.dim):
-            if not x[i]:
-                continue
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    cijk = self.constants[i, j, k]
-                    if cijk:
-                        out[k, j] += x[i] * cijk
+        for i, xi in _nonzero_items(x, self.dim):
+            for j, k, c in self.by_i[i]:
+                out[k, j] += xi * c
         return out
 
     def coad_apply(self, x, p):
@@ -107,34 +143,29 @@ class LieAlgebra:
         return np.einsum("i,ijk,k->j", x, self.c_float, p)
 
     def coad_apply_exact(self, x, p):
-        x = _as_fraction_vec(x, self.dim)
-        p = _as_fraction_vec(p, self.dim)
-        out = np.empty(self.dim, dtype=object)
-        out[:] = Fraction(0)
-        for i in range(self.dim):
-            if not x[i]:
-                continue
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    cijk = self.constants[i, j, k]
-                    if cijk and p[k]:
-                        out[j] += x[i] * cijk * p[k]
-        return out
+        p = dict(_nonzero_items(p, self.dim))
+        out = [Fraction(0)] * self.dim
+        for i, xi in _nonzero_items(x, self.dim):
+            for j, k, c in self.by_i[i]:
+                pk = p.get(k)
+                if pk is not None:
+                    out[j] += xi * c * pk
+        return _object_vec(out)
 
     def killing_form(self):
-        """K[i, j] = tr(ad e_i ad e_j), exact."""
+        """K[i, j] = tr(ad e_i ad e_j) = sum_{a,b} c[i, b, a] c[j, a, b], exact."""
         n = self.dim
-        ads = [self.ad_matrix_exact(_basis_vec(n, i)) for i in range(n)]
+        by_last = {}  # (a, b) -> [(j, c[j, a, b])]
+        for j, a, b, c in self.coo:
+            by_last.setdefault((a, b), []).append((j, c))
         K = fzeros(n, n)
-        for i in range(n):
-            for j in range(i, n):
-                t = Fraction(0)
-                for a in range(n):
-                    for b in range(n):
-                        if ads[i][a, b] and ads[j][b, a]:
-                            t += ads[i][a, b] * ads[j][b, a]
+        for i, row in enumerate(self.by_i):
+            acc = {}
+            for b, a, c1 in row:
+                for j, c2 in by_last.get((a, b), ()):
+                    acc[j] = acc[j] + c1 * c2 if j in acc else c1 * c2
+            for j, t in acc.items():
                 K[i, j] = t
-                K[j, i] = t
         return K
 
     def killing_form_float(self):
@@ -147,47 +178,39 @@ class LieAlgebra:
     def validate(self, max_reported=20):
         """Exact antisymmetry and Jacobi checks; returns a ValidationReport.
 
-        Constants are rescaled to integers by the common denominator, so
-        the checks vectorize while staying exact.
+        Both are sparse sums over the nonzero constants. Violations are
+        reported in lexicographic order of their indices, at most
+        ``max_reported`` of them; Jacobi is checked only once the tensor is
+        antisymmetric.
         """
         report = ValidationReport()
-        n = self.dim
-        c = self.constants
-        lcm = 1
-        for v in c.flat:
-            lcm = lcm * v.denominator // np.gcd(lcm, v.denominator)
-        ints = np.array(
-            [[[int(c[i, j, k] * lcm) for k in range(n)] for j in range(n)]
-             for i in range(n)],
-            dtype=object,
-        )
-        if np.max(np.abs(ints.astype(float))) < 2 ** 20:
-            ints = ints.astype(np.int64)
-        anti = ints + ints.transpose(1, 0, 2)
-        for i, j, k in zip(*np.nonzero(anti)):
-            if len(report.violations) >= max_reported:
-                break
-            report.add(f"antisymmetry violated at ({i + 1},{j + 1},{k + 1})")
+        entries = {(i, j, k): c for i, j, k, c in self.coo}
+        anti = sorted(set(entries) | {(j, i, k) for i, j, k in entries})
+        for i, j, k in anti:
+            if entries.get((i, j, k), 0) + entries.get((j, i, k), 0):
+                if len(report.violations) >= max_reported:
+                    break
+                report.add(f"antisymmetry violated at ({i + 1},{j + 1},{k + 1})")
         if report.violations:
             return report
         # jac[i, j, l, k] = coefficient of e_k in [[e_i, e_j], e_l]
-        jac = np.einsum("ijm,mlk->ijlk", ints, ints)
-        total = jac + jac.transpose(1, 2, 0, 3) + jac.transpose(2, 0, 1, 3)
-        for i, j, l, k in zip(*np.nonzero(total)):
-            if i < j < l:
+        jac = {}
+        for i, j, m, c1 in self.coo:
+            for l, k, c2 in self.by_i[m]:
+                key = (i, j, l, k)
+                jac[key] = jac[key] + c1 * c2 if key in jac else c1 * c2
+        candidates = sorted({(*sorted((i, j, l)), k)
+                             for i, j, l, k in jac if len({i, j, l}) == 3})
+        for i, j, l, k in candidates:
+            total = (jac.get((i, j, l, k), 0) + jac.get((l, i, j, k), 0)
+                     + jac.get((j, l, i, k), 0))
+            if total:
                 if len(report.violations) >= max_reported:
                     break
                 report.add(
                     f"Jacobi identity violated at ({i + 1},{j + 1},{l + 1};{k + 1})"
                 )
         return report
-
-
-def _basis_vec(n, i):
-    v = np.empty(n, dtype=object)
-    v[:] = Fraction(0)
-    v[i] = Fraction(1)
-    return v
 
 
 class ValidationReport:
@@ -303,7 +326,8 @@ def lie_closure(algebra, seed):
         nxt = Subspace.span_of_columns(
             algebra.dim, np.concatenate(new_cols, axis=1)
         )
-        if nxt.dim == current.dim:
+        # All of g is closed: no confirming round is needed.
+        if nxt.dim == current.dim or nxt.dim == algebra.dim:
             return nxt
         current = nxt
 
@@ -427,12 +451,10 @@ class HomogeneousSRStructure:
         if len(rho) != g.dim:
             report.add("representation must provide one matrix per basis vector")
             return report
-        for i in range(g.dim):
+        for i, row in enumerate(g.by_i):
             for j in range(i + 1, g.dim):
                 comm = rho[i] @ rho[j] - rho[j] @ rho[i]
-                target = sum(
-                    float(g.constants[i, j, k]) * rho[k] for k in range(g.dim)
-                )
+                target = sum(float(c) * rho[k] for jj, k, c in row if jj == j)
                 if np.max(np.abs(comm - target)) > 1e-10:
                     report.add(f"representation not bracket-compatible at ({i + 1},{j + 1})")
         return report

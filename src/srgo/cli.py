@@ -47,6 +47,8 @@ def _load(name):
 
 def _parse_p0(text, structure):
     vals = [float(x) for x in text.split(",")]
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("p0 components must be finite")
     n, dm = structure.dim, structure.m.dim
     if len(vals) == n:
         return np.array(vals)

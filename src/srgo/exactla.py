@@ -1,8 +1,11 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact rational linear algebra that skips zero entries.
 
-Matrices are numpy object arrays holding ``fractions.Fraction`` entries.
-Everything here is deterministic and exact; float counterparts live with
-the callers.
+Matrices are numpy object arrays holding ``fractions.Fraction`` entries;
+the loops work on their rows as Python lists and touch only nonzeros:
+``rref`` eliminates over the pivot row's nonzero columns and divides only
+by a pivot that is not 1, ``matmul`` and ``matvec`` multiply through lists
+of each row's nonzero entries. Everything here is deterministic and exact;
+float counterparts live with the callers.
 """
 
 from fractions import Fraction
@@ -40,31 +43,46 @@ def to_float(a):
     return np.array([[float(x) for x in row] for row in a], dtype=float)
 
 
+def _from_rows(rows, nrows, ncols):
+    out = np.empty((nrows, ncols), dtype=object)
+    for i, row in enumerate(rows):
+        out[i] = row
+    return out
+
+
+def row_nonzeros(a):
+    """Per row of ``a``, the list of its (column, value) nonzero entries."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in a.tolist()]
+
+
 def rref(a):
     """Reduced row echelon form. Returns (R, pivot_columns)."""
-    r = a.copy()
-    nrows, ncols = r.shape
+    nrows, ncols = a.shape
+    rows = a.tolist()
     pivots = []
     row = 0
     for col in range(ncols):
         if row >= nrows:
             break
-        piv = None
-        for i in range(row, nrows):
-            if r[i, col] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(row, nrows) if rows[i][col]), None)
         if piv is None:
             continue
-        if piv != row:
-            r[[row, piv]] = r[[piv, row]]
-        r[row] = r[row] / r[row, col]
-        for i in range(nrows):
-            if i != row and r[i, col] != 0:
-                r[i] = r[i] - r[i, col] * r[row]
+        rows[row], rows[piv] = rows[piv], rows[row]
+        prow = rows[row]
+        # Rows from ``row`` on are zero left of ``col``.
+        nz = [j for j in range(col, ncols) if prow[j]]
+        lead = prow[col]
+        if lead != 1:
+            for j in nz:
+                prow[j] = prow[j] / lead
+        for i, other in enumerate(rows):
+            f = other[col]
+            if f and i != row:
+                for j in nz:
+                    other[j] = other[j] - f * prow[j]
         pivots.append(col)
         row += 1
-    return r, pivots
+    return _from_rows(rows, nrows, ncols), pivots
 
 
 def rank(a):
@@ -127,23 +145,25 @@ def column_echelon(a):
 
 def matmul(a, b):
     out = fzeros(a.shape[0], b.shape[1])
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            s = Fraction(0)
-            for k in range(a.shape[1]):
-                if a[i, k] and b[k, j]:
-                    s += a[i, k] * b[k, j]
-            out[i, j] = s
+    b_rows = row_nonzeros(b)
+    for i, a_row in enumerate(row_nonzeros(a)):
+        acc = {}
+        for k, aik in a_row:
+            for j, bkj in b_rows[k]:
+                acc[j] = acc[j] + aik * bkj if j in acc else aik * bkj
+        for j, v in acc.items():
+            out[i, j] = v
     return out
 
 
 def matvec(a, v):
+    v_nz = [(k, x) for k, x in enumerate(v) if x]
     out = np.empty(a.shape[0], dtype=object)
-    for i in range(a.shape[0]):
+    for i, row in enumerate(a.tolist()):
         s = Fraction(0)
-        for k in range(a.shape[1]):
-            if a[i, k] and v[k]:
-                s += a[i, k] * v[k]
+        for k, x in v_nz:
+            if row[k]:
+                s += row[k] * x
         out[i] = s
     return out
 

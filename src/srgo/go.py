@@ -15,7 +15,7 @@ import numpy as np
 from . import exactla
 from .algebra import Subspace, subspace_sum
 from .hamiltonian import hamiltonian_polynomial, lie_poisson_bracket
-from .homogeneity import scan_homogeneous
+from .homogeneity import feasibility_systems, scan_homogeneous, system_tensors
 from .integrate import sample_momenta
 from .poly import Polynomial, monomials_of_degree
 
@@ -133,7 +133,6 @@ def _tangency_witness(structure, rng_seed=0):
     exact matrix or None.
     """
     s = structure
-    g = s.algebra
     n, dk = s.dim, s.k.dim
     if dk == 0:
         return None
@@ -141,15 +140,11 @@ def _tangency_witness(structure, rng_seed=0):
     nsamples = max(40, 3 * n)
     ps = sample_momenta(s, nsamples, rng)
     # rows: for sample p and component j:  sum_aq L[a,q] p_q p([Z_a, e_j])
-    kb = s.k_basis_float
+    coadz, b = feasibility_systems(system_tensors(s), ps)  # (ns, n, dk), (ns, n)
     lhs = np.empty((nsamples * n, dk * n))
-    rhs = np.empty(nsamples * n)
-    for t, p in enumerate(ps):
-        v = g.coad_apply(s.dH(p), p)
-        coadz = np.stack([g.coad_apply(kb[:, a], p) for a in range(dk)])  # (dk, n)
-        rhs[t * n: (t + 1) * n] = -v
-        block = np.einsum("aj,q->jaq", coadz, p).reshape(n, dk * n)
-        lhs[t * n: (t + 1) * n] = block
+    np.multiply(coadz[:, :, :, None], ps[:, None, None, :],
+                out=lhs.reshape(nsamples, n, dk, n))
+    rhs = b.reshape(-1)
     sol, residuals, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     if np.linalg.norm(lhs @ sol - rhs) > 1e-7 * (1 + np.linalg.norm(rhs)):
         return None
@@ -168,30 +163,26 @@ def _verify_witness(structure, l_exact):
     g = s.algebra
     n, dk, dm = s.dim, s.k.dim, s.m.dim
     mdual = _m_dual_exact(s)
-    c = g.constants
+    by_j = [[] for _ in range(n)]  # j -> [(i, k, c[i, j, k])]
+    for i, j, k, c in g.coo:
+        by_j[j].append((i, k, c))
+    d_rows = exactla.row_nonzeros(s.dmat_exact)  # i -> [(r, Dmat[i, r])]
+    z_rows = exactla.row_nonzeros(s.k.basis)  # i -> [(a, Z_a[i])]
+    l_rows = exactla.row_nonzeros(l_exact)  # a -> [(q, L[a, q])]
     for j in range(n):
         # v_j(p) = p^T (Dmat^T C[:, j, :]) p ; witness side from L
         mj = exactla.fzeros(n, n)
-        for i in range(n):
-            for k in range(n):
-                if c[i, j, k]:
-                    for r in range(n):
-                        if s.dmat_exact[i, r]:
-                            mj[r, k] += s.dmat_exact[i, r] * c[i, j, k]
+        ga = [{} for _ in range(dk)]  # p([Z_a, e_j]) coefficients in p_k
+        for i, k, c in by_j[j]:
+            for r, d in d_rows[i]:
+                mj[r, k] += d * c
+            for a, zi in z_rows[i]:
+                ga[a][k] = ga[a][k] + zi * c if k in ga[a] else zi * c
         for a in range(dk):
-            ga = np.empty(n, dtype=object)  # p([Z_a, e_j]) coefficients in p_k
-            ga[:] = Fraction(0)
-            for i in range(n):
-                zi = s.k.basis[i, a]
-                if zi:
-                    for k in range(n):
-                        if c[i, j, k]:
-                            ga[k] += zi * c[i, j, k]
-            for q in range(n):
-                if l_exact[a, q]:
-                    for k in range(n):
-                        if ga[k]:
-                            mj[q, k] += l_exact[a, q] * ga[k]
+            for q, lq in l_rows[a]:
+                for k, gk in ga[a].items():
+                    if gk:
+                        mj[q, k] += lq * gk
         red = exactla.matmul(exactla.matmul(mdual.T, mj), mdual)
         for r in range(dm):
             for k2 in range(r, dm):
@@ -282,23 +273,30 @@ def carnot_skew_test(structure, delta_perp=None) -> SkewReport:
     dd, dp = s.delta.dim, delta_perp.dim
     worst = 0.0
     failing = None
+    failing_asym = 0.0
     all_zero = True
     for a in range(dd):
         x = s.delta.basis[:, a]
-        mat = np.zeros((dp, dp))
+        w = exactla.fzeros(n, dp)
         for b in range(dp):
-            w = g.bracket_exact(x, delta_perp.basis[:, b])
-            coords = exactla.solve(basis, w)
-            if coords is None:
-                raise ValueError("ad X does not preserve delta + delta_perp")
-            mat[:, b] = [float(v) for v in coords[dd:]]
+            w[:, b] = g.bracket_exact(x, delta_perp.basis[:, b])
+        coords = exactla.solve(basis, w)
+        if coords is None:
+            raise ValueError("ad X does not preserve delta + delta_perp")
+        exact = coords[dd:]
+        mat = exactla.to_float(exact) if dp else np.zeros((0, 0))
         asym = float(np.max(np.abs(mat + mat.T))) if dp else 0.0
-        if np.max(np.abs(mat)) > 0:
+        if np.max(np.abs(mat), initial=0.0) > 0:
             all_zero = False
-        if asym > worst:
-            worst = asym
-            failing = np.asarray(x, dtype=float) if asym > 1e-12 else failing
-    is_skew = worst <= 1e-12
+        worst = max(worst, asym)
+        # Skewness is decided on the exact coordinates; the float asymmetry
+        # is reported and picks the worst failing direction.
+        skew = all(exact[r, c] + exact[c, r] == 0
+                   for r in range(dp) for c in range(r, dp))
+        if not skew and (failing is None or asym > failing_asym):
+            failing = np.asarray(x, dtype=float)
+            failing_asym = asym
+    is_skew = failing is None
     if not is_skew:
         conclusion = "not geodesic orbit (projected ad X not skew)"
     elif all_zero:

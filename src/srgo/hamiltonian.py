@@ -84,21 +84,17 @@ def lie_poisson_bracket(F: Polynomial, G: Polynomial, algebra) -> Polynomial:
     out = Polynomial.zero(n)
     dF = [F.diff(i) for i in range(n)]
     dG = [G.diff(j) for j in range(n)]
-    for i in range(n):
+    for i, row in enumerate(algebra.by_i):
         if dF[i].is_zero():
             continue
-        for j in range(n):
-            if dG[j].is_zero():
-                continue
-            lin = {}
-            for k in range(n):
-                c = algebra.constants[i, j, k]
-                if c:
-                    mono = [0] * n
-                    mono[k] = 1
-                    lin[tuple(mono)] = c
-            if lin:
-                out = out + Polynomial(n, lin) * dF[i] * dG[j]
+        lin_by_j = {}  # j -> the linear form sum_k c[i, j, k] p_k
+        for j, k, c in row:
+            if not dG[j].is_zero():
+                mono = [0] * n
+                mono[k] = 1
+                lin_by_j.setdefault(j, {})[tuple(mono)] = c
+        for j, lin in lin_by_j.items():
+            out = out + Polynomial(n, lin) * dF[i] * dG[j]
     return out
 
 

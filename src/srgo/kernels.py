@@ -30,7 +30,7 @@ def vertical_form(c, dmat):
     return np.ascontiguousarray(q.reshape(n, n * n))
 
 
-def _field(q, p):
+def vertical_field_rows(q, p):
     """f(p) for each row of a (B, n) batch, from the matrix of vertical_form."""
     b, n = p.shape
     return ((p @ q).reshape(b, n, n) @ p[:, :, None])[:, :, 0]
@@ -42,9 +42,9 @@ def rk4_stage_points(q, p, dt):
 
     ``dt`` is a scalar or a (B, 1) column of per-row steps.
     """
-    p2 = p + 0.5 * dt * _field(q, p)
-    p3 = p + 0.5 * dt * _field(q, p2)
-    p4 = p + dt * _field(q, p3)
+    p2 = p + 0.5 * dt * vertical_field_rows(q, p)
+    p3 = p + 0.5 * dt * vertical_field_rows(q, p2)
+    p4 = p + dt * vertical_field_rows(q, p3)
     return p, p2, p3, p4
 
 

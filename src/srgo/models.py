@@ -32,17 +32,11 @@ class ModelSpec:
         s = self.structure
         g = s.algebra
         n = g.dim
-        constants = []
-        for i in range(n):
-            for j in range(n):
-                if i >= j:
-                    continue
-                for k in range(n):
-                    c = g.constants[i, j, k]
-                    if c:
-                        constants.append(
-                            [i + 1, j + 1, k + 1, c.numerator, c.denominator]
-                        )
+        constants = [
+            [i + 1, j + 1, k + 1, c.numerator, c.denominator]
+            for i, j, k, c in g.coo
+            if i < j
+        ]
 
         def rows(space):
             return [[str(x) for x in space.basis[:, a]] for a in range(space.dim)]
@@ -485,13 +479,12 @@ def load_model_file(path, name=None) -> ModelSpec:
     with open(path) as fh:
         data = json.load(fh)
     n = int(data["dim"])
-    c = np.empty((n, n, n), dtype=object)
-    c[:] = Fraction(0)
+    entries = {}
     for i, j, k, num, den in data["constants"]:
         val = Fraction(int(num), int(den))
-        c[i - 1][j - 1][k - 1] = val
-        c[j - 1][i - 1][k - 1] = -val
-    g = LieAlgebra(n, c)
+        entries[(i - 1, j - 1, k - 1)] = val
+        entries[(j - 1, i - 1, k - 1)] = -val
+    g = LieAlgebra(n, entries)
     rep = g.validate()
     if not rep.ok:
         raise ValueError(f"invalid structure constants: {rep}")

@@ -27,12 +27,14 @@ from srgo import (
     find_fixed_points,
     go_test_bracket,
     integrate_vertical,
+    integrate_vertical_batch,
     invariant_polynomials,
     orbit_tangency_check,
     sample_momenta,
     verify_eigenconstruction,
 )
 from srgo.existence import ROUTE_SOLVABLE
+from srgo.homogeneity import homogeneity_verdicts
 
 
 def test_01_structural_exactness(models):
@@ -170,6 +172,8 @@ def test_08_existence_pipeline(models, cartan, heisenberg):
 
 
 def test_09_orbit_tangency_consistency(models, cartan):
+    # Each model's momenta are certified by one batched residual call and
+    # integrated as one batch.
     for name in ["heisenberg", "free_step2_rank2", "so3_axisym", "cartan"]:
         s = models[name].structure
         invs = invariant_polynomials(s, 4).polynomials
@@ -177,10 +181,8 @@ def test_09_orbit_tangency_consistency(models, cartan):
         momenta = sample_momenta(s, 100, rng)
         if name == "cartan":
             momenta[:, 3] = momenta[:, 4] = 0.0
-        for p in momenta:
-            cert = check_homogeneous(Momentum(p, s))
-            assert cert.verdict == HOMOGENEOUS, name
-            traj = integrate_vertical(Momentum(p, s), 10.0, 1e-3)
+        assert homogeneity_verdicts(s, momenta) == [HOMOGENEOUS] * 100, name
+        for traj in integrate_vertical_batch(s, momenta, 10.0, 1e-3):
             sparse = srgo.Trajectory(
                 s, traj.times[::100], traj.momenta[::100],
                 diagnostics={"H": traj.diagnostics["H"][::100]},
@@ -193,9 +195,8 @@ def test_09_orbit_tangency_consistency(models, cartan):
     rng = np.random.default_rng(5)
     counter = sample_momenta(s, 10, rng)
     counter[:, 3] = 1.0
-    for p in counter:
-        assert check_homogeneous(Momentum(p, s)).verdict == NOT_HOMOGENEOUS
-        traj = integrate_vertical(Momentum(p, s), 10.0, 1e-3)
+    assert homogeneity_verdicts(s, counter) == [NOT_HOMOGENEOUS] * 10
+    for traj in integrate_vertical_batch(s, counter, 10.0, 1e-3):
         report = orbit_tangency_check(traj, invs)
         assert not report.passed
         assert report.max_gap > 0.1

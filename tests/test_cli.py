@@ -193,3 +193,18 @@ def test_model_file_through_cli(tmp_path):
 def test_requires_p0(capsys):
     with pytest.raises(SystemExit):
         run(["check", "--model", "heisenberg"])
+
+
+def test_check_rejects_non_finite_p0(capsys):
+    assert run(["check", "--model", "heisenberg", "--p0=nan,0,1"]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert run(["check", "--model", "heisenberg", "--p0=1,inf,1"]) == 2
+
+
+def test_check_overflowing_p0_is_inconclusive(tmp_path):
+    out = tmp_path / "c.json"
+    assert run(["check", "--model", "heisenberg", "--p0=1e308,1e308,1e308",
+                "--out", str(out)]) == 4
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "inconclusive"
+    assert payload["witness"] is None

@@ -85,3 +85,59 @@ def test_column_echelon_canonical():
 @given(frac_matrices())
 def test_float_rank_matches_exact(a):
     assert exactla.float_rank(a) == exactla.rank(a)
+
+
+def _dense_rref(a):
+    """Row reduction over whole object-array rows (the former code)."""
+    r = a.copy()
+    nrows, ncols = r.shape
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row >= nrows:
+            break
+        piv = next((i for i in range(row, nrows) if r[i, col] != 0), None)
+        if piv is None:
+            continue
+        if piv != row:
+            r[[row, piv]] = r[[piv, row]]
+        r[row] = r[row] / r[row, col]
+        for i in range(nrows):
+            if i != row and r[i, col] != 0:
+                r[i] = r[i] - r[i, col] * r[row]
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+def _dense_matmul(a, b):
+    out = exactla.fzeros(a.shape[0], b.shape[1])
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            out[i, j] = sum((a[i, k] * b[k, j] for k in range(a.shape[1])),
+                            Fraction(0))
+    return out
+
+
+def _sparse_matrix(rng, nrows, ncols, zero_share):
+    return exactla.fmat([[0 if rng.random() < zero_share
+                          else Fraction(int(rng.integers(-4, 5)),
+                                        int(rng.integers(1, 4)))
+                          for _ in range(ncols)] for _ in range(nrows)])
+
+
+def test_nonzero_aware_loops_match_dense_reference():
+    rng = np.random.default_rng(11)
+    for nrows, ncols, zero_share in [(4, 7, 0.0), (9, 5, 0.6), (12, 12, 0.85),
+                                     (6, 1, 0.5), (1, 6, 0.3), (20, 8, 0.9)]:
+        a = _sparse_matrix(rng, nrows, ncols, zero_share)
+        a[nrows // 2] = a[0] * 3  # a dependent row
+        r, pivots = exactla.rref(a)
+        r_ref, pivots_ref = _dense_rref(a)
+        assert pivots == pivots_ref
+        assert r.shape == r_ref.shape and (r == r_ref).all()
+        b = _sparse_matrix(rng, ncols, 5, zero_share)
+        assert (exactla.matmul(a, b) == _dense_matmul(a, b)).all()
+        v = b[:, 0]
+        assert list(exactla.matvec(a, v)) == list(_dense_matmul(
+            a, v.reshape(-1, 1))[:, 0])

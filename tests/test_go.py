@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import srgo
 from srgo import (
+    HomogeneousSRStructure,
     LieAlgebra,
     Momentum,
     Subspace,
@@ -104,10 +107,30 @@ def test_skew_refutes_cartan(cartan):
 
 
 def test_skew_holds_on_step2(models):
-    for name in ["heisenberg", "free_step2_rank2", "free_step2_rank3"]:
+    for name in ["heisenberg", "free_step2_rank2", "free_step2_rank3",
+                 "free_step2_rank4"]:
         report = carnot_skew_test(models[name].structure)
         assert report.is_skew, name
         assert "step at most 2" in report.step_conclusion
+
+
+def test_skew_decided_exactly():
+    # Step-3 rank-2 Carnot algebra whose third-layer brackets are 1e-15:
+    # the float asymmetry is below any float cutoff, the exact one is not.
+    tiny = Fraction(1, 10 ** 15)
+    g = LieAlgebra.from_brackets(
+        5, {(0, 1): {2: 1}, (0, 2): {3: tiny}, (1, 2): {4: tiny}})
+    ident = np.eye(5, dtype=int).tolist()
+    s = HomogeneousSRStructure(
+        g, Subspace.from_vectors(5, []), Subspace.from_vectors(5, ident),
+        Subspace.from_vectors(5, ident[:2]), [[1, 0], [0, 1]],
+        grading=[Subspace.from_vectors(5, ident[:2]),
+                 Subspace.from_vectors(5, [ident[2]]),
+                 Subspace.from_vectors(5, ident[3:])])
+    report = carnot_skew_test(s)
+    assert 0 < report.max_asymmetry < 1e-12
+    assert not report.is_skew
+    assert list(report.failing_direction) == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_skew_requires_grading_or_complement(so3_axisym):

@@ -14,6 +14,7 @@ from srgo import (
     sample_momenta,
     scan_homogeneous,
 )
+from srgo.homogeneity import feasibility_residuals
 
 
 def test_heisenberg_momenta_homogeneous(heisenberg):
@@ -104,3 +105,64 @@ def test_certificate_serialization(heisenberg):
     assert d["verdict"] == HOMOGENEOUS
     assert len(d["witness"]) == 4
     assert d["threshold"] == 1e-8
+
+
+def _lstsq_reference(s, p):
+    """Relative residual and z of one feasibility system by np.linalg.lstsq."""
+    g = s.algebra
+    b = -g.coad_apply(s.dH(p), p)
+    bnorm = float(np.linalg.norm(b))
+    if not s.k.dim:
+        return bnorm / (1.0 + bnorm), np.zeros(0)
+    a = np.stack([g.coad_apply(s.k_basis_float[:, j], p)
+                  for j in range(s.k.dim)], axis=1)
+    z, *_ = np.linalg.lstsq(a, b, rcond=None)
+    return float(np.linalg.norm(a @ z - b)) / (1.0 + bnorm), z
+
+
+def _band(relres, threshold=1e-8):
+    return 0 if relres < threshold else 1 if relres < 10 * threshold else 2
+
+
+@pytest.mark.parametrize("name", srgo.list_models())
+def test_batched_residuals_match_per_row_lstsq(name, models):
+    s = models[name].structure
+    momenta = sample_momenta(s, 1000, np.random.default_rng(17))
+    if name == "cartan":  # half of them on the homogeneous set p4 = p5 = 0
+        momenta[::2, 3:5] = 0.0
+    relres, z = feasibility_residuals(s, momenta)
+    assert relres.shape == (1000,) and z.shape == (1000, s.k.dim)
+    for row, r, zr in zip(momenta, relres, z):
+        ref, zref = _lstsq_reference(s, row)
+        assert _band(r) == _band(ref)
+        assert abs(r - ref) <= 1e-12
+        if r < 1e-8:  # a certificate's witness: same z
+            assert np.max(np.abs(zr - zref), initial=0.0) <= 1e-12 * (
+                1.0 + np.max(np.abs(zref), initial=0.0))
+
+
+def test_scan_matches_per_row_checks(models):
+    for name in ("heisenberg", "cartan", "so3_generic", "free_step2_rank3"):
+        s = models[name].structure
+        summary = scan_homogeneous(s, 300, seed=2)
+        momenta = sample_momenta(s, 300, np.random.default_rng(2))
+        verdicts = [check_homogeneous(Momentum(p, s)).verdict for p in momenta]
+        assert summary.n_homogeneous == verdicts.count(HOMOGENEOUS), name
+        assert summary.n_not == verdicts.count(NOT_HOMOGENEOUS), name
+        assert summary.n_inconclusive == verdicts.count(INCONCLUSIVE), name
+        counter = [p for p, v in zip(momenta, verdicts) if v == NOT_HOMOGENEOUS]
+        assert np.array_equal(summary.counterexamples, counter[:10]), name
+
+
+def test_non_finite_systems_are_inconclusive(heisenberg, cartan):
+    s = heisenberg.structure
+    huge = Momentum(np.array([1e308, 1e308, 1e308, 0.0]), s)
+    cert = check_homogeneous(huge)
+    assert cert.verdict == INCONCLUSIVE
+    assert cert.witness is None and np.isnan(cert.residual)
+    rows = np.array([[1.0, 0.0, 1.0, 0.0], [np.nan, 0.0, 1.0, 0.0],
+                     [1e308, 1e308, 1e308, 0.0], [0.3, -0.7, 2.0, 0.0]])
+    relres, z = feasibility_residuals(s, rows)
+    assert np.isnan(relres[1:3]).all() and np.isnan(z[1:3]).all()
+    assert relres[0] < 1e-12 and relres[3] < 1e-12
+    assert np.isfinite(z[[0, 3]]).all()
