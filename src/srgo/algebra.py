@@ -10,6 +10,7 @@ run in exact arithmetic.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -336,11 +337,19 @@ class HomogeneousSRStructure:
     """Left-invariant sub-Riemannian structure on G/K via (g, k, m, delta, B).
 
     The metric is stored exactly and inverted once at construction; a
-    non positive-definite metric is rejected immediately.
+    non positive-definite metric is rejected immediately, and the structure
+    is validated exactly.
+
+    ``isotropy_exact`` is False when k is not known to be the full isotropy
+    algebra, ``isotropy_connected`` False when the isotropy group has
+    components the infinitesimal invariants cannot see; either keeps the GO
+    verdict at the evidence level. ``kappa`` is the rotation rate of the
+    closed-form vertical flow, set only on the axisymmetric models.
     """
 
     def __init__(self, algebra, k, m, delta, metric, grading=None,
-                 representation=None, name=None, validate=True):
+                 representation=None, isotropy_exact=True,
+                 isotropy_connected=True, kappa=None):
         self.algebra = algebra
         self.k = k
         self.m = m
@@ -352,9 +361,10 @@ class HomogeneousSRStructure:
             if representation is not None
             else None
         )
-        self.name = name
+        self.isotropy_exact = isotropy_exact
+        self.isotropy_connected = isotropy_connected
+        self.kappa = kappa
 
-        n = algebra.dim
         if self.metric.shape != (delta.dim, delta.dim):
             raise ValueError("metric shape must match delta dimension")
         mf = to_float(self.metric)
@@ -376,14 +386,29 @@ class HomogeneousSRStructure:
         self.m_basis_float = m.basis_float()
         self.delta_basis_float = delta.basis_float()
 
-        if validate:
-            rep = self.validate()
-            if not rep.ok:
-                raise ValueError(f"invalid structure: {rep}")
+        rep = self.validate()
+        if not rep.ok:
+            raise ValueError(f"invalid structure: {rep}")
 
     @property
     def dim(self):
         return self.algebra.dim
+
+    @cached_property
+    def m_dual_exact(self):
+        """Exact (n, dim m) map from m*-coordinates into the annihilator of k.
+
+        Column a pairs to 1 with the a-th m-basis vector and to 0 with the
+        other m-basis vectors and with k: the first dim m columns of the
+        inverse transpose of the adapted basis [m | k].
+        """
+        adapted = np.concatenate([self.m.basis, self.k.basis], axis=1)
+        return exactla.inverse(adapted).T[:, : self.m.dim]
+
+    @cached_property
+    def m_dual(self):
+        """Float mirror of ``m_dual_exact``."""
+        return to_float(self.m_dual_exact)
 
     def validate(self):
         """Exact structural checks; returns a ValidationReport."""
@@ -470,10 +495,6 @@ class HomogeneousSRStructure:
     def hamiltonian_value(self, p):
         p = np.asarray(p, dtype=float)
         return 0.5 * float(p @ self.dmat @ p)
-
-    def m_coords(self, p):
-        """Coordinates of p in the m* basis (pairings with the m-basis)."""
-        return self.m_basis_float.T @ np.asarray(p, dtype=float)
 
     def annihilates_k(self, p, tol=1e-9):
         if self.k.dim == 0:

@@ -46,23 +46,15 @@ def _load(name):
 
 
 def _parse_p0(text, structure):
-    vals = [float(x) for x in text.split(",")]
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("p0 components must be finite")
+    vals = np.array([float(x) for x in text.split(",")])
     n, dm = structure.dim, structure.m.dim
     if len(vals) == n:
-        return np.array(vals)
+        return vals
     if len(vals) == dm:
-        # m*-coordinates: lift into the annihilator of k.
-        adapted = (
-            np.concatenate(
-                [structure.m_basis_float, structure.k_basis_float], axis=1
-            )
-            if structure.k.dim
-            else structure.m_basis_float
-        )
-        m_dual = np.linalg.inv(adapted).T[:, :dm]
-        return m_dual @ np.array(vals)
+        # m*-coordinates: lift into the annihilator of k. Momentum rejects
+        # a non-finite component, so the lift need not warn about one.
+        with np.errstate(invalid="ignore"):
+            return structure.m_dual @ vals
     raise ValueError(
         f"p0 needs {n} components (or {dm} in m*-coordinates), got {len(vals)}"
     )
@@ -234,16 +226,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, p0=False):
+    def common(p, p0=False, sampled=False):
         p.add_argument("--model", required=True,
                        help="registry name or JSON model file")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; execution is "
-                       "sequential for determinism")
+        if sampled:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--samples", type=int, default=1000)
         if p0:
             p.add_argument("--p0", help="comma-separated momentum "
                            "(full or m*-coordinates)")
@@ -253,7 +242,7 @@ def build_parser():
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("integrate", help="vertical flow to CSV")
-    common(p, p0=True)
+    common(p, p0=True, sampled=True)
     p.add_argument("--T", type=float, default=10.0)
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--phase-portrait", action="store_true",
@@ -264,10 +253,12 @@ def build_parser():
 
     p = sub.add_parser("check", help="homogeneity of one momentum")
     common(p, p0=True)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="relative residual threshold")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("go", help="geodesic-orbit analysis")
-    common(p)
+    common(p, sampled=True)
     p.add_argument("--degree-cap", type=int, default=4)
     p.set_defaults(func=cmd_go)
 

@@ -12,10 +12,6 @@ from fractions import Fraction
 
 import numpy as np
 
-# Singular values below RANK_RTOL * sigma_max count as zero in float rank
-# decisions (mirrors the exact routines).
-RANK_RTOL = 1e-10
-
 
 def fmat(rows):
     """Build a Fraction matrix from a nested sequence."""
@@ -125,9 +121,16 @@ def solve(a, b):
 
 
 def inverse(a):
+    """Exact inverse of a square matrix; ValueError if it is singular.
+
+    ``solve(a, I)`` has a solution exactly when ``a`` has full rank, so one
+    row reduction decides both.
+    """
     n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("only a square matrix has an inverse")
     inv = solve(a, feye(n))
-    if inv is None or rank(a) != n:
+    if inv is None:
         raise ValueError("matrix is singular")
     return inv
 
@@ -166,13 +169,3 @@ def matvec(a, v):
                 s += row[k] * x
         out[i] = s
     return out
-
-
-def float_rank(a):
-    """Rank with the scale-aware singular value cutoff."""
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))

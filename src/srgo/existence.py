@@ -181,10 +181,7 @@ def factorize_by_ideal(structure, ideal: Subspace) -> Factorization:
     delta_hat = Subspace.span_of_columns(n_hat, exactla.matmul(proj, surviving))
     metric_hat = exactla.matmul(exactla.matmul(w_coords.T, s.metric), w_coords)
 
-    s_hat = HomogeneousSRStructure(
-        g_hat, k_hat, m_hat, delta_hat, metric_hat,
-        name=f"{s.name}/ideal" if s.name else None,
-    )
+    s_hat = HomogeneousSRStructure(g_hat, k_hat, m_hat, delta_hat, metric_hat)
     return Factorization(s_hat, proj, ideal)
 
 

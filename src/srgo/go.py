@@ -115,14 +115,8 @@ def _compose_linear_exact(poly, mat):
 
 
 def _m_dual_exact(structure):
-    """Exact matrix whose columns parametrize the annihilator of k by m*-coords."""
-    s = structure
-    if s.k.dim:
-        adapted = np.concatenate([s.m.basis, s.k.basis], axis=1)
-    else:
-        adapted = s.m.basis
-    dual = exactla.inverse(adapted).T
-    return dual[:, : s.m.dim]
+    # A named stage only because perfbench/tracer.py traces it by this name.
+    return structure.m_dual_exact
 
 
 def _tangency_witness(structure, rng_seed=0):
@@ -337,8 +331,8 @@ def go_verdict(structure, degree_cap=4, samples=1000, seed=0) -> GoVerdict:
         skew = carnot_skew_test(structure)
     scan = scan_homogeneous(structure, samples, seed)
     notes = []
-    exact_isotropy = getattr(structure, "isotropy_exact", True)
-    connected = getattr(structure, "isotropy_connected", True)
+    exact_isotropy = structure.isotropy_exact
+    connected = structure.isotropy_connected
     if not exact_isotropy:
         notes.append("isotropy data marked incomplete; verdict is evidence only")
     if not connected:

@@ -28,6 +28,8 @@ class Momentum:
         object.__setattr__(self, "coords", coords)
         if coords.shape != (self.structure.dim,):
             raise ValueError("momentum has wrong dimension")
+        if not np.all(np.isfinite(coords)):
+            raise ValueError("momentum coordinates must be finite")
         scale = 1.0 + float(np.max(np.abs(coords)))
         if self.structure.k.dim:
             pairing = self.structure.k_basis_float.T @ coords

@@ -134,10 +134,10 @@ def closed_form_axisymmetric(p0: Momentum, t, kappa) -> Momentum:
 
     Rotates the (p1, p2) pair by the angle kappa * p3 * t and keeps the
     remaining coordinates; kappa is the per-model constant calibrated
-    against the integrator.
+    against the integrator (the structure's ``kappa``).
     """
     s = p0.structure
-    if not getattr(s, "is_axisymmetric", False):
+    if s.kappa is None:
         raise ValueError("closed form only applies to the axisymmetric models")
     p = p0.coords.copy()
     theta = kappa * p[2] * t
@@ -200,10 +200,6 @@ def sample_momenta(structure, nsamples, rng):
     s = structure
     n = s.dim
     dm = s.m.dim
-    adapted = np.concatenate([s.m_basis_float, s.k_basis_float], axis=1) \
-        if s.k.dim else s.m_basis_float
-    dual = np.linalg.inv(adapted).T  # rows/cols pair with the adapted basis
-    m_dual = dual[:, :dm]
     # delta = m_basis @ E; pairings with delta are E^T a for m*-coords a.
     e_coef, *_ = np.linalg.lstsq(s.m_basis_float, s.delta_basis_float, rcond=None)
     rank = e_coef.shape[1]
@@ -221,7 +217,7 @@ def sample_momenta(structure, nsamples, rng):
         a = e_coef @ (gram_inv @ target)
         if null_dim:
             a = a + fill @ rng.standard_normal(null_dim)
-        out[i] = m_dual @ a
+        out[i] = s.m_dual @ a
     return out
 
 

@@ -12,20 +12,32 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exactla
 from .algebra import HomogeneousSRStructure, LieAlgebra, Subspace
-from .poly import Polynomial, poly_from_string
+from .poly import poly_from_string
+
+
+# Top-level keys of a model file; load_model_file rejects any other key.
+MODEL_FILE_KEYS = frozenset({
+    "name", "dim", "labels", "constants", "k_basis", "m_basis",
+    "delta_basis", "metric", "grading", "representation", "casimirs",
+    "facts", "notes", "isotropy_exact", "isotropy_connected", "kappa",
+})
 
 
 @dataclass
 class ModelSpec:
     name: str
     structure: HomogeneousSRStructure
-    casimirs: dict = field(default_factory=dict)  # name -> Polynomial on g*
-    casimir_exprs: dict = field(default_factory=dict)  # name -> string
-    kappa: float | None = None
+    casimir_exprs: dict = field(default_factory=dict)  # name -> string on g*
     known_facts: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
+
+    @property
+    def casimirs(self):
+        """name -> Polynomial on g*, parsed from ``casimir_exprs``."""
+        n = self.structure.dim
+        return {key: poly_from_string(e, n)
+                for key, e in self.casimir_exprs.items()}
 
     def to_dict(self):
         """Serialize to the JSON model-file schema (1-based indices)."""
@@ -42,12 +54,18 @@ class ModelSpec:
             return [[str(x) for x in space.basis[:, a]] for a in range(space.dim)]
 
         out = {
+            "name": self.name,
             "dim": n,
+            "labels": list(g.labels),
             "constants": constants,
             "k_basis": rows(s.k),
             "m_basis": rows(s.m),
             "delta_basis": rows(s.delta),
             "metric": [[str(x) for x in row] for row in s.metric],
+            "isotropy_exact": s.isotropy_exact,
+            "isotropy_connected": s.isotropy_connected,
+            "kappa": s.kappa,
+            "notes": list(self.notes),
         }
         if s.grading is not None:
             out["grading"] = [rows(layer) for layer in s.grading]
@@ -75,19 +93,6 @@ def _structure(algebra, k_rows, m_rows, delta_rows, metric, **kw):
         [[Fraction(x) for x in row] for row in metric],
         **kw,
     )
-
-
-def _set_flags(structure, axisymmetric=False, kappa=None,
-               isotropy_exact=True, isotropy_connected=True):
-    structure.is_axisymmetric = axisymmetric
-    structure.kappa = kappa
-    structure.isotropy_exact = isotropy_exact
-    structure.isotropy_connected = isotropy_connected
-    return structure
-
-
-def _casimirs(n, exprs):
-    return {name: poly_from_string(e, n) for name, e in exprs.items()}, exprs
 
 
 _SO3_L = [
@@ -135,10 +140,8 @@ def _heisenberg():
         grading=[_span(4, [[1, 0, 0, 0], [0, 1, 0, 0]]),
                  _span(4, [[0, 0, 1, 0]])],
         representation=rep,
-        name="heisenberg",
     )
-    _set_flags(s)
-    cas, exprs = _casimirs(4, {"C1": "p3", "C2": "p1^2 + p2^2 + 2*p3*p4"})
+    exprs = {"C1": "p3", "C2": "p1^2 + p2^2 + 2*p3*p4"}
     facts = {
         "go": "affirmed",
         "scan_fraction_homogeneous": 1.0,
@@ -146,7 +149,7 @@ def _heisenberg():
         "existence_route": "solvable",
         "closed_form_period": "2*pi for p0 = (1, 0, 1)",
     }
-    return ModelSpec("heisenberg", s, cas, exprs, known_facts=facts)
+    return ModelSpec("heisenberg", s, exprs, known_facts=facts)
 
 
 def _cartan():
@@ -172,17 +175,8 @@ def _cartan():
         [[1, 0], [0, 1]],
         grading=[_span(6, ident[:2]), _span(6, [ident[2]]),
                  _span(6, ident[3:5])],
-        name="cartan",
     )
-    _set_flags(s)
-    cas, exprs = _casimirs(
-        6,
-        {
-            "C1": "1/2*p3^2 + p1*p5 - p2*p4",
-            "C2": "p4",
-            "C3": "p5",
-        },
-    )
+    exprs = {"C1": "1/2*p3^2 + p1*p5 - p2*p4", "C2": "p4", "C3": "p5"}
     facts = {
         "go": "refuted",
         "conserved_note": "C1..C3 generate the Casimirs of the step-3 "
@@ -192,7 +186,7 @@ def _cartan():
         "rank-2 step-2 case)",
         "quotient_by_e4_e5": "heisenberg",
     }
-    return ModelSpec("cartan", s, cas, exprs, known_facts=facts)
+    return ModelSpec("cartan", s, exprs, known_facts=facts)
 
 
 def generate_free_step2(rank):
@@ -262,11 +256,9 @@ def generate_free_step2(rank):
         ident[:r],
         np.eye(r, dtype=int).tolist(),
         grading=[_span(n, ident[:r]), _span(n, ident[r: r + nw])],
-        name=f"free_step2_rank{r}",
     )
-    _set_flags(s)
     wedge_sq = " + ".join(f"p{r + i + 1}^2" for i in range(nw))
-    cas, exprs = _casimirs(n, {"C1": wedge_sq})
+    exprs = {"C1": wedge_sq}
     facts = {
         "go": "affirmed",
         "scan_fraction_homogeneous": 1.0,
@@ -274,7 +266,7 @@ def generate_free_step2(rank):
         "vertical_splitting": "the V-part rotates under the wedge "
         "component, the wedge component is constant",
     }
-    return ModelSpec(f"free_step2_rank{r}", s, cas, exprs, known_facts=facts)
+    return ModelSpec(f"free_step2_rank{r}", s, exprs, known_facts=facts)
 
 
 def _axisym_brackets(sign):
@@ -317,20 +309,16 @@ def _axisym_model(name, sign, inertia):
         [[1, 0, 0, 0], [0, 1, 0, 0]],
         [[inertia, 0], [0, inertia]],
         representation=_axisym_rep(sign),
-        name=name,
+        kappa=sign / inertia,
     )
-    kappa = sign / inertia
-    _set_flags(s, axisymmetric=True, kappa=kappa)
     quad = "p1^2 + p2^2 + p3^2 + 2*p3*p4 + p4^2" if sign > 0 \
         else "p1^2 + p2^2 - p3^2 - 2*p3*p4 - p4^2"
-    cas, exprs = _casimirs(4, {"C1": "p3", "C2": quad})
     facts = {
         "go": "affirmed",
         "every_geodesic_homogeneous": True,
-        "kappa": kappa,
         "closed_form": "rotation of (p1, p2) by angle kappa * p3 * t",
     }
-    return ModelSpec(name, s, cas, exprs, kappa=kappa, known_facts=facts)
+    return ModelSpec(name, s, {"C1": "p3", "C2": quad}, known_facts=facts)
 
 
 def _so3_axisym():
@@ -343,14 +331,12 @@ def _sl2_axisym():
 
 def _so3_kp():
     spec = _axisym_model("so3_kp", 1, 1)
-    spec.name = spec.structure.name = "so3_kp"
     spec.known_facts["existence_route"] = "eigenvector"
     return spec
 
 
 def _sl2_kp():
     spec = _axisym_model("sl2_kp", -1, 1)
-    spec.name = spec.structure.name = "sl2_kp"
     spec.known_facts["existence_route"] = "eigenvector"
     return spec
 
@@ -366,19 +352,18 @@ def _so3_generic():
         g, [], ident, ident,
         [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
         representation=[np.asarray(m, dtype=float) for m in _SO3_L],
-        name="so3_generic",
+        # The isotropy of the distinct-inertia metric is a discrete rotation
+        # group, so the infinitesimal (k = 0) invariant tests are not
+        # conclusive for the GO property.
+        isotropy_connected=False,
     )
-    # The isotropy of the distinct-inertia metric is a discrete rotation
-    # group, so the infinitesimal (k = 0) invariant tests are not
-    # conclusive for the GO property.
-    _set_flags(s, isotropy_connected=False)
-    cas, exprs = _casimirs(3, {"C1": "p1^2 + p2^2 + p3^2"})
+    exprs = {"C1": "p1^2 + p2^2 + p3^2"}
     facts = {
         "go": "evidence_only",
         "fixed_point_count": 6,
         "fixed_points": "the six points +-sqrt(I_i) along the dual axes",
     }
-    return ModelSpec("so3_generic", s, cas, exprs, known_facts=facts,
+    return ModelSpec("so3_generic", s, exprs, known_facts=facts,
                      notes=["isotropy algebra is zero; residual discrete "
                             "symmetries are not captured by k"])
 
@@ -405,14 +390,11 @@ def _rolling_sphere():
         [[0, -1, 0, 1, 0], [1, 0, 0, 0, 1], [0, 0, 1, 0, 0]],
         np.eye(3, dtype=int).tolist(),
         representation=rep,
-        name="rolling_sphere",
+        # The exact isotropy subgroup of this structure is not pinned down;
+        # k = 0 here, so all GO conclusions stay at the evidence level.
+        isotropy_exact=False,
     )
-    # The exact isotropy subgroup of this structure is not pinned down;
-    # k = 0 here, so all GO conclusions stay at the evidence level.
-    _set_flags(s, isotropy_exact=False)
-    cas, exprs = _casimirs(
-        5, {"C1": "p1^2 + p2^2 + p3^2", "C2": "p4", "C3": "p5"}
-    )
+    exprs = {"C1": "p1^2 + p2^2 + p3^2", "C2": "p4", "C3": "p5"}
     facts = {
         "go": "evidence_only_not_go",
         "fixed_points": "momenta with zero rotational part or with the "
@@ -420,7 +402,7 @@ def _rolling_sphere():
         "isotropy_note": "declared isotropy is zero; the true isotropy "
         "subgroup is not fully determined",
     }
-    return ModelSpec("rolling_sphere", s, cas, exprs, known_facts=facts,
+    return ModelSpec("rolling_sphere", s, exprs, known_facts=facts,
                      notes=["isotropy data incomplete by construction"])
 
 
@@ -435,16 +417,14 @@ def _biinvariant_compact():
         g, [], ident, ident,
         [[2, 0, 0], [0, 2, 0], [0, 0, 2]],  # minus the Killing form
         representation=[np.asarray(m, dtype=float) for m in _SO3_L],
-        name="biinvariant_compact",
     )
-    _set_flags(s)
-    cas, exprs = _casimirs(3, {"C1": "p1^2 + p2^2 + p3^2"})
+    exprs = {"C1": "p1^2 + p2^2 + p3^2"}
     facts = {
         "go": "affirmed",
         "vertical_field": "identically zero",
         "scan_fraction_homogeneous": 1.0,
     }
-    return ModelSpec("biinvariant_compact", s, cas, exprs, known_facts=facts)
+    return ModelSpec("biinvariant_compact", s, exprs, known_facts=facts)
 
 
 _REGISTRY = {
@@ -474,17 +454,36 @@ def load_model(name) -> ModelSpec:
     return _REGISTRY[name]()
 
 
-def load_model_file(path, name=None) -> ModelSpec:
-    """Read a model from the JSON schema used by to_dict/save."""
+def load_model_file(path) -> ModelSpec:
+    """Read a model from the JSON schema used by to_dict/save.
+
+    Raises ValueError on a key outside the schema, on malformed isotropy
+    flags, kappa or Casimir expressions, and on structure data that fails
+    the exact checks.
+    """
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a model file holds one JSON object")
+    unknown = sorted(set(data) - MODEL_FILE_KEYS)
+    if unknown:
+        raise ValueError(f"unknown model-file keys: {', '.join(unknown)}")
+    flags = {key: data.get(key, True)
+             for key in ("isotropy_exact", "isotropy_connected")}
+    if not all(isinstance(v, bool) for v in flags.values()):
+        raise ValueError("isotropy_exact and isotropy_connected must be "
+                         "true or false")
+    kappa = data.get("kappa")
+    if kappa is not None and (isinstance(kappa, bool)
+                              or not isinstance(kappa, (int, float))):
+        raise ValueError("kappa must be a number or null")
     n = int(data["dim"])
     entries = {}
     for i, j, k, num, den in data["constants"]:
         val = Fraction(int(num), int(den))
         entries[(i - 1, j - 1, k - 1)] = val
         entries[(j - 1, i - 1, k - 1)] = -val
-    g = LieAlgebra(n, entries)
+    g = LieAlgebra(n, entries, data.get("labels"))
     rep = g.validate()
     if not rep.ok:
         raise ValueError(f"invalid structure constants: {rep}")
@@ -506,12 +505,13 @@ def load_model_file(path, name=None) -> ModelSpec:
         [[Fraction(str(x)) for x in row] for row in data["metric"]],
         grading=grading,
         representation=representation,
-        name=name or data.get("name"),
+        kappa=kappa,
+        **flags,
     )
-    _set_flags(s)
     exprs = data.get("casimirs", {})
-    cas = {k: poly_from_string(v, n) for k, v in exprs.items()}
+    for expr in exprs.values():
+        poly_from_string(expr, n)  # a malformed expression fails here
     return ModelSpec(
-        name or data.get("name", "user_model"), s, cas, exprs,
-        known_facts=data.get("facts", {}),
+        data.get("name", "user_model"), s, exprs,
+        known_facts=data.get("facts", {}), notes=list(data.get("notes", [])),
     )

@@ -122,11 +122,6 @@ class Polynomial:
             out[tuple(m2)] = c * m[i]
         return Polynomial(self.nvars, out)
 
-    def homogeneous_part(self, d):
-        return Polynomial(
-            self.nvars, {m: c for m, c in self.terms.items() if sum(m) == d}
-        )
-
     def __call__(self, p):
         """Float value at p, or at every point of an array (..., nvars).
 
@@ -161,35 +156,6 @@ class Polynomial:
                     v *= Fraction(p[i]) ** e
             total += v
         return total
-
-    def substitute_zero(self, indices):
-        """Set the listed variables to zero."""
-        idx = set(indices)
-        out = {}
-        for m, c in self.terms.items():
-            if any(m[i] for i in idx):
-                continue
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(self.nvars, out)
-
-    def restrict(self, nvars):
-        """Reinterpret as a polynomial in the first ``nvars`` variables.
-
-        Fails if any term touches a dropped variable.
-        """
-        out = {}
-        for m, c in self.terms.items():
-            if any(m[nvars:]):
-                raise ValueError("polynomial involves dropped variables")
-            out[m[:nvars]] = c
-        return Polynomial(nvars, out)
-
-    def extend(self, nvars):
-        """View in a larger variable set (new variables unused)."""
-        if nvars < self.nvars:
-            raise ValueError("cannot shrink; use restrict")
-        pad = (0,) * (nvars - self.nvars)
-        return Polynomial(nvars, {m + pad: c for m, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:

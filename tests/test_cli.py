@@ -187,7 +187,51 @@ def test_model_file_through_cli(tmp_path):
     spec = srgo.load_model("so3_axisym")
     model_file = tmp_path / "model.json"
     spec.save(model_file)
-    assert run(["validate", "--model", str(model_file)]) == 0
+    out = tmp_path / "v.json"
+    assert run(["validate", "--model", str(model_file), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["model"] == "so3_axisym"
+
+
+def test_model_file_unknown_key_exits_2(tmp_path, capsys):
+    import srgo
+
+    data = srgo.load_model("heisenberg").to_dict()
+    data["isotropy"] = "exact"
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(data))
+    assert run(["validate", "--model", str(model_file)]) == 2
+    assert "unknown model-file keys: isotropy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--model", "heisenberg", "--seed", "1"],
+    ["check", "--model", "heisenberg", "--p0", "1,0,1", "--samples", "5"],
+    ["exist", "--model", "heisenberg", "--tol", "1e-6"],
+    ["go", "--model", "heisenberg", "--jobs", "2"],
+])
+def test_ignored_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, m_coords", [
+    ("cartan", "1,0.3,0,0,0"),
+    ("rolling_sphere", "0.3,-0.2,0.5,1,0.4"),
+])
+def test_check_lifts_m_coords_into_annihilator(tmp_path, name, m_coords):
+    import srgo
+
+    s = srgo.load_model(name).structure
+    out = tmp_path / "c.json"
+    assert run(["check", "--model", name, "--p0", m_coords,
+                "--out", str(out)]) in (0, 1)
+    p0 = np.array(json.loads(out.read_text())["p0"])
+    a = np.array([float(x) for x in m_coords.split(",")])
+    assert p0.shape == (s.dim,)
+    assert np.allclose(s.m_basis_float.T @ p0, a, atol=1e-15)
+    assert np.allclose(s.k_basis_float.T @ p0, 0.0, atol=1e-15)
 
 
 def test_requires_p0(capsys):

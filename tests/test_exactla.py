@@ -69,8 +69,16 @@ def test_inverse():
     a = exactla.fmat([[2, 1], [1, 1]])
     inv = exactla.inverse(a)
     assert (exactla.matmul(a, inv) == exactla.feye(2)).all()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular"):
         exactla.inverse(exactla.fmat([[1, 1], [1, 1]]))
+
+
+def test_inverse_rejects_non_square():
+    # [[1, 0, 0], [0, 1, 0]] has a right inverse, but no inverse.
+    with pytest.raises(ValueError, match="square"):
+        exactla.inverse(exactla.fmat([[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(ValueError, match="square"):
+        exactla.inverse(exactla.fmat([[1, 0], [0, 1], [0, 0]]))
 
 
 def test_column_echelon_canonical():
@@ -79,12 +87,6 @@ def test_column_echelon_canonical():
     b = exactla.fmat([[2, 1], [1, 0], [2, 4]])  # b = a @ [[1,1],[1,-1]] ... spans
     b = exactla.matmul(a, exactla.fmat([[1, 2], [1, -1]]))
     assert (exactla.column_echelon(a) == exactla.column_echelon(b)).all()
-
-
-@settings(max_examples=40, deadline=None)
-@given(frac_matrices())
-def test_float_rank_matches_exact(a):
-    assert exactla.float_rank(a) == exactla.rank(a)
 
 
 def _dense_rref(a):

@@ -24,6 +24,17 @@ def test_momentum_must_annihilate_k(heisenberg):
         Momentum(np.array([1.0, 0, 1]), s)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_momentum_must_be_finite(models, bad):
+    # A NaN scale would let the annihilation test pass; check both a model
+    # with isotropy and one without.
+    for name, p in [("heisenberg", [1.0, 0, 1, 0]), ("so3_generic", [1.0, 0, 1])]:
+        p = np.array(p)
+        p[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Momentum(p, models[name].structure)
+
+
 def test_hamiltonian_axisym_value(so3_axisym):
     # B = diag(2, 2) on delta, so H(1, 0, p3) = 1/(2*2).
     s = so3_axisym.structure

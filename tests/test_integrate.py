@@ -87,7 +87,7 @@ def test_closed_form_axisymmetric_models(models):
         p0 = Momentum(np.array([1.0, 0.4, 0.8, 0.0]), s)
         traj = integrate_vertical(p0, 10.0, 1e-3)
         for i in range(0, traj.n_samples, 250):
-            cf = closed_form_axisymmetric(p0, traj.times[i], spec.kappa)
+            cf = closed_form_axisymmetric(p0, traj.times[i], s.kappa)
             assert np.max(np.abs(cf.coords - traj.momenta[i])) < 1e-6, name
 
 

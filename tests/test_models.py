@@ -90,28 +90,68 @@ def test_cartan_known_casimir_exprs(cartan):
 
 
 def test_kappa_values(models):
-    assert models["so3_axisym"].kappa == 0.5
-    assert models["sl2_axisym"].kappa == -0.5
-    assert models["so3_kp"].kappa == 1.0
-    assert models["sl2_kp"].kappa == -1.0
-    assert models["heisenberg"].kappa is None
+    assert models["so3_axisym"].structure.kappa == 0.5
+    assert models["sl2_axisym"].structure.kappa == -0.5
+    assert models["so3_kp"].structure.kappa == 1.0
+    assert models["sl2_kp"].structure.kappa == -1.0
+    assert models["heisenberg"].structure.kappa is None
+
+
+def _roundtrip(tmp_path, spec):
+    path = tmp_path / f"{spec.name}.json"
+    spec.save(path)
+    return load_model_file(path)
 
 
 def test_model_json_roundtrip(tmp_path, models):
-    for name in ["heisenberg", "cartan", "so3_axisym", "rolling_sphere"]:
-        spec = models[name]
-        path = tmp_path / f"{name}.json"
-        spec.save(path)
-        again = load_model_file(path, name=name)
-        assert (
-            again.structure.algebra.constants
-            == spec.structure.algebra.constants
-        ).all()
-        assert again.structure.k == spec.structure.k
-        assert again.structure.m == spec.structure.m
-        assert again.structure.delta == spec.structure.delta
-        assert (again.structure.metric == spec.structure.metric).all()
-        assert again.casimir_exprs == spec.casimir_exprs
+    for name, spec in models.items():
+        again = _roundtrip(tmp_path, spec)
+        s, t = spec.structure, again.structure
+        assert (t.algebra.constants == s.algebra.constants).all(), name
+        assert t.k == s.k and t.m == s.m and t.delta == s.delta, name
+        assert (t.metric == s.metric).all(), name
+        assert again.name == name
+        assert again.casimir_exprs == spec.casimir_exprs, name
+        assert again.notes == spec.notes, name
+        assert again.known_facts == spec.known_facts, name
+        assert t.algebra.labels == s.algebra.labels, name
+        assert t.isotropy_exact == s.isotropy_exact, name
+        assert t.isotropy_connected == s.isotropy_connected, name
+        assert t.kappa == s.kappa, name
+
+
+def test_go_verdict_survives_roundtrip(tmp_path, models):
+    for name, spec in models.items():
+        before = srgo.go_verdict(spec.structure, samples=50, seed=0).to_dict()
+        again = _roundtrip(tmp_path, spec)
+        after = srgo.go_verdict(again.structure, samples=50, seed=0).to_dict()
+        assert after == before, name
+        if name in ("rolling_sphere", "so3_generic"):
+            assert after["verdict"] == "evidence_only"
+
+
+def test_model_file_must_be_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    with pytest.raises(ValueError, match="JSON object"):
+        load_model_file(path)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("colour", "blue", "unknown model-file keys: colour"),
+    ("isotropy_exact", "false", "isotropy_exact"),
+    ("kappa", "1/2", "kappa"),
+    ("labels", ["e1"], "label count"),
+    ("casimirs", {"C1": "p9"}, "p9"),
+])
+def test_model_file_rejects_bad_metadata(tmp_path, heisenberg, key, value,
+                                         match):
+    data = heisenberg.to_dict()
+    data[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=match):
+        load_model_file(path)
 
 
 def test_model_save_deterministic(tmp_path, heisenberg):

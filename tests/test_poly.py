@@ -56,15 +56,6 @@ def test_monomials_of_degree():
     assert monomials_of_degree(1, 4) == [(4,)]
 
 
-def test_substitute_restrict_extend():
-    p = poly_from_string("p1*p3 + p2", 3)
-    assert p.substitute_zero([2]) == poly_from_string("p2", 3)
-    assert poly_from_string("p2", 3).restrict(2) == poly_from_string("p2", 2)
-    with pytest.raises(ValueError):
-        p.restrict(2)
-    assert p.extend(4).nvars == 4
-
-
 @settings(max_examples=60, deadline=None)
 @given(small_polys(), small_polys(), small_polys())
 def test_ring_axioms(p, q, r):
