@@ -39,6 +39,11 @@ def _object_vec(values):
     return out
 
 
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by its structure constants.
 
@@ -403,12 +408,27 @@ class HomogeneousSRStructure:
         inverse transpose of the adapted basis [m | k].
         """
         adapted = np.concatenate([self.m.basis, self.k.basis], axis=1)
-        return exactla.inverse(adapted).T[:, : self.m.dim]
+        return _read_only(exactla.inverse(adapted).T[:, : self.m.dim])
 
     @cached_property
     def m_dual(self):
         """Float mirror of ``m_dual_exact``."""
-        return to_float(self.m_dual_exact)
+        return _read_only(to_float(self.m_dual_exact))
+
+    def freeze(self):
+        """Mark every array of this structure read-only.
+
+        Covers the arrays of the structure itself, of its algebra, of its
+        k, m, delta and grading subspaces, and the representation matrices.
+        A structure shared by several callers is frozen so that none of
+        them can change it in place for the others.
+        """
+        holders = [self, self.algebra, self.k, self.m, self.delta,
+                   *(self.grading or ())]
+        arrays = [v for h in holders for v in vars(h).values()
+                  if isinstance(v, np.ndarray)]
+        for a in arrays + list(self.representation or ()):
+            _read_only(a)
 
     def validate(self):
         """Exact structural checks; returns a ValidationReport."""
@@ -421,14 +441,14 @@ class HomogeneousSRStructure:
             np.concatenate([k.basis, m.basis], axis=1) if k.dim else m.basis
         ) != n:
             report.add("g is not the direct sum of k and m")
-        for a in range(k.dim):
-            for b in range(k.dim):
-                if not k.contains(g.bracket_exact(k.basis[:, a], k.basis[:, b])):
-                    report.add("k is not a subalgebra")
-        for a in range(k.dim):
-            for b in range(m.dim):
-                if not m.contains(g.bracket_exact(k.basis[:, a], m.basis[:, b])):
-                    report.add("decomposition is not reductive: [k, m] not in m")
+        # Every ordered pair, a == b included: antisymmetry is not checked
+        # here. Each kind of violation is reported once.
+        if not all(k.contains(g.bracket_exact(k.basis[:, a], k.basis[:, b]))
+                   for a in range(k.dim) for b in range(k.dim)):
+            report.add("k is not a subalgebra")
+        if not all(m.contains(g.bracket_exact(k.basis[:, a], m.basis[:, b]))
+                   for a in range(k.dim) for b in range(m.dim)):
+            report.add("decomposition is not reductive: [k, m] not in m")
         if not m.contains_subspace(delta):
             report.add("delta is not contained in m")
         seed = subspace_sum(n, [delta, k])

@@ -448,10 +448,29 @@ def list_models():
     return sorted(_REGISTRY)
 
 
+# name -> the bundled ModelSpec built by the first load_model call for it.
+_LOADED = {}
+
+
 def load_model(name) -> ModelSpec:
+    """The bundled model ``name``; KeyError for an unknown name.
+
+    Each bundled model is built and validated once per process, on the
+    first call for its name. Every call returns a fresh ModelSpec that
+    shares that structure read-only (its arrays are not writeable), with
+    its own copies of ``casimir_exprs``, ``known_facts`` and ``notes``.
+    A plain function, not a functools cache: the benchmark tracer wraps
+    only objects that ``inspect.isfunction`` accepts.
+    """
     if name not in _REGISTRY:
         raise KeyError(f"unknown model {name!r}; known: {', '.join(list_models())}")
-    return _REGISTRY[name]()
+    spec = _LOADED.get(name)
+    if spec is None:
+        built = _REGISTRY[name]()
+        built.structure.freeze()
+        spec = _LOADED.setdefault(name, built)
+    return ModelSpec(spec.name, spec.structure, dict(spec.casimir_exprs),
+                     dict(spec.known_facts), list(spec.notes))
 
 
 def load_model_file(path) -> ModelSpec:

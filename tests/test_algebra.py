@@ -144,6 +144,24 @@ def test_structure_rejects_nonreductive():
         )
 
 
+def test_structure_reports_each_violation_once():
+    # so(3) with k = span(X1, X2): several pairs fail each check.
+    g = LieAlgebra.from_brackets(
+        3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}})
+    with pytest.raises(ValueError) as exc:
+        srgo.HomogeneousSRStructure(
+            g,
+            Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]]),
+            Subspace.from_vectors(3, [[0, 0, 1]]),
+            Subspace.from_vectors(3, [[0, 0, 1]]),
+            [[1]],
+        )
+    assert str(exc.value) == (
+        "invalid structure: k is not a subalgebra; "
+        "decomposition is not reductive: [k, m] not in m"
+    )
+
+
 def test_grading_validation(cartan):
     s = cartan.structure
     assert s.grading is not None

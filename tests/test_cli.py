@@ -25,6 +25,33 @@ def test_validate_unknown_model(capsys):
     assert "unknown model" in capsys.readouterr().err
 
 
+def test_validate_reports_jacobi_on_a_bundled_model(tmp_path, monkeypatch):
+    # Bundled models skip the algebra checks at build time, so validate
+    # must still run them: [e2, e3] = e1 and [e3, e1] = e1 break Jacobi.
+    import srgo.models as models
+    from srgo.algebra import HomogeneousSRStructure, LieAlgebra, Subspace
+
+    def build():
+        g = LieAlgebra.from_brackets(
+            3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {0: 1}})
+        s = HomogeneousSRStructure(
+            g,
+            Subspace.from_vectors(3, []),
+            Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]]),
+            [[1, 0], [0, 1]],
+        )
+        return models.ModelSpec("broken_jacobi", s)
+
+    monkeypatch.setitem(models._REGISTRY, "broken_jacobi", build)
+    monkeypatch.setattr(models, "_LOADED", {})
+    out = tmp_path / "v.json"
+    assert run(["validate", "--model", "broken_jacobi", "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["valid"] is False
+    assert "Jacobi identity violated at (1,2,3;3)" in payload["violations"]
+
+
 def test_validate_rejects_broken_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     # [e1,e2] = e3 together with [e1,e3] = e1 violates Jacobi.

@@ -1,9 +1,11 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 import srgo
+import srgo.models as models_mod
 from srgo import generate_free_step2, list_models, load_model, load_model_file
 
 
@@ -22,6 +24,44 @@ def test_registry_contents():
 def test_unknown_model():
     with pytest.raises(KeyError, match="unknown model"):
         load_model("nope")
+
+
+def test_load_model_shares_one_structure():
+    first, second = load_model("cartan"), load_model("cartan")
+    assert first is not second
+    assert first.structure is second.structure
+    assert first.known_facts is not second.known_facts
+    assert first.notes is not second.notes
+    assert first.casimir_exprs is not second.casimir_exprs
+    first.known_facts["go"] = "edited"
+    first.notes.append("edited")
+    first.casimir_exprs["C9"] = "p1"
+    third = load_model("cartan")
+    assert third.known_facts["go"] == "refuted"
+    assert "edited" not in third.notes
+    assert "C9" not in third.casimir_exprs
+
+
+def test_loaded_spec_matches_a_fresh_build():
+    for name in list_models():
+        assert load_model(name).to_dict() == models_mod._REGISTRY[name]().to_dict(), name
+
+
+def test_shared_structure_is_read_only():
+    s = load_model("cartan").structure
+    with pytest.raises(ValueError, match="read-only"):
+        s.dmat[0, 0] = 1.0
+    for a in (s.algebra.c_float, s.metric, s.k.basis, s.m.canonical,
+              s.delta.basis, s.grading[1].basis, s.m_dual, s.m_dual_exact):
+        assert not a.flags.writeable
+    rep = load_model("heisenberg").structure.representation
+    assert not any(r.flags.writeable for r in rep)
+
+
+def test_load_model_is_a_plain_function():
+    # perfbench/tracer.py wraps only what inspect.isfunction accepts, and
+    # times every load through this name.
+    assert inspect.isfunction(models_mod.load_model)
 
 
 def test_all_models_validate_exactly(models):
