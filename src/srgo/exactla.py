@@ -4,8 +4,9 @@ Matrices are numpy object arrays holding ``fractions.Fraction`` entries;
 the loops work on their rows as Python lists and touch only nonzeros:
 ``rref`` eliminates over the pivot row's nonzero columns and divides only
 by a pivot that is not 1, ``matmul`` and ``matvec`` multiply through lists
-of each row's nonzero entries. Everything here is deterministic and exact;
-float counterparts live with the callers.
+of each row's nonzero entries. ``solve_sparse`` takes a system as rows of
+{column: value} dicts and eliminates them one at a time. Everything here is
+deterministic and exact; float counterparts live with the callers.
 """
 
 from fractions import Fraction
@@ -118,6 +119,46 @@ def solve(a, b):
         for j in range(b2.shape[1]):
             x[pc, j] = r[ri, ncols + j]
     return x if b.ndim == 2 else x[:, 0]
+
+
+def solve_sparse(rows, ncols):
+    """Solve a sparse system exactly; returns None if it is inconsistent.
+
+    ``rows`` is an iterable of (coefficients, rhs) pairs, the coefficients a
+    {column: Fraction} dict over columns 0..ncols-1. Each row is reduced
+    against the pivot rows found so far, always at its lowest nonzero
+    column, and becomes a pivot row where that column has none yet. The
+    pivot columns are therefore those of ``rref``, and back-substitution
+    with the free variables set to zero gives the vector ``solve`` returns.
+    """
+    pivots = {}  # column -> (row right of its leading 1, rhs)
+    for coeffs, rhs in rows:
+        row = {c: v for c, v in coeffs.items() if v}
+        while row:
+            col = min(row)
+            f = row.pop(col)
+            if col not in pivots:
+                f = Fraction(f)
+                pivots[col] = ({c: v / f for c, v in row.items()}, rhs / f)
+                break
+            prow, prhs = pivots[col]
+            for c, v in prow.items():
+                w = row.get(c, 0) - f * v
+                if w:
+                    row[c] = w
+                else:
+                    row.pop(c, None)
+            rhs -= f * prhs
+        else:
+            if rhs:
+                return None
+    x = [Fraction(0)] * ncols
+    for col in sorted(pivots, reverse=True):
+        prow, prhs = pivots[col]
+        x[col] = prhs - sum((v * x[c] for c, v in prow.items()), Fraction(0))
+    out = np.empty(ncols, dtype=object)
+    out[:] = x
+    return out
 
 
 def inverse(a):

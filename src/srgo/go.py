@@ -3,10 +3,14 @@
 Three routes: exact bases of isotropy-invariant polynomials with the
 Poisson-commutation test, the skew-symmetry obstruction for graded
 nilpotent structures, and statistical scans. The commutation test first
-tries an exact linear tangency witness, which certifies vanishing brackets
-at every degree; enumeration up to the degree cap is the fallback.
+solves exactly for a tangency witness, a Z(p) in k linear in p with
+coad(dH(p) + Z(p))p = 0 on the annihilator of k: one sparse rational
+system whose solution certifies vanishing brackets at every degree, and
+whose inconsistency proves that no such linear Z exists. Enumeration of
+invariants up to the degree cap then decides.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -15,8 +19,7 @@ import numpy as np
 from . import exactla
 from .algebra import Subspace, subspace_sum
 from .hamiltonian import hamiltonian_polynomial, lie_poisson_bracket
-from .homogeneity import feasibility_systems, scan_homogeneous, system_tensors
-from .integrate import sample_momenta
+from .homogeneity import scan_homogeneous
 from .poly import Polynomial, monomials_of_degree
 
 GO_AFFIRMED = "GO_affirmed_up_to_degree"
@@ -119,40 +122,64 @@ def _m_dual_exact(structure):
     return structure.m_dual_exact
 
 
-def _tangency_witness(structure, rng_seed=0):
+def _tangency_witness(structure):
     """Exact linear witness L with coad(dH(p))p = -coad(Lp)p on k-circ.
 
-    Found by float least squares on sampled momenta, rounded to small
-    rationals, then verified as an exact polynomial identity. Returns the
-    exact matrix or None.
+    On k-circ write p = m_dual a and L p = W a. Component j of the identity
+    is a quadratic form in a whose coefficients are linear in W; matching
+    the coefficient of each a_r a_s (r <= s) to zero gives one sparse
+    rational system in the dk * dm entries of W, built from the nonzero
+    structure constants and solved exactly by ``exactla.solve_sparse``.
+    Returns L = W m_basis^T, or None when the system is inconsistent: then
+    no Z(p) in k linear in p closes the identity. With trivial k it returns
+    None without solving.
     """
     s = structure
-    n, dk = s.dim, s.k.dim
+    n, dk, dm = s.dim, s.k.dim, s.m.dim
     if dk == 0:
         return None
-    rng = np.random.default_rng(rng_seed)
-    nsamples = max(40, 3 * n)
-    ps = sample_momenta(s, nsamples, rng)
-    # rows: for sample p and component j:  sum_aq L[a,q] p_q p([Z_a, e_j])
-    coadz, b = feasibility_systems(system_tensors(s), ps)  # (ns, n, dk), (ns, n)
-    lhs = np.empty((nsamples * n, dk * n))
-    np.multiply(coadz[:, :, :, None], ps[:, None, None, :],
-                out=lhs.reshape(nsamples, n, dk, n))
-    rhs = b.reshape(-1)
-    sol, residuals, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    if np.linalg.norm(lhs @ sol - rhs) > 1e-7 * (1 + np.linalg.norm(rhs)):
+    dual_rows = exactla.row_nonzeros(_m_dual_exact(s))  # q -> [(r, m_dual[q, r])]
+    d_rows = exactla.row_nonzeros(s.dmat_exact)  # i -> [(q, Dmat[i, q])]
+    z_rows = exactla.row_nonzeros(s.k.basis)  # i -> [(a, Z_a[i])]
+    # Per j, in g-coordinates of p: coad(dH(p))p_j = sum M_j[q, k] p_q p_k
+    # and p([Z_a, e_j]) = sum_k T[a, j, k] p_k.
+    m_forms = [defaultdict(Fraction) for _ in range(n)]
+    t_forms = [defaultdict(Fraction) for _ in range(n)]
+    for i, j, k, c in s.algebra.coo:
+        for q, d in d_rows[i]:
+            m_forms[j][q, k] += d * c
+        for a, z in z_rows[i]:
+            t_forms[j][a, k] += z * c
+    rows = []
+    for j in range(n):
+        const = defaultdict(Fraction)  # (r, s) -> coefficient of V_j
+        for (q, k), v in m_forms[j].items():
+            for r, x in dual_rows[q]:
+                for t, y in dual_rows[k]:
+                    const[min(r, t), max(r, t)] += v * x * y
+        g = defaultdict(Fraction)  # (a, t) -> g_aj[t] = (m_dual^T T[a, j])_t
+        for (a, k), v in t_forms[j].items():
+            for t, y in dual_rows[k]:
+                g[a, t] += v * y
+        coeffs = defaultdict(lambda: defaultdict(Fraction))  # (r, s) -> {col: .}
+        for (a, t), v in g.items():
+            if v:
+                for r in range(dm):
+                    coeffs[min(r, t), max(r, t)][a * dm + r] += v
+        for key in sorted(const.keys() | coeffs.keys()):
+            rows.append((coeffs.get(key, {}), -const.get(key, 0)))
+    sol = exactla.solve_sparse(rows, dk * dm)
+    if sol is None:
         return None
-    l_exact = exactla.fzeros(dk, n)
-    for a in range(dk):
-        for q in range(n):
-            l_exact[a, q] = Fraction(sol[a * n + q]).limit_denominator(512)
-    if _verify_witness(structure, l_exact):
-        return l_exact
-    return None
+    return exactla.matmul(sol.reshape(dk, dm), s.m.basis.T)
 
 
 def _verify_witness(structure, l_exact):
-    """Exact check of the quadratic identity behind the tangency witness."""
+    """Exact check of the quadratic identity behind the tangency witness.
+
+    An exact solution of _tangency_witness's system is the identity, so
+    this is not run there; it is the independent oracle the tests use.
+    """
     s = structure
     g = s.algebra
     n, dk, dm = s.dim, s.k.dim, s.m.dim
@@ -207,9 +234,9 @@ class BracketReport:
 def go_test_bracket(structure, degree_cap=4) -> BracketReport:
     """Poisson commutation of H with the invariant algebra, exact.
 
-    A successful linear tangency witness certifies {H, F} = 0 for every
-    invariant polynomial of every degree; otherwise invariants up to the
-    cap are enumerated and bracketed one by one.
+    A linear tangency witness certifies {H, F} = 0 for every invariant
+    polynomial of every degree; when none exists, invariants up to the cap
+    are enumerated and bracketed one by one.
     """
     if degree_cap < 2:
         raise ValueError("degree_cap must be at least 2")

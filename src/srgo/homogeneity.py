@@ -117,6 +117,13 @@ def _exact_feasible(p: Momentum):
     return z
 
 
+def _check_threshold(threshold):
+    """A verdict threshold must be a finite positive number: NaN and inf
+    would call any residual homogeneous, zero or less none."""
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
+
+
 def _float_verdict(relres, threshold):
     """The verdict a float residual decides, or None in the exact band
     [threshold, 10 threshold). A residual that is not finite is
@@ -151,8 +158,10 @@ def check_homogeneous(p: Momentum, threshold=DEFAULT_THRESHOLD) -> HomogeneityCe
     Residuals are relative (scaled by 1 + |b|); a verdict in the band
     [threshold, 10 threshold) escalates to exact rational arithmetic
     before giving up as inconclusive. A system that is not finite (say,
-    from an overflowing momentum) is inconclusive.
+    from an overflowing momentum) is inconclusive. A threshold that is not
+    finite and positive raises ValueError.
     """
+    _check_threshold(threshold)
     s = p.structure
     relres, z = feasibility_residuals(s, p.coords[None])
     relres, z = float(relres[0]), z[0]
@@ -172,6 +181,7 @@ def homogeneity_verdicts(structure, momenta, threshold=DEFAULT_THRESHOLD):
     The residuals of all rows come from one feasibility_residuals call;
     only the rows in the exact band are escalated, one at a time.
     """
+    _check_threshold(threshold)
     relres, _ = feasibility_residuals(structure, momenta)
     verdicts = []
     for row, r in zip(momenta, relres):
@@ -236,8 +246,6 @@ class ScanSummary:
 def scan_homogeneous(structure, samples, seed=0,
                      threshold=DEFAULT_THRESHOLD) -> ScanSummary:
     """Homogeneity census over seeded momenta on the H = 1/2 level set."""
-    if samples <= 0:
-        raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)
     momenta = sample_momenta(structure, samples, rng)
     summary = ScanSummary(samples, 0, 0, 0, seed)

@@ -86,6 +86,8 @@ class Trajectory:
 def _nsteps(T, step):
     if not (T > 0 and 0 < step <= T):
         raise ValueError("need T > 0 and 0 < step <= T")
+    if not np.isfinite(T / step):
+        raise ValueError("need T and T / step finite")
     return int(round(T / step))
 
 
@@ -195,8 +197,11 @@ def sample_momenta(structure, nsamples, rng):
     Rejection-free: a unit Gaussian direction fixes the delta-pairings
     through the metric square root (pinning H to 1/2 exactly), the rest of
     the m-dual block is Gaussian fill, the k-pairings are identically zero
-    by construction in the dual of the adapted basis.
+    by construction in the dual of the adapted basis. ``nsamples`` must be
+    positive.
     """
+    if nsamples <= 0:
+        raise ValueError("samples must be positive")
     s = structure
     n = s.dim
     dm = s.m.dim
@@ -229,8 +234,6 @@ def find_fixed_points(structure, samples, seed=0, residual_tol=1e-10,
     system (vertical field, H - 1/2, k-pairings) with its exact Jacobian;
     converged points are deduplicated by Euclidean distance.
     """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
     s = structure
     n = s.dim
     rng = np.random.default_rng(seed)

@@ -279,3 +279,38 @@ def test_check_overflowing_p0_is_inconclusive(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["verdict"] == "inconclusive"
     assert payload["witness"] is None
+
+
+@pytest.mark.parametrize("model, p0, tol", [
+    ("heisenberg", "1,0,1", "nan"),  # would call it homogeneous, JSON NaN
+    ("cartan", "1,0,1,1,0", "inf"),  # residual 0.507 would pass
+    ("heisenberg", "1,0,1", "0"),  # residual 0 would fail
+    ("heisenberg", "1,0,1", "-1"),
+])
+def test_check_rejects_threshold_not_finite_positive(tmp_path, capsys,
+                                                     model, p0, tol):
+    out = tmp_path / "c.json"
+    assert run(["check", "--model", model, f"--p0={p0}", "--tol", tol,
+                "--out", str(out)]) == 2
+    assert "threshold must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("T, step", [("inf", "0.1"), ("1e300", "1e-300")])
+def test_integrate_rejects_non_finite_step_count(tmp_path, capsys, T, step):
+    out = tmp_path / "t.csv"
+    assert run(["integrate", "--model", "heisenberg", "--p0=1,0,1",
+                "--T", T, "--step", step, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert run(["integrate", "--model", "heisenberg", "--phase-portrait",
+                "--samples", "4", "--T", T, "--step", step]) == 2
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_phase_portrait_rejects_non_positive_samples(tmp_path, capsys,
+                                                     samples):
+    out = tmp_path / "pp.csv"
+    assert run(["integrate", "--model", "heisenberg", "--phase-portrait",
+                "--samples", samples, "--out", str(out)]) == 2
+    assert "samples must be positive" in capsys.readouterr().err
+    assert not out.exists()

@@ -65,6 +65,51 @@ def test_solve_inconsistent():
     assert exactla.solve(a, b) is None
 
 
+def int_systems(max_dim=5):
+    """(a, b) with small integer entries, zeros common, so that many systems
+    are rank deficient and inconsistent."""
+    entry = st.integers(-2, 2)
+    return st.integers(1, max_dim).flatmap(
+        lambda n: st.integers(1, max_dim).flatmap(
+            lambda m: st.tuples(
+                st.lists(st.lists(entry, min_size=m, max_size=m),
+                         min_size=n, max_size=n).map(exactla.fmat),
+                st.lists(entry, min_size=n, max_size=n).map(
+                    lambda b: exactla.fmat([b])[0]),
+            )
+        )
+    )
+
+
+def _sparse_rows(a, b):
+    return [({j: v for j, v in enumerate(row) if v}, rhs)
+            for row, rhs in zip(a.tolist(), b)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_systems(), st.booleans())
+def test_solve_sparse_matches_solve(system, contradict):
+    a, b = system
+    if contradict:  # the first row again with another right-hand side
+        a = np.concatenate([a, a[:1]])
+        b = np.concatenate([b, b[:1] + 1])
+    dense = exactla.solve(a, b)
+    sparse = exactla.solve_sparse(_sparse_rows(a, b), a.shape[1])
+    if dense is None:
+        assert sparse is None
+    else:
+        assert sparse is not None and sparse.shape == dense.shape
+        assert all(type(v) is Fraction for v in sparse)
+        assert list(sparse) == list(dense)
+
+
+def test_solve_sparse_takes_int_entries_and_empty_rows():
+    rows = [({}, 0), ({1: 2, 0: 0}, 3), ({0: 1, 1: 1}, 1)]
+    assert list(exactla.solve_sparse(rows, 3)) == [Fraction(-1, 2),
+                                                   Fraction(3, 2), 0]
+    assert exactla.solve_sparse(rows + [({}, 1)], 3) is None
+
+
 def test_inverse():
     a = exactla.fmat([[2, 1], [1, 1]])
     inv = exactla.inverse(a)

@@ -14,7 +14,14 @@ from srgo import (
     go_verdict,
     invariant_polynomials,
 )
-from srgo.go import GO_AFFIRMED, GO_EVIDENCE, GO_REFUTED, _m_action_matrices
+from srgo.go import (
+    GO_AFFIRMED,
+    GO_EVIDENCE,
+    GO_REFUTED,
+    _m_action_matrices,
+    _tangency_witness,
+    _verify_witness,
+)
 from srgo.poly import Polynomial, poly_from_string
 
 
@@ -73,6 +80,42 @@ def test_bracket_witness_certifies(models):
         assert report.all_vanish, name
         assert report.certified_all_degrees, name
         assert report.witness is not None, name
+
+
+@pytest.fixture(scope="module")
+def witnesses(models):
+    return {name: _tangency_witness(spec.structure)
+            for name, spec in models.items()}
+
+
+def test_witness_exists_except_on_four_models(witnesses):
+    # Trivial k (biinvariant_compact, rolling_sphere, so3_generic) has no
+    # witness to look for; on cartan the exact system is inconsistent.
+    missing = {name for name, w in witnesses.items() if w is None}
+    assert missing == {"biinvariant_compact", "cartan", "rolling_sphere",
+                       "so3_generic"}
+    assert {"free_step2_rank5", "free_step2_rank6"} <= witnesses.keys()
+
+
+def test_every_witness_passes_the_exact_identity(models, witnesses):
+    for name, w in witnesses.items():
+        if w is not None:
+            s = models[name].structure
+            assert w.shape == (s.k.dim, s.dim), name
+            assert all(isinstance(v, Fraction) for v in w.flat), name
+            assert _verify_witness(s, w), name
+
+
+def test_verify_witness_rejects_a_changed_entry(models, witnesses):
+    # The oracle is not vacuous: bumping any one nonzero entry breaks it.
+    s = models["free_step2_rank3"].structure
+    w = witnesses["free_step2_rank3"]
+    entries = list(zip(*np.nonzero(w != 0)))
+    assert entries
+    for a, q in entries:
+        changed = w.copy()
+        changed[a, q] += 1
+        assert not _verify_witness(s, changed), (a, q)
 
 
 def test_bracket_refutes_cartan(cartan):

@@ -14,7 +14,7 @@ from srgo import (
     sample_momenta,
     scan_homogeneous,
 )
-from srgo.homogeneity import feasibility_residuals
+from srgo.homogeneity import feasibility_residuals, homogeneity_verdicts
 
 
 def test_heisenberg_momenta_homogeneous(heisenberg):
@@ -166,3 +166,13 @@ def test_non_finite_systems_are_inconclusive(heisenberg, cartan):
     assert np.isnan(relres[1:3]).all() and np.isnan(z[1:3]).all()
     assert relres[0] < 1e-12 and relres[3] < 1e-12
     assert np.isfinite(z[[0, 3]]).all()
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -1.0])
+def test_threshold_must_be_finite_and_positive(heisenberg, threshold):
+    s = heisenberg.structure
+    p = np.array([1.0, 0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="finite and positive"):
+        check_homogeneous(Momentum(p, s), threshold=threshold)
+    with pytest.raises(ValueError, match="finite and positive"):
+        homogeneity_verdicts(s, p[None], threshold=threshold)
