@@ -352,6 +352,8 @@ class GoVerdict:
 
 def go_verdict(structure, degree_cap=4, samples=1000, seed=0) -> GoVerdict:
     """Combine the commutation test, the skew obstruction and a scan."""
+    if samples <= 0:
+        raise ValueError("samples must be positive")
     bracket = go_test_bracket(structure, degree_cap)
     skew = None
     if structure.grading is not None:

@@ -1,9 +1,9 @@
 """Integration of the vertical momentum system and horizontal lifts.
 
 Fixed-step classical RK4 throughout (reproducible diagnostics). The
-vertical loop runs in the batched kernel of kernels.py; the work done per
-sample afterwards (H and Casimirs, the lift's propagators, CSV rows) runs
-on whole arrays.
+vertical loop runs in kernels.py: generated Python-float code for one
+momentum, numpy for a batch. The work done per sample afterwards (H and
+Casimirs, the lift's propagators, CSV rows) runs on whole arrays.
 """
 
 from dataclasses import dataclass, field

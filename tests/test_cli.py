@@ -306,6 +306,21 @@ def test_integrate_rejects_non_finite_step_count(tmp_path, capsys, T, step):
                 "--samples", "4", "--T", T, "--step", step]) == 2
 
 
+def test_integrate_rejects_step_count_too_large_to_store(tmp_path, capsys):
+    # 1e13 samples of 4 floats (291 TiB; 8 rows of them for the portrait's
+    # batch) exceed the address space, so the allocation fails at once.
+    out = tmp_path / "t.csv"
+    assert run(["integrate", "--model", "heisenberg", "--p0=1,0,1",
+                "--T", "1e10", "--step", "1e-3", "--out", str(out)]) == 2
+    assert "10000000000000 steps" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["integrate", "--model", "heisenberg", "--phase-portrait",
+                "--samples", "4", "--T", "1e10", "--step", "1e-3",
+                "--out", str(out)]) == 2
+    assert "10000000000000 steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_phase_portrait_rejects_non_positive_samples(tmp_path, capsys,
                                                      samples):

@@ -37,6 +37,17 @@ def verdicts(models):
     }
 
 
+def test_go_verdict_rejects_samples_before_the_bracket_test(cartan,
+                                                           monkeypatch):
+    def bracket_test(*args, **kwargs):
+        raise AssertionError("bracket test ran")
+
+    monkeypatch.setattr(srgo.go, "go_test_bracket", bracket_test)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            go_verdict(cartan.structure, degree_cap=6, samples=samples)
+
+
 def test_invariant_basis_heisenberg(heisenberg):
     basis = invariant_polynomials(heisenberg.structure, 2)
     # Degree 1: only the central direction survives the rotation.

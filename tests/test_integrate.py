@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,14 @@ from srgo import (
     integrate_vertical_batch,
     sample_momenta,
 )
-from srgo.kernels import CHECK_EVERY, vertical_rk4, vertical_rk4_batch
+from srgo.kernels import (
+    CHECK_EVERY,
+    vertical_field_rows,
+    vertical_form,
+    vertical_rk4,
+    vertical_rk4_batch,
+    vertical_terms,
+)
 
 
 def _seed_momentum(structure, seed=0):
@@ -211,7 +220,21 @@ def _rk4_einsum_reference(c, dmat, p0, dt, nsteps):
     return np.array(out)
 
 
-@pytest.mark.parametrize("name", ["heisenberg", "cartan", "so3_generic"])
+@pytest.mark.parametrize("name", srgo.list_models())
+def test_vertical_terms_reproduce_the_field(models, name):
+    s = models[name].structure
+    c, d = s.algebra.c_float, s.dmat
+    terms = vertical_terms(c, d)
+    assert all(a <= k and coef != 0.0 for _, a, k, coef in terms)
+    p = np.random.default_rng(4).standard_normal((20, s.dim))
+    field = np.zeros_like(p)
+    for j, a, k, coef in terms:
+        field[:, j] += coef * p[:, a] * p[:, k]
+    expected = vertical_field_rows(vertical_form(c, d), p)
+    assert np.allclose(field, expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", srgo.list_models())
 def test_kernel_batch_rows_match_single_runs_and_reference(models, name):
     s = models[name].structure
     c, d = s.algebra.c_float, s.dmat
@@ -243,10 +266,29 @@ def test_kernel_overflowing_rows_abort_alone(models):
     assert np.all(np.isfinite(samples[:late + 1, 3]))
     assert not np.any(samples[late + 1:, 3])
     assert vertical_rk4(c, d, samples[late, 3], 1e-3, 1)[1] == 0
+    single, single_last = vertical_rk4(c, d, p0[3], 1e-3, 200)
+    assert single_last == late
+    assert np.all(np.isfinite(single[:late + 1]))
+    assert not np.any(single[late + 1:])
     for b in (0, 2):
         assert np.all(np.isfinite(samples[:, b]))
         single, _ = vertical_rk4(c, d, p0[b], 1e-3, 200)
         assert np.max(np.abs(samples[:, b] - single)) < 1e-12
+
+
+def test_model_file_structure_integrates_like_the_reference(tmp_path):
+    # A metric no bundled model has, so its field compiles a step of its own.
+    data = srgo.load_model("so3_generic").to_dict()
+    data["metric"] = [["1", "0", "0"], ["0", "3/2", "0"], ["0", "0", "7/2"]]
+    path = tmp_path / "so3_tilted.json"
+    path.write_text(json.dumps(data))
+    s = srgo.load_model_file(path).structure
+    p0 = _seed_momentum(s, 5)
+    traj = integrate_vertical(p0, 0.3, 1e-3)
+    ref = _rk4_einsum_reference(s.algebra.c_float, s.dmat, p0.coords, 1e-3,
+                                300)
+    assert not traj.aborted
+    assert np.max(np.abs(traj.momenta - ref)) < 1e-12
 
 
 def test_integrate_vertical_batch_matches_single(models):
