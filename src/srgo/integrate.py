@@ -1,9 +1,9 @@
 """Integration of the vertical momentum system and horizontal lifts.
 
 Fixed-step classical RK4 throughout (reproducible diagnostics). The
-vertical loop runs in kernels.py: generated Python-float code for one
-momentum, numpy for a batch. The work done per sample afterwards (H and
-Casimirs, the lift's propagators, CSV rows) runs on whole arrays.
+vertical loop runs in kernels.py, as generated Python-float code, one
+momentum at a time. The work done per sample afterwards (H and Casimirs,
+the lift's propagators, CSV rows) runs on whole arrays.
 """
 
 from dataclasses import dataclass, field
@@ -11,12 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import Momentum, vertical_field_coords
-from .kernels import (
-    rk4_stage_points,
-    vertical_form,
-    vertical_rk4,
-    vertical_rk4_batch,
-)
+from .kernels import rk4_stage_points, vertical_form, vertical_rk4
 
 # Rows per block of CSV text, and steps per block of lift propagators.
 CSV_BLOCK_ROWS = 2048
@@ -118,17 +113,11 @@ def integrate_vertical(p0: Momentum, T, step, casimirs=None) -> Trajectory:
 
 
 def integrate_vertical_batch(structure, momenta, T, step, casimirs=None):
-    """integrate_vertical for each row of ``momenta`` (shape (B, n)), the
-    rows advanced together by one kernel call; returns B trajectories."""
-    nsteps = _nsteps(T, step)
-    s = structure
-    for row in momenta:
-        Momentum(row, s)  # rejects a row that does not annihilate k
-    samples, last = vertical_rk4_batch(
-        s.algebra.c_float, s.dmat, momenta, step, nsteps
-    )
-    return [_trajectory(s, samples[:, b], int(last[b]), step, casimirs)
-            for b in range(samples.shape[1])]
+    """integrate_vertical for each row of ``momenta`` (shape (B, n));
+    returns B trajectories. Every row is checked before any is integrated."""
+    _nsteps(T, step)
+    rows = [Momentum(row, structure) for row in momenta]
+    return [integrate_vertical(p, T, step, casimirs) for p in rows]
 
 
 def closed_form_axisymmetric(p0: Momentum, t, kappa) -> Momentum:

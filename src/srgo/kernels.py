@@ -1,34 +1,35 @@
-"""Fixed-step RK4 kernels for the vertical momentum flow.
+"""Fixed-step RK4 kernel for the vertical momentum flow.
 
 The vertical field is quadratic in p: f_j(p) = p([dH(p), e_j]) = pᵀ Q_j p
 with Q_j = dmatᵀ c[:, j, :]. ``vertical_form`` stores every Q_j once as one
-(n, n·n) matrix Q. Two kernels step it, and the call picks the path:
+(n, n·n) matrix Q, for callers that evaluate the field on whole arrays (the
+horizontal lift's stage points, the homogeneity residuals).
 
-- One momentum (``vertical_rk4``, behind ``integrate_vertical``): the
-  field's few nonzero terms (``vertical_terms``: at most 4 at n ≤ 6, 30 on
-  free_step2_rank6) become straight-line Python-float code for a block of
-  RK4 steps, compiled once per distinct term tuple per process, in
-  0.2–4 ms. At small n a numpy call on 4–6 numbers costs more than the
-  arithmetic, so this runs at 1–2 µs per step at n ≤ 6 against 13–23 µs
-  for the batch kernel on one row, and at 7–9 against 55–66 µs on
-  free_step2_rank6 (best of 5 on a 2-core Xeon VM).
-- A batch (``vertical_rk4_batch`` behind ``integrate_vertical_batch``, and
-  ``rk4_stage_points`` for the horizontal lift): the field of a batch P of
-  shape (B, n) is two matmuls, P @ Q viewed as B (n, n) matrices, times P.
-  At small n a step of B rows costs about as much as a step of one.
+``vertical_rk4`` integrates one momentum. The field's few nonzero terms
+(``vertical_terms``: at most 4 at n ≤ 6, 30 on free_step2_rank6) become
+straight-line Python-float code for a block of RK4 steps, compiled once per
+distinct term tuple per process, in 0.2–4 ms. At small n a numpy call on
+4–6 numbers costs more than the arithmetic, so a step takes 1–2 µs at
+n ≤ 6 and 7–10 µs on free_step2_rank6 (2-core Xeon VM). A batch of momenta
+is a loop over its rows: at the phase portrait's 8 rows that beats stepping
+the (B, n) batch with two numpy matmuls against vertical_form (so3_axisym,
+5000 steps: 54 against 103 ms; free_step2_rank6, 1000 steps: 84 against
+109 ms; best of 5). The matmuls win at 100 rows (so3_axisym, 10000 steps:
+567 against 1592 ms), which only the acceptance tests run.
 
-Both check finiteness every CHECK_EVERY steps and stop a trajectory at its
-last finite sample.
+The kernel checks finiteness every CHECK_EVERY steps and stops a
+trajectory at its last finite sample.
 """
 
 import functools
+import math
 
 import numpy as np
 
 # numba is not used; the constant stays for callers that report the backend.
 HAVE_NUMBA = False
 
-# Steps between finiteness checks of the batch.
+# Steps between finiteness checks.
 CHECK_EVERY = 64
 
 
@@ -53,21 +54,31 @@ def vertical_field_rows(q, p):
 def vertical_terms(c, dmat):
     """The nonzero terms of the vertical field, f_j(p) = Σ coef p_a p_k.
 
-    A tuple of (j, a, k, coef) with a ≤ k, sorted, read off vertical_form:
-    coef is Q_j[a, k] + Q_j[k, a] for a < k and Q_j[a, a] for a == k, and a
-    pair that cancels to zero is dropped. The entries are Python ints and
-    floats, so equal fields give equal, equally hashed tuples.
+    A tuple of (j, a, k, coef) with a ≤ k, sorted: coef is Q_j[a, k] +
+    Q_j[k, a] for a < k and Q_j[a, a] for a == k, with Q_j[a, k] = Σ_i
+    dmat[i, a] c[i, j, k] summed over the nonzero entries of c and dmat
+    only, and a pair that cancels to zero is dropped. The entries are
+    Python ints and floats, so equal fields give equal, equally hashed
+    tuples.
     """
-    q = vertical_form(c, dmat)
-    n = q.shape[0]
-    qj = q.reshape(n, n, n).transpose(1, 0, 2)  # qj[j, a, k]
-    merged = np.triu(qj + qj.transpose(0, 2, 1), 1)
-    diag = np.arange(n)
-    merged[:, diag, diag] = qj[:, diag, diag]
-    if not np.isfinite(merged).all():
+    c = np.asarray(c, dtype=float)
+    dmat = np.asarray(dmat, dtype=float)
+    if not (np.isfinite(c).all() and np.isfinite(dmat).all()):
         raise ValueError("the vertical field has non-finite coefficients")
-    return tuple((int(j), int(a), int(k), float(merged[j, a, k]))
-                 for j, a, k in zip(*np.nonzero(merged)))
+    d_rows = [[(a, d) for a, d in enumerate(row) if d] for row in dmat.tolist()]
+    nz = np.nonzero(c)
+    q = {}  # (j, a, k) -> Q_j[a, k]
+    for i, j, k, v in zip(*(x.tolist() for x in nz), c[nz].tolist()):
+        for a, d in d_rows[i]:
+            q[j, a, k] = q.get((j, a, k), 0.0) + d * v
+    terms = []
+    for j, a, k in sorted({(j, min(a, k), max(a, k)) for j, a, k in q}):
+        coef = q.get((j, a, k), 0.0) + (q.get((j, k, a), 0.0) if a < k else 0.0)
+        if not math.isfinite(coef):
+            raise ValueError("the vertical field has non-finite coefficients")
+        if coef:
+            terms.append((j, a, k, coef))
+    return tuple(terms)
 
 
 def _rk4_block_source(n, terms):
@@ -126,17 +137,6 @@ def _rk4_block(n, terms):
     return namespace["block"]
 
 
-def _zero_samples(shape, nsteps):
-    """np.zeros(shape), or a ValueError naming the step count when the
-    array cannot be allocated."""
-    try:
-        return np.zeros(shape)
-    except MemoryError:
-        raise ValueError(
-            f"{nsteps} steps need more memory than can be allocated "
-            f"for their samples") from None
-
-
 def rk4_stage_points(q, p, dt):
     """The four points at which one RK4 step from each row of p evaluates
     the field: p, p + dt/2 k1, p + dt/2 k2, p + dt k3.
@@ -147,63 +147,6 @@ def rk4_stage_points(q, p, dt):
     p3 = p + 0.5 * dt * vertical_field_rows(q, p2)
     p4 = p + dt * vertical_field_rows(q, p3)
     return p, p2, p3, p4
-
-
-def vertical_rk4_batch(c, dmat, p0, dt, nsteps):
-    """Integrate the rows of p0 (shape (B, n)) with classical RK4, fixed step.
-
-    Returns (samples, last): samples has shape (nsteps + 1, B, n) and last
-    shape (B,). A row whose state turns non-finite stops there: last[b] is
-    its last valid sample (== nsteps on success) and its later samples are
-    zero. Finiteness is checked every CHECK_EVERY steps; the other rows
-    always run all nsteps.
-    """
-    nsteps = int(nsteps)
-    h = float(dt)
-    # The stages write (h/2) k1, (h/2) k2, h k3, (h/2) k4 into g[0..3], so
-    # that each stage input is p + g[i] and the step is p += w @ g.
-    q_full = h * vertical_form(c, dmat)
-    q_half = 0.5 * q_full
-    w = np.array([1.0, 2.0, 1.0, 1.0]) / 3.0
-    p = np.array(p0, dtype=float, ndmin=2)
-    b, n = p.shape
-    out = _zero_samples((nsteps + 1, b, n), nsteps)
-    out[0] = p
-    last = np.full(b, nsteps)
-    # Fixed buffers and views of them, so that a step allocates nothing.
-    x = np.empty((b, n))
-    qx = np.empty((b, n * n))
-    g = np.empty((4, b, n))
-    g_flat = g.reshape(4, b * n)
-    dp = np.empty(b * n)
-    dp_mat = dp.reshape(b, n)
-    p_col, x_col, qx_mat = p[:, :, None], x[:, :, None], qx.reshape(b, n, n)
-    g0, g1, g2, g3 = g
-    g0_col, g1_col, g2_col, g3_col = g[:, :, :, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, nsteps, CHECK_EVERY):
-            stop = min(start + CHECK_EVERY, nsteps)
-            for step in range(start + 1, stop + 1):
-                np.matmul(p, q_half, out=qx)
-                np.matmul(qx_mat, p_col, out=g0_col)
-                np.add(p, g0, out=x)
-                np.matmul(x, q_half, out=qx)
-                np.matmul(qx_mat, x_col, out=g1_col)
-                np.add(p, g1, out=x)
-                np.matmul(x, q_full, out=qx)
-                np.matmul(qx_mat, x_col, out=g2_col)
-                np.add(p, g2, out=x)
-                np.matmul(x, q_half, out=qx)
-                np.matmul(qx_mat, x_col, out=g3_col)
-                np.matmul(w, g_flat, out=dp)
-                p += dp_mat
-                out[step] = p
-            bad = ~np.isfinite(out[start + 1:stop + 1]).all(axis=2)
-            for row in np.flatnonzero(bad.any(axis=0)):
-                last[row] = start + int(np.argmax(bad[:, row]))
-                out[last[row] + 1:, row] = 0.0
-                p[row] = 0.0  # a fixed point of the quadratic field
-    return out, last
 
 
 def vertical_rk4(c, dmat, p0, dt, nsteps):
@@ -217,7 +160,12 @@ def vertical_rk4(c, dmat, p0, dt, nsteps):
     h = float(dt)
     p = tuple(float(v) for v in p0)
     block = _rk4_block(len(p), vertical_terms(c, dmat))
-    out = _zero_samples((nsteps + 1, len(p)), nsteps)
+    try:
+        out = np.zeros((nsteps + 1, len(p)))
+    except MemoryError:
+        raise ValueError(
+            f"{nsteps} steps need more memory than can be allocated "
+            f"for their samples") from None
     out[0] = p
     for start in range(0, nsteps, CHECK_EVERY):
         stop = min(start + CHECK_EVERY, nsteps)

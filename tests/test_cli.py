@@ -307,8 +307,8 @@ def test_integrate_rejects_non_finite_step_count(tmp_path, capsys, T, step):
 
 
 def test_integrate_rejects_step_count_too_large_to_store(tmp_path, capsys):
-    # 1e13 samples of 4 floats (291 TiB; 8 rows of them for the portrait's
-    # batch) exceed the address space, so the allocation fails at once.
+    # 1e13 samples of 4 floats (291 TiB) exceed the address space, so the
+    # allocation fails at once, also for the portrait's first trajectory.
     out = tmp_path / "t.csv"
     assert run(["integrate", "--model", "heisenberg", "--p0=1,0,1",
                 "--T", "1e10", "--step", "1e-3", "--out", str(out)]) == 2

@@ -18,7 +18,6 @@ from srgo.kernels import (
     vertical_field_rows,
     vertical_form,
     vertical_rk4,
-    vertical_rk4_batch,
     vertical_terms,
 )
 
@@ -239,15 +238,15 @@ def test_kernel_batch_rows_match_single_runs_and_reference(models, name):
     s = models[name].structure
     c, d = s.algebra.c_float, s.dmat
     p0 = sample_momenta(s, 5, np.random.default_rng(1))
-    batch, last = vertical_rk4_batch(c, d, p0, 1e-3, 300)
-    assert batch.shape == (301, 5, s.dim)
-    assert list(last) == [300] * 5
-    for b in range(5):
+    trajs = integrate_vertical_batch(s, p0, 0.3, 1e-3)
+    assert len(trajs) == 5
+    for b, traj in enumerate(trajs):
         single, single_last = vertical_rk4(c, d, p0[b], 1e-3, 300)
         assert single.shape == (301, s.dim) and single_last == 300
-        assert np.max(np.abs(batch[:, b] - single)) < 1e-12
+        assert not traj.aborted
+        assert np.array_equal(traj.momenta, single)
         ref = _rk4_einsum_reference(c, d, p0[b], 1e-3, 300)
-        assert np.max(np.abs(batch[:, b] - ref)) < 1e-12
+        assert np.max(np.abs(single - ref)) < 1e-12
 
 
 def test_kernel_overflowing_rows_abort_alone(models):
@@ -257,23 +256,24 @@ def test_kernel_overflowing_rows_abort_alone(models):
     # after the first finiteness check.
     p0 = np.array([[1.0, 0.3, 0.8], [1e308, 1e308, 1e308], [0.2, -1.0, 0.5],
                    [2724.9, 2 * 2724.9, 3 * 2724.9]])
-    samples, last = vertical_rk4_batch(c, d, p0, 1e-3, 200)
-    assert list(last[:3]) == [200, 0, 200]
-    assert np.array_equal(samples[0, 1], p0[1])
-    assert not np.any(samples[1:, 1])
-    late = last[3]
+    trajs = integrate_vertical_batch(s, p0, 0.2, 1e-3)
+    assert [t.aborted for t in trajs] == [False, True, False, True]
+    assert [t.n_samples for t in trajs[:3]] == [201, 1, 201]
+    assert np.array_equal(trajs[1].momenta[0], p0[1])
+    samples, last = vertical_rk4(c, d, p0[1], 1e-3, 200)
+    assert last == 0 and not np.any(samples[1:])
+    late = trajs[3].n_samples - 1
     assert CHECK_EVERY < late < 200
-    assert np.all(np.isfinite(samples[:late + 1, 3]))
-    assert not np.any(samples[late + 1:, 3])
-    assert vertical_rk4(c, d, samples[late, 3], 1e-3, 1)[1] == 0
+    assert np.all(np.isfinite(trajs[3].momenta))
+    assert vertical_rk4(c, d, trajs[3].momenta[late], 1e-3, 1)[1] == 0
     single, single_last = vertical_rk4(c, d, p0[3], 1e-3, 200)
     assert single_last == late
-    assert np.all(np.isfinite(single[:late + 1]))
+    assert np.array_equal(single[:late + 1], trajs[3].momenta)
     assert not np.any(single[late + 1:])
     for b in (0, 2):
-        assert np.all(np.isfinite(samples[:, b]))
+        assert np.all(np.isfinite(trajs[b].momenta))
         single, _ = vertical_rk4(c, d, p0[b], 1e-3, 200)
-        assert np.max(np.abs(samples[:, b] - single)) < 1e-12
+        assert np.array_equal(trajs[b].momenta, single)
 
 
 def test_model_file_structure_integrates_like_the_reference(tmp_path):
