@@ -61,13 +61,22 @@ def _parse_p0(text, structure):
 
 
 def _emit(text, out):
-    """Write a string, or an iterable of string chunks, to out or stdout."""
+    """Write a string, or an iterable of string chunks, to out or stdout.
+
+    Returns False, after printing the error, when the write fails (an
+    --out path that cannot be written); the caller then exits 2.
+    """
     chunks = [text] if isinstance(text, str) else text
-    if out:
-        with open(out, "w") as fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+    try:
+        if out:
+            with open(out, "w") as fh:
+                fh.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _json(obj):
@@ -84,7 +93,7 @@ def cmd_validate(args):
     # HomogeneousSRStructure that fails them cannot exist. What is left are
     # antisymmetry and Jacobi, which bundled models skip at build time.
     report = spec.structure.algebra.validate()
-    _emit(
+    if not _emit(
         _json(
             {
                 "model": spec.name,
@@ -94,7 +103,8 @@ def cmd_validate(args):
             }
         ),
         args.out,
-    )
+    ):
+        return EXIT_BAD_INPUT
     print(
         f"{spec.name}: {'valid' if report.ok else 'INVALID'}"
         + (f" ({len(report.violations)} violations)" if not report.ok else ""),
@@ -132,7 +142,8 @@ def cmd_integrate(args):
         spec = _load(args.model)
         s = spec.structure
         if args.phase_portrait:
-            _emit(_phase_portrait_csv(spec, args), args.out)
+            if not _emit(_phase_portrait_csv(spec, args), args.out):
+                return EXIT_BAD_INPUT
             print(
                 f"{spec.name}: phase portrait with {args.samples} arrows",
                 file=sys.stderr,
@@ -145,7 +156,8 @@ def cmd_integrate(args):
         return EXIT_BAD_INPUT
     if args.horizontal and s.representation is not None:
         traj = integrate_horizontal(traj)
-    _emit(traj.csv_chunks(), args.out)
+    if not _emit(traj.csv_chunks(), args.out):
+        return EXIT_BAD_INPUT
     drifts = ", ".join(
         f"{k}={v:.3e}" for k, v in sorted(traj.casimir_drifts().items())
     )
@@ -170,7 +182,8 @@ def cmd_check(args):
     payload = cert.to_dict()
     payload["model"] = spec.name
     payload["p0"] = [float(x) for x in p0.coords]
-    _emit(_json(payload), args.out)
+    if not _emit(_json(payload), args.out):
+        return EXIT_BAD_INPUT
     print(f"{spec.name}: {cert.verdict} (residual {cert.residual:.3e})",
           file=sys.stderr)
     if cert.verdict == HOMOGENEOUS:
@@ -194,7 +207,8 @@ def cmd_go(args):
         return EXIT_BAD_INPUT
     payload = verdict.to_dict()
     payload["model"] = spec.name
-    _emit(_json(payload), args.out)
+    if not _emit(_json(payload), args.out):
+        return EXIT_BAD_INPUT
     print(f"{spec.name}: {verdict.verdict}", file=sys.stderr)
     return EXIT_OK
 
@@ -210,7 +224,8 @@ def cmd_exist(args):
     payload["model"] = spec.name
     if result.success:
         payload["audit"] = verify_eigenconstruction(spec.structure, result)
-    _emit(_json(payload), args.out)
+    if not _emit(_json(payload), args.out):
+        return EXIT_BAD_INPUT
     print(
         f"{spec.name}: {'constructed (' + result.route + ' route)' if result.success else 'FAILED'}",
         file=sys.stderr,

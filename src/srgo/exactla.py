@@ -4,11 +4,14 @@ Matrices are numpy object arrays holding ``fractions.Fraction`` entries;
 the loops work on their rows as Python lists and touch only nonzeros:
 ``rref`` eliminates over the pivot row's nonzero columns and divides only
 by a pivot that is not 1, ``matmul`` and ``matvec`` multiply through lists
-of each row's nonzero entries. ``solve_sparse`` takes a system as rows of
-{column: value} dicts and eliminates them one at a time. Everything here is
+of each row's nonzero entries. ``solve_sparse`` and ``nullspace_sparse``
+take a matrix as rows of {column: value} dicts and share one eliminator
+that reduces them one at a time; ``nullspace`` runs its dense input through
+``nullspace_sparse``. Everything here is
 deterministic and exact; float counterparts live with the callers.
 """
 
+import bisect
 from fractions import Fraction
 
 import numpy as np
@@ -89,17 +92,20 @@ def rank(a):
 
 
 def nullspace(a):
-    """Columns span the exact right null space of ``a``."""
+    """Columns span the exact right null space of ``a``.
+
+    The basis is the one read off ``rref(a)``: one column per free column
+    j, 1 at j, 0 at the other free columns, -R[i, j] at pivot column i.
+    """
     nrows, ncols = a.shape
     if ncols == 0:
         return fzeros(0, 0)
-    r, pivots = rref(a)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = fzeros(ncols, len(free))
-    for bi, j in enumerate(free):
-        basis[j, bi] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            basis[pc, bi] = -r[ri, j]
+    kernel = nullspace_sparse(
+        ({j: v for j, v in enumerate(row) if v} for row in a.tolist()), ncols)
+    basis = fzeros(ncols, len(kernel))
+    for bi, vec in enumerate(kernel):
+        for j, v in vec.items():
+            basis[j, bi] = v
     return basis
 
 
@@ -121,44 +127,94 @@ def solve(a, b):
     return x if b.ndim == 2 else x[:, 0]
 
 
-def solve_sparse(rows, ncols):
-    """Solve a sparse system exactly; returns None if it is inconsistent.
+def _int_or_fraction(v):
+    """An integral rational as an int, else as a Fraction."""
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
-    ``rows`` is an iterable of (coefficients, rhs) pairs, the coefficients a
-    {column: Fraction} dict over columns 0..ncols-1. Each row is reduced
+
+def _echelon(rows):
+    """Pivot rows of a sparse system, reduced one row at a time.
+
+    ``rows`` is an iterable of {column: value} dicts. Each row is reduced
     against the pivot rows found so far, always at its lowest nonzero
-    column, and becomes a pivot row where that column has none yet. The
-    pivot columns are therefore those of ``rref``, and back-substitution
-    with the free variables set to zero gives the vector ``solve`` returns.
+    column, and becomes a pivot row where that column has none yet.
+    Returns {pivot column: {column: value}}, each row given right of its
+    leading 1. The pivot rows span the row space and lead at distinct
+    columns, so the pivot columns are those of ``rref``. Integral entries
+    are held as ints, whose arithmetic is several times cheaper than
+    Fraction's; every value stays exact.
     """
-    pivots = {}  # column -> (row right of its leading 1, rhs)
-    for coeffs, rhs in rows:
-        row = {c: v for c, v in coeffs.items() if v}
+    pivots = {}
+    for coeffs in rows:
+        row = {c: _int_or_fraction(v) for c, v in coeffs.items() if v}
         while row:
             col = min(row)
             f = row.pop(col)
             if col not in pivots:
-                f = Fraction(f)
-                pivots[col] = ({c: v / f for c, v in row.items()}, rhs / f)
+                pivots[col] = row if f == 1 else {
+                    c: _int_or_fraction(Fraction(v) / f) for c, v in row.items()}
                 break
-            prow, prhs = pivots[col]
-            for c, v in prow.items():
+            for c, v in pivots[col].items():
                 w = row.get(c, 0) - f * v
                 if w:
                     row[c] = w
                 else:
                     row.pop(c, None)
-            rhs -= f * prhs
-        else:
-            if rhs:
-                return None
-    x = [Fraction(0)] * ncols
-    for col in sorted(pivots, reverse=True):
-        prow, prhs = pivots[col]
-        x[col] = prhs - sum((v * x[c] for c, v in prow.items()), Fraction(0))
+    return pivots
+
+
+def _back_substitute(pivots, order, col, value):
+    """The solution with x[col] = value, the other free variables 0 and
+    each pivot variable solved from its row, as a dict of its nonzeros.
+
+    ``order`` is the sorted pivot columns. A pivot row touches only columns
+    right of its pivot, so the pivot variables right of ``col`` stay 0.
+    """
+    x = {col: value}
+    for p in reversed(order[:bisect.bisect(order, col)]):
+        v = 0
+        for c, w in pivots[p].items():
+            if c in x:
+                v -= w * x[c]
+        if v:
+            x[p] = v
+    return x
+
+
+def solve_sparse(rows, ncols):
+    """Solve a sparse system exactly; returns None if it is inconsistent.
+
+    ``rows`` is an iterable of (coefficients, rhs) pairs, the coefficients a
+    {column: Fraction} dict over columns 0..ncols-1. The right-hand side
+    rides along as column ``ncols``, so the system is inconsistent exactly
+    when that column leads a pivot row. Back-substitution with x[ncols] = -1
+    and the free variables set to zero gives the vector ``solve`` returns.
+    """
+    pivots = _echelon({**coeffs, ncols: rhs} for coeffs, rhs in rows)
+    if ncols in pivots:
+        return None
+    x = _back_substitute(pivots, sorted(pivots), ncols, -1)
     out = np.empty(ncols, dtype=object)
-    out[:] = x
+    out[:] = [Fraction(x.get(c, 0)) for c in range(ncols)]
     return out
+
+
+def nullspace_sparse(rows, ncols):
+    """Exact right null space of a sparse matrix, as sparse vectors.
+
+    ``rows`` is an iterable of {column: value} dicts over columns
+    0..ncols-1. Returns one {column: Fraction} dict per free column j, in
+    increasing j: x_j = 1, the other free variables 0, and the pivot
+    variables back-substituted. That is the basis ``nullspace`` reads off
+    the canonical RREF.
+    """
+    pivots = _echelon(rows)
+    order = sorted(pivots)
+    return [{c: Fraction(v) for c, v in _back_substitute(pivots, order, j, 1).items()}
+            for j in range(ncols) if j not in pivots]
 
 
 def inverse(a):

@@ -187,12 +187,12 @@ def sample_momenta(structure, nsamples, rng):
     through the metric square root (pinning H to 1/2 exactly), the rest of
     the m-dual block is Gaussian fill, the k-pairings are identically zero
     by construction in the dual of the adapted basis. ``nsamples`` must be
-    positive.
+    positive. All rows are drawn and mapped at once; the result is bitwise
+    the one that drawing and mapping row by row gives.
     """
     if nsamples <= 0:
         raise ValueError("samples must be positive")
     s = structure
-    n = s.dim
     dm = s.m.dim
     # delta = m_basis @ E; pairings with delta are E^T a for m*-coords a.
     e_coef, *_ = np.linalg.lstsq(s.m_basis_float, s.delta_basis_float, rcond=None)
@@ -201,18 +201,20 @@ def sample_momenta(structure, nsamples, rng):
     # fixed basis of ker(E^T): fill directions that leave H untouched
     _, sv, vt = np.linalg.svd(e_coef.T)
     null_dim = dm - rank
-    fill = vt[rank:].T if null_dim else np.zeros((dm, 0))
+    fill = vt[rank:].T
     sqrt_b = np.linalg.cholesky(s.metric_float)
-    out = np.empty((nsamples, n))
-    for i in range(nsamples):
-        u = rng.standard_normal(rank)
-        u /= np.linalg.norm(u)
-        target = sqrt_b @ u  # delta-pairings with (1/2)|B^{-1/2} target|^2 = 1/2
-        a = e_coef @ (gram_inv @ target)
-        if null_dim:
-            a = a + fill @ rng.standard_normal(null_dim)
-        out[i] = s.m_dual @ a
-    return out
+    # One draw holds each row's rank + null_dim normals in the order that
+    # per-row draws of rank, then null_dim, take them. The norm is
+    # sqrt(u^T u) through matmul, bitwise the per-row np.linalg.norm;
+    # np.linalg.norm along an axis sums differently, in the last bit.
+    x = rng.standard_normal((nsamples, rank + null_dim))[:, :, None]
+    u = x[:, :rank]
+    u /= np.sqrt(np.swapaxes(u, 1, 2) @ u)
+    target = sqrt_b @ u  # delta-pairings with (1/2)|B^{-1/2} target|^2 = 1/2
+    a = e_coef @ (gram_inv @ target)
+    if null_dim:
+        a = a + fill @ x[:, rank:]
+    return (s.m_dual @ a)[:, :, 0]
 
 
 def find_fixed_points(structure, samples, seed=0, residual_tol=1e-10,

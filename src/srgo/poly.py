@@ -131,19 +131,20 @@ class Polynomial:
         """
         p = np.asarray(p, dtype=float)
         cols = np.moveaxis(p, -1, 0)
-        powers = {}  # (variable, exponent) -> values
-
-        def power(i, e):
-            if (i, e) not in powers:
-                powers[i, e] = cols[i] if e == 1 else power(i, e - 1) * cols[i]
-            return powers[i, e]
-
+        # (variable, exponent) -> values, up to each variable's top exponent.
+        # A plain dict, not a recursive closure: a closure that calls itself
+        # is a reference cycle, which would hold every power array until the
+        # cyclic garbage collector next runs.
+        powers = {}
+        for i in range(self.nvars):
+            for e in range(1, max((m[i] for m in self.terms), default=0) + 1):
+                powers[i, e] = cols[i] if e == 1 else powers[i, e - 1] * cols[i]
         total = np.zeros(p.shape[:-1])
         for m, c in self.terms.items():
             v = float(c)
             for i, e in enumerate(m):
                 if e:
-                    v = v * power(i, e)
+                    v = v * powers[i, e]
             total += v
         return float(total) if p.ndim == 1 else total
 

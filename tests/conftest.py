@@ -22,3 +22,17 @@ def cartan(models):
 @pytest.fixture(scope="session")
 def so3_axisym(models):
     return models["so3_axisym"]
+
+
+@pytest.fixture(scope="session")
+def invariant_basis(models):
+    """invariant_polynomials(model, cap), computed once per (name, cap)."""
+    cache = {}
+
+    def get(name, cap):
+        if (name, cap) not in cache:
+            cache[name, cap] = srgo.invariant_polynomials(
+                models[name].structure, cap)
+        return cache[name, cap]
+
+    return get

@@ -3,11 +3,13 @@
 Each test states its tolerance inline; together they pin down exact
 validation, integrator fidelity, conservation, the homogeneity criterion,
 both geodesic-orbit refutation routes, the fixed-point census, the
-existence pipeline, orbit-tangency consistency, and determinism.
+existence pipeline, orbit-tangency consistency, determinism, and the
+paper's theorem that weakly commutative spaces are geodesic orbit.
 """
 
 import json
 import time
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from srgo import (
     factorize_by_ideal,
     find_fixed_points,
     go_test_bracket,
+    go_verdict,
     integrate_vertical,
     integrate_vertical_batch,
     invariant_polynomials,
@@ -33,8 +36,11 @@ from srgo import (
     sample_momenta,
     verify_eigenconstruction,
 )
+from srgo import exactla
 from srgo.existence import ROUTE_SOLVABLE
+from srgo.go import GO_AFFIRMED, GO_REFUTED
 from srgo.homogeneity import homogeneity_verdicts
+from srgo.poly import Polynomial
 
 
 def test_01_structural_exactness(models):
@@ -228,3 +234,49 @@ def test_10_determinism(tmp_path):
     assert out.read_bytes() == pairs[2][1]
     payload = json.loads(pairs[2][1])
     assert payload["verdict"] == "GO_refuted_with_witness"
+
+
+def _m_poisson_bracket(s):
+    """{F, G} on k-circ in m*-coordinates for K-invariant F and G:
+    sum_rt p([m_r, m_t]) dF/da_r dG/da_t at p = m_dual a."""
+    dm = s.m.dim
+    mb = exactla.row_nonzeros(s.m.basis)  # i -> [(r, m_basis[i, r])]
+    md = exactla.row_nonzeros(s.m_dual_exact)  # k -> [(u, m_dual[k, u])]
+    forms = defaultdict(dict)  # (r, t) -> {monomial a_u: coefficient}
+    for i, j, k, c in s.algebra.coo:
+        for r, x in mb[i]:
+            for t, y in mb[j]:
+                for u, z in md[k]:
+                    mono = tuple(int(v == u) for v in range(dm))
+                    form = forms[r, t]
+                    form[mono] = form.get(mono, 0) + c * x * y * z
+    pi = [(r, t, Polynomial(dm, form)) for (r, t), form in forms.items()]
+
+    def bracket(f, g):
+        return sum((lin * f.diff(r) * g.diff(t) for r, t, lin in pi),
+                   Polynomial.zero(dm))
+
+    return bracket
+
+
+def test_11_weakly_commutative_models_are_go(models, invariant_basis):
+    # The paper's theorem: a weakly commutative space is geodesic orbit.
+    # Weak commutativity to degree 4: the K-invariant polynomials on m* of
+    # degree <= 4 Poisson-commute pairwise (pairs of total degree <= 6).
+    noncommuting = {}
+    for name, spec in models.items():
+        s = spec.structure
+        if s.k.dim == 0 or s.m.dim > 15:
+            continue
+        bracket = _m_poisson_bracket(s)
+        invs = [(d, f) for d, fs in invariant_basis(name, 4).by_degree.items()
+                for f in fs]
+        pairs = [(f, g) for a, (d, f) in enumerate(invs)
+                 for e, g in invs[a + 1:] if d + e <= 6]
+        bad = sum(not bracket(f, g).is_zero() for f, g in pairs)
+        verdict = go_verdict(s, degree_cap=4, samples=50).verdict
+        if bad == 0:
+            assert verdict == GO_AFFIRMED, name
+        else:
+            noncommuting[name] = (bad, len(pairs), verdict)
+    assert noncommuting == {"cartan": (77, 139, GO_REFUTED)}

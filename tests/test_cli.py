@@ -329,3 +329,22 @@ def test_phase_portrait_rejects_non_positive_samples(tmp_path, capsys,
                 "--samples", samples, "--out", str(out)]) == 2
     assert "samples must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--model", "heisenberg"],
+    ["integrate", "--model", "heisenberg", "--p0=1,0,1", "--T", "0.01",
+     "--step", "0.001", "--horizontal"],
+    ["check", "--model", "heisenberg", "--p0=1,0,1"],
+    ["go", "--model", "heisenberg", "--samples", "20"],
+    ["exist", "--model", "heisenberg"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "no_such_dir" / "x.out"
+    assert run(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "No such file or directory" in captured.err
+    assert captured.err.count("\n") == 1  # no summary line after the error
+    assert not out.parent.exists()

@@ -110,6 +110,44 @@ def test_solve_sparse_takes_int_entries_and_empty_rows():
     assert exactla.solve_sparse(rows + [({}, 1)], 3) is None
 
 
+def rref_nullspace(a):
+    """The kernel basis read off ``rref``: per free column j, 1 at j and
+    -R[i, j] at pivot column i."""
+    r, pivots = exactla.rref(a)
+    free = [j for j in range(a.shape[1]) if j not in pivots]
+    basis = exactla.fzeros(a.shape[1], len(free))
+    for bi, j in enumerate(free):
+        basis[j, bi] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            basis[pc, bi] = -r[ri, j]
+    return basis
+
+
+def int_matrices(max_dim=6):
+    entry = st.integers(-3, 3)
+    return st.integers(1, max_dim).flatmap(
+        lambda n: st.integers(1, max_dim).flatmap(
+            lambda m: st.lists(st.lists(entry, min_size=m, max_size=m),
+                               min_size=n, max_size=n).map(exactla.fmat)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_nullspace_equals_rref_basis(a):
+    got = exactla.nullspace(a)
+    want = rref_nullspace(a)
+    assert got.shape == want.shape
+    assert all(type(v) is Fraction for v in got.flat)
+    assert got.tolist() == want.tolist()
+
+
+def test_nullspace_sparse_takes_int_entries_and_empty_rows():
+    rows = [{}, {1: 2, 0: 0}, {0: 3, 2: 1}]
+    assert exactla.nullspace_sparse(rows, 4) == [
+        {2: Fraction(1), 0: Fraction(-1, 3)}, {3: Fraction(1)}]
+    assert exactla.nullspace_sparse([], 2) == [{0: 1}, {1: 1}]
+
+
 def test_inverse():
     a = exactla.fmat([[2, 1], [1, 1]])
     inv = exactla.inverse(a)

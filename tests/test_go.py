@@ -14,15 +14,20 @@ from srgo import (
     go_verdict,
     invariant_polynomials,
 )
+from srgo import exactla
 from srgo.go import (
     GO_AFFIRMED,
     GO_EVIDENCE,
     GO_REFUTED,
+    _bracket_on_m,
+    _compose_linear_exact,
     _m_action_matrices,
+    _m_vertical_field,
     _tangency_witness,
     _verify_witness,
 )
-from srgo.poly import Polynomial, poly_from_string
+from srgo.hamiltonian import hamiltonian_polynomial, lie_poisson_bracket
+from srgo.poly import Polynomial, monomials_of_degree, poly_from_string
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +80,82 @@ def test_invariant_basis_closure(models):
                     if lin:
                         out = out + Polynomial(poly.nvars, lin) * poly.diff(i)
                 assert out.is_zero(), name
+
+
+def _dense_invariant_basis(s, degree_cap):
+    """Invariants of each degree as the rref-derived kernel of the dense
+    stacked derivation matrix, in the monomial basis."""
+    dm = s.m.dim
+    actions = _m_action_matrices(s)
+    by_degree = {}
+    for d in range(1, degree_cap + 1):
+        monos = monomials_of_degree(dm, d)
+        index = {m: i for i, m in enumerate(monos)}
+        rows = exactla.fzeros(max(1, len(actions)) * len(monos), len(monos))
+        for col, mono in enumerate(monos):
+            for j, r in enumerate(actions):
+                for i in range(dm):
+                    for k in range(dm):
+                        if mono[i] and r[k, i]:
+                            out = list(mono)
+                            out[i] -= 1
+                            out[k] += 1
+                            rows[j * len(monos) + index[tuple(out)], col] += (
+                                mono[i] * r[k, i])
+        red, pivots = exactla.rref(rows)
+        polys = []
+        for j in range(len(monos)):
+            if j not in pivots:
+                terms = {monos[j]: 1}
+                for ri, pc in enumerate(pivots):
+                    terms[monos[pc]] = -red[ri, j]
+                polys.append(Polynomial(dm, terms))
+        by_degree[d] = polys
+    return by_degree
+
+
+@pytest.mark.parametrize("name, cap", [
+    (name, 4) for name in srgo.list_models()
+    if name not in ("free_step2_rank4", "free_step2_rank5", "free_step2_rank6")
+] + [("cartan", 6), ("rolling_sphere", 6)])
+def test_sparse_invariant_basis_equals_rref_basis(invariant_basis, models,
+                                                   name, cap):
+    want = _dense_invariant_basis(models[name].structure, cap)
+    got = invariant_basis(name, cap).by_degree
+    assert {d: [repr(p) for p in ps] for d, ps in got.items()} == \
+        {d: [repr(p) for p in ps] for d, ps in want.items()}
+
+
+def _bracket_through_g(s, f):
+    """{H, F} the long way: F(m_basis^T p) bracketed with H on g*, then
+    restricted to p = m_dual a."""
+    f_on_g = _compose_linear_exact(f, s.m.basis)
+    br = lie_poisson_bracket(hamiltonian_polynomial(s), f_on_g, s.algebra)
+    return _compose_linear_exact(br, s.m_dual_exact.T)
+
+
+@pytest.mark.parametrize("name, cap", [
+    (name, 4) for name in srgo.list_models()
+] + [("cartan", 6), ("rolling_sphere", 6)])
+def test_m_bracket_equals_g_coordinate_chain(invariant_basis, models, name,
+                                             cap):
+    s = models[name].structure
+    adot = _m_vertical_field(s)
+    for f in invariant_basis(name, cap).polynomials:
+        assert repr(_bracket_on_m(f, adot)) == repr(_bracket_through_g(s, f))
+
+
+@pytest.mark.parametrize("name", ["free_step2_rank3", "free_step2_rank4",
+                                  "free_step2_rank5"])
+def test_enumeration_agrees_with_witness(models, monkeypatch, name):
+    # With the witness route switched off, every degree <= 4 invariant is
+    # bracketed one by one; all brackets vanish, as the witness certifies.
+    s = models[name].structure
+    assert go_test_bracket(s, 4).certified_all_degrees
+    monkeypatch.setattr(srgo.go, "_tangency_witness", lambda structure: None)
+    report = go_test_bracket(s, 4)
+    assert not report.certified_all_degrees
+    assert report.all_vanish and report.nonzero == []
 
 
 def test_trivial_isotropy_gives_all_monomials(models):

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import numpy as np
@@ -104,3 +105,18 @@ def test_array_eval_matches_scalar_on_bundled_polynomials(models):
             assert f(x) == v
         grid = f(pts.reshape(5, 10, nvars))
         assert np.array_equal(grid.ravel(), vals)
+
+
+def test_evaluation_leaves_no_garbage_cycle():
+    # The power arrays of one evaluation must be freed when it returns,
+    # not held by a reference cycle until the cyclic collector runs.
+    p = poly_from_string("p1^3*p2 + p2^2 - 2*p1", 2)
+    pts = np.linspace(0.0, 1.0, 20).reshape(10, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        p(pts)
+        p(pts[0])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
