@@ -6,9 +6,11 @@ kernels use and the dense exact view are both derived from it, and every
 exact loop (brackets, ad and coad matrices, the Killing form, the
 antisymmetry and Jacobi checks) runs over the nonzeros only. All
 structural checks (antisymmetry, Jacobi, reductivity, bracket generation)
-run in exact arithmetic.
+run in exact arithmetic. A homogeneous structure contracts them once more,
+into the vertical field and the k action, which every other module reads.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 
@@ -42,6 +44,25 @@ def _object_vec(values):
 def _read_only(a):
     a.setflags(write=False)
     return a
+
+
+def _contract_first(algebra, vectors):
+    """{(a, j, k): sum_i vectors[i, a] c[i, j, k]}: with X_a the a-th column,
+    the coefficient of p_k in p([X_a, e_j]). Exact, over the nonzeros."""
+    rows = exactla.row_nonzeros(vectors)  # i -> [(a, vectors[i, a])]
+    out = defaultdict(Fraction)
+    for i, j, k, c in algebra.coo:
+        for a, x in rows[i]:
+            out[a, j, k] += x * c
+    return out
+
+
+def _float_terms(terms, what):
+    """``terms`` with each exact coefficient (the last entry) as a float."""
+    try:
+        return tuple((*idx, float(v)) for *idx, v in terms)
+    except OverflowError:
+        raise ValueError(f"{what} has non-finite coefficients") from None
 
 
 class LieAlgebra:
@@ -350,6 +371,13 @@ class HomogeneousSRStructure:
     components the infinitesimal invariants cannot see; either keeps the GO
     verdict at the evidence level. ``kappa`` is the rotation rate of the
     closed-form vertical flow, set only on the axisymmetric models.
+
+    The vertical field f_j(p) = p([dH(p), e_j]) = sum coef p_a p_k is
+    ``vertical_terms_exact``, its nonzero (j, a, k, coef) with a <= k, sorted;
+    the k action p([Z_a, e_j]) = sum_k T[a, j, k] p_k is ``k_action_exact``,
+    the nonzero (a, j, k, T[a, j, k]). Float mirrors: ``vertical_terms``
+    (float coefficients) and the dense ``k_action`` T; a coefficient that
+    overflows a float is a ValueError.
     """
 
     def __init__(self, algebra, k, m, delta, metric, grading=None,
@@ -372,6 +400,8 @@ class HomogeneousSRStructure:
 
         if self.metric.shape != (delta.dim, delta.dim):
             raise ValueError("metric shape must match delta dimension")
+        if (self.metric != self.metric.T).any():
+            raise ValueError("metric is not symmetric")
         mf = to_float(self.metric)
         try:
             np.linalg.cholesky(mf)
@@ -394,6 +424,19 @@ class HomogeneousSRStructure:
         rep = self.validate()
         if not rep.ok:
             raise ValueError(f"invalid structure: {rep}")
+
+        merged = defaultdict(Fraction)  # (j, a, k) -> coefficient, a <= k
+        for (a, j, kk), v in _contract_first(algebra, self.dmat_exact).items():
+            merged[j, min(a, kk), max(a, kk)] += v
+        self.vertical_terms_exact = tuple(sorted(
+            (*key, v) for key, v in merged.items() if v))
+        self.k_action_exact = tuple(sorted(
+            (*key, v) for key, v in _contract_first(algebra, k.basis).items() if v))
+        self.vertical_terms = _float_terms(self.vertical_terms_exact,
+                                           "the vertical field")
+        self.k_action = np.zeros((k.dim, algebra.dim, algebra.dim))
+        for a, j, kk, v in _float_terms(self.k_action_exact, "the k action"):
+            self.k_action[a, j, kk] = v
 
     @property
     def dim(self):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .existence import construct_homogeneous_geodesic, verify_eigenconstruction
 from .go import go_verdict
-from .hamiltonian import Momentum, vertical_field_coords
+from .hamiltonian import Momentum
 from .homogeneity import (
     HOMOGENEOUS,
     INCONCLUSIVE,
@@ -28,6 +28,7 @@ from .integrate import (
     integrate_vertical_batch,
     sample_momenta,
 )
+from .kernels import field_rows
 from .models import list_models, load_model, load_model_file
 
 EXIT_OK = 0
@@ -126,8 +127,9 @@ def _phase_portrait_csv(spec, args):
     ]
     values = ",".join(["%.17g"] * n)
     arrow = "arrow,%d,0," + values + "," + values
-    for i, p in enumerate(points):
-        lines.append(arrow % (i, *p, *vertical_field_coords(s, p)))
+    arrows = field_rows(s.vertical_terms, points)
+    for i, (p, v) in enumerate(zip(points, arrows)):
+        lines.append(arrow % (i, *p, *v))
     trajectory = "trajectory,%d,%.17g," + values + "," + ",".join(["0"] * n)
     trajs = integrate_vertical_batch(s, points[:8], args.T, args.step)
     for i, traj in enumerate(trajs):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import exactla
 from .algebra import Subspace, subspace_sum
-from .hamiltonian import Momentum
+from .hamiltonian import Momentum, vertical_field
 from .homogeneity import HOMOGENEOUS, check_homogeneous
 
 ROUTE_SOLVABLE = "solvable"
@@ -361,17 +361,13 @@ def construct_homogeneous_geodesic(structure) -> ExistenceResult:
 
 def verify_eigenconstruction(structure, result: ExistenceResult):
     """Independent numeric audit of a constructed momentum."""
-    from .hamiltonian import vertical_field_coords
-
-    p = result.momentum
+    p = Momentum(result.momentum, structure)
     out = {
-        "annihilates_k": bool(structure.annihilates_k(p)),
-        "hamiltonian": float(structure.hamiltonian_value(p)),
-        "vertical_residual": float(
-            np.max(np.abs(vertical_field_coords(structure, p)))
-        ),
+        "annihilates_k": bool(structure.annihilates_k(p.coords)),
+        "hamiltonian": float(structure.hamiltonian_value(p.coords)),
+        "vertical_residual": float(np.max(np.abs(vertical_field(p)))),
     }
-    cert = check_homogeneous(Momentum(p, structure))
+    cert = check_homogeneous(p)
     out["homogeneous"] = cert.verdict == HOMOGENEOUS
     out["residual"] = cert.residual
     return out

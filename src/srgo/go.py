@@ -139,23 +139,18 @@ def _m_vertical_field(structure):
     """The vertical field on k-circ in m*-coordinates, as exact quadratics.
 
     With p = m_dual a, the coordinate a_r = p(m_r) moves as
-    adot_r = sum_j m_basis[j, r] f_j(m_dual a), where
-    f_j(p) = sum_ik c[i, j, k] dH(p)_i p_k and dH(p) = (Dmat + Dmat^T)/2 p
-    is the gradient of ``hamiltonian_polynomial``. Built from the nonzero
-    structure constants; returns the dim m polynomials adot_r in a.
+    adot_r = sum_j m_basis[j, r] f_j(m_dual a), where f_j(p) is the sum
+    of coef p_a p_k over the structure's ``vertical_terms_exact``; returns
+    the dim m polynomials adot_r in a.
     """
     s = structure
     dm = s.m.dim
-    mdual = _m_dual_exact(s)
-    d = s.dmat_exact
-    p_rows = exactla.row_nonzeros(mdual)  # k -> [(t, m_dual[k, t])]
-    dh_rows = exactla.row_nonzeros(  # i -> [(t, coefficient of a_t in dH_i)]
-        exactla.matmul((d + d.T) / 2, mdual))
+    p_rows = exactla.row_nonzeros(_m_dual_exact(s))  # k -> [(t, m_dual[k, t])]
     mb_rows = exactla.row_nonzeros(s.m.basis)  # j -> [(r, m_basis[j, r])]
     adot = [defaultdict(Fraction) for _ in range(dm)]
-    for i, j, k, c in s.algebra.coo:
+    for j, a, k, c in s.vertical_terms_exact:
         for r, x in mb_rows[j]:
-            for u, y in dh_rows[i]:
+            for u, y in p_rows[a]:
                 for t, z in p_rows[k]:
                     mono = [0] * dm
                     mono[u] += 1
@@ -180,37 +175,35 @@ def _tangency_witness(structure):
     On k-circ write p = m_dual a and L p = W a. Component j of the identity
     is a quadratic form in a whose coefficients are linear in W; matching
     the coefficient of each a_r a_s (r <= s) to zero gives one sparse
-    rational system in the dk * dm entries of W, built from the nonzero
-    structure constants and solved exactly by ``exactla.solve_sparse``.
-    Returns L = W m_basis^T, or None when the system is inconsistent: then
-    no Z(p) in k linear in p closes the identity. With trivial k it returns
-    None without solving.
+    rational system in the dk * dm entries of W, built from the structure's
+    exact vertical field and k action and solved exactly by
+    ``exactla.solve_sparse``. Returns L = W m_basis^T, or None when the
+    system is inconsistent: then no Z(p) in k linear in p closes the
+    identity. With trivial k it returns None without solving.
     """
     s = structure
     n, dk, dm = s.dim, s.k.dim, s.m.dim
     if dk == 0:
         return None
     dual_rows = exactla.row_nonzeros(_m_dual_exact(s))  # q -> [(r, m_dual[q, r])]
-    d_rows = exactla.row_nonzeros(s.dmat_exact)  # i -> [(q, Dmat[i, q])]
-    z_rows = exactla.row_nonzeros(s.k.basis)  # i -> [(a, Z_a[i])]
-    # Per j, in g-coordinates of p: coad(dH(p))p_j = sum M_j[q, k] p_q p_k
-    # and p([Z_a, e_j]) = sum_k T[a, j, k] p_k.
-    m_forms = [defaultdict(Fraction) for _ in range(n)]
-    t_forms = [defaultdict(Fraction) for _ in range(n)]
-    for i, j, k, c in s.algebra.coo:
-        for q, d in d_rows[i]:
-            m_forms[j][q, k] += d * c
-        for a, z in z_rows[i]:
-            t_forms[j][a, k] += z * c
+    # Per j, in g-coordinates of p: coad(dH(p))p_j = f_j(p), the sum of
+    # v p_q p_k over the vertical terms (j, q, k, v), and p([Z_a, e_j]) =
+    # sum_k T[a, j, k] p_k over the k action's terms (a, j, k, T[a, j, k]).
+    m_forms = [[] for _ in range(n)]
+    t_forms = [[] for _ in range(n)]
+    for j, q, k, v in s.vertical_terms_exact:
+        m_forms[j].append((q, k, v))
+    for a, j, k, v in s.k_action_exact:
+        t_forms[j].append((a, k, v))
     rows = []
     for j in range(n):
         const = defaultdict(Fraction)  # (r, s) -> coefficient of V_j
-        for (q, k), v in m_forms[j].items():
+        for q, k, v in m_forms[j]:
             for r, x in dual_rows[q]:
                 for t, y in dual_rows[k]:
                     const[min(r, t), max(r, t)] += v * x * y
         g = defaultdict(Fraction)  # (a, t) -> g_aj[t] = (m_dual^T T[a, j])_t
-        for (a, k), v in t_forms[j].items():
+        for a, k, v in t_forms[j]:
             for t, y in dual_rows[k]:
                 g[a, t] += v * y
         coeffs = defaultdict(lambda: defaultdict(Fraction))  # (r, s) -> {col: .}

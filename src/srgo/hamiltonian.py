@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .kernels import field_rows
 from .poly import Polynomial
 
 MOMENTUM_TOL = 1e-12
@@ -50,13 +51,7 @@ def dH(p: Momentum) -> np.ndarray:
 
 def vertical_field(p: Momentum) -> np.ndarray:
     """Momentum equation right-hand side: the covector p([dH(p), .])."""
-    s = p.structure
-    return s.algebra.coad_apply(s.dH(p.coords), p.coords)
-
-
-def vertical_field_coords(structure, p):
-    """Same as vertical_field but on a raw coordinate array."""
-    return structure.algebra.coad_apply(structure.dH(p), p)
+    return field_rows(p.structure.vertical_terms, p.coords[None])[0]
 
 
 def hamiltonian_polynomial(structure) -> Polynomial:

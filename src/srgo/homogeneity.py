@@ -1,12 +1,13 @@
 """Homogeneity of geodesics from initial momenta.
 
 A geodesic with momentum p is homogeneous iff some X = dH(p) + z with
-z in the isotropy algebra satisfies p([X, g]) = 0; the check is a linear
-least-squares feasibility problem in z with an exact rational escalation
-for borderline cases. The float systems of a whole stack of momenta are
-built from two precontracted tensors and solved by one batched SVD.
+z in the isotropy algebra satisfies p([X, g]) = 0, a linear system in z
+read off the structure's k action and vertical field. The float systems of
+a whole stack of momenta are solved by one batched SVD; a borderline
+residual escalates to the exact forms, solved over the rationals.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import numpy as np
 from . import exactla
 from .hamiltonian import Momentum
 from .integrate import sample_momenta
-from .kernels import vertical_field_rows, vertical_form
+from .kernels import field_rows
 
 DEFAULT_THRESHOLD = 1e-8
 
@@ -38,28 +39,20 @@ class HomogeneityCertificate:
         return {
             "verdict": self.verdict,
             "witness": None if self.witness is None else [float(x) for x in self.witness],
-            "residual": self.residual,
+            # JSON has no NaN or inf; a non-finite residual is null.
+            "residual": self.residual if np.isfinite(self.residual) else None,
             "threshold": self.threshold_used,
         }
 
 
-def system_tensors(structure):
-    """(Q, T): the vertical field's (n, n·n) form from kernels.vertical_form
-    and the (dk, n, n) tensor T[a, j, k] = sum_i Z_a[i] c[i, j, k] of the
-    k coadjoint action, so that p([Z_a, e_j]) = (T[a] @ p)_j."""
-    s = structure
-    q = vertical_form(s.algebra.c_float, s.dmat)
-    t = np.einsum("ia,ijk->ajk", s.k_basis_float, s.algebra.c_float)
-    return q, t
-
-
-def feasibility_systems(tensors, momenta):
+def feasibility_systems(structure, momenta):
     """A (B, n, dk) and b (B, n) of the systems A z = b of a (B, n) stack:
     A[:, j, a] = p([Z_a, e_j]) and b = -p([dH(p), .])."""
-    q, t = tensors
+    t = structure.k_action
     dk, n, _ = t.shape
     a = momenta @ t.transpose(1, 0, 2).reshape(n * dk, n).T
-    return a.reshape(len(momenta), n, dk), -vertical_field_rows(q, momenta)
+    return (a.reshape(len(momenta), n, dk),
+            -field_rows(structure.vertical_terms, momenta))
 
 
 def feasibility_residuals(structure, momenta):
@@ -74,14 +67,13 @@ def feasibility_residuals(structure, momenta):
     momenta = np.asarray(momenta, dtype=float)
     nrows, n = momenta.shape
     dk = structure.k.dim
-    tensors = system_tensors(structure)
     cutoff = np.finfo(float).eps * max(n, dk)
     relres = np.full(nrows, np.nan)
     z = np.full((nrows, dk), np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, nrows, RESIDUAL_BLOCK_ROWS):
             block = slice(start, start + RESIDUAL_BLOCK_ROWS)
-            a, b = feasibility_systems(tensors, momenta[block])
+            a, b = feasibility_systems(structure, momenta[block])
             ok = np.isfinite(b).all(axis=1) & np.isfinite(a).all(axis=(1, 2))
             a, b = a[ok], b[ok]
             if dk:
@@ -100,21 +92,18 @@ def feasibility_residuals(structure, momenta):
 
 
 def _exact_feasible(p: Momentum):
-    """Exact rank test: is the feasibility system solvable over Q?"""
+    """An exact solution z (free variables 0) of the feasibility system at
+    the rational float coordinates of p, or None: row j is
+    sum_a T[a, j, k] p_k z_a = -f_j(p), from the exact forms."""
     s = p.structure
-    g = s.algebra
-    coords = np.array([Fraction(float(x)) for x in p.coords], dtype=object)
-    x0 = s.dH_exact(coords)
-    b = np.array([-v for v in g.coad_apply_exact(x0, coords)], dtype=object)
-    cols = []
-    for j in range(s.k.dim):
-        cols.append(g.coad_apply_exact(s.k.basis[:, j], coords).reshape(-1, 1))
-    a = np.concatenate(cols, axis=1) if cols else exactla.fzeros(s.dim, 0)
-    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-    if exactla.rank(a) != exactla.rank(aug):
-        return None
-    z = exactla.solve(a, b)
-    return z
+    coords = [Fraction(x) for x in p.coords.tolist()]
+    a = [defaultdict(Fraction) for _ in range(s.dim)]  # j -> {a: A[j, a]}
+    for col, j, k, c in s.k_action_exact:
+        a[j][col] += c * coords[k]
+    b = [Fraction(0)] * s.dim
+    for j, u, k, c in s.vertical_terms_exact:
+        b[j] -= c * coords[u] * coords[k]
+    return exactla.solve_sparse(zip(a, b), s.k.dim)
 
 
 def _check_threshold(threshold):

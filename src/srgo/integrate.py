@@ -1,17 +1,19 @@
 """Integration of the vertical momentum system and horizontal lifts.
 
-Fixed-step classical RK4 throughout (reproducible diagnostics). The
-vertical loop runs in kernels.py, as generated Python-float code, one
-momentum at a time. The work done per sample afterwards (H and Casimirs,
-the lift's propagators, CSV rows) runs on whole arrays.
+Fixed-step classical RK4 throughout (reproducible diagnostics). Every
+evaluation of the vertical field goes through kernels.py and the
+structure's ``vertical_terms``: the vertical loop one momentum at a time,
+the lift's stage points and the fixed-point search on arrays. The work done
+per sample afterwards (H and Casimirs, the lift's propagators, CSV rows)
+runs on whole arrays.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import Momentum, vertical_field_coords
-from .kernels import rk4_stage_points, vertical_form, vertical_rk4
+from .hamiltonian import Momentum
+from .kernels import field_jacobian, field_rows, rk4_stage_points, vertical_rk4
 
 # Rows per block of CSV text, and steps per block of lift propagators.
 CSV_BLOCK_ROWS = 2048
@@ -106,9 +108,8 @@ def integrate_vertical(p0: Momentum, T, step, casimirs=None) -> Trajectory:
     """
     nsteps = _nsteps(T, step)
     s = p0.structure
-    samples, last = vertical_rk4(
-        s.algebra.c_float, s.dmat, p0.coords, step, nsteps
-    )
+    samples, last = vertical_rk4(s.vertical_terms, p0.coords, step,
+                                 nsteps=nsteps)
     return _trajectory(s, samples, last, step, casimirs)
 
 
@@ -154,7 +155,7 @@ def integrate_horizontal(traj: Trajectory) -> Trajectory:
         raise ValueError("structure carries no matrix representation")
     rho = np.stack(s.representation)
     n, r = rho.shape[0], rho.shape[1]
-    q = vertical_form(s.algebra.c_float, s.dmat)
+    terms = s.vertical_terms
     lift = s.dmat.T @ rho.reshape(n, r * r)  # p -> rho(dH(p)), flattened
     nsamp = traj.n_samples
     gpts = np.empty((nsamp, r, r))
@@ -164,7 +165,7 @@ def integrate_horizontal(traj: Trajectory) -> Trajectory:
         dt = np.diff(traj.times[start:stop + 1])[:, None]
         a1, a2, a3, a4 = (
             (x @ lift).reshape(-1, r, r)
-            for x in rk4_stage_points(q, traj.momenta[start:stop], dt)
+            for x in rk4_stage_points(terms, traj.momenta[start:stop], dt)
         )
         h = dt[:, :, None]
         # G-stages k_i = G K_i: K1 = a1, K2 = a2 + h/2 K1 a2, ...
@@ -226,23 +227,23 @@ def find_fixed_points(structure, samples, seed=0, residual_tol=1e-10,
     converged points are deduplicated by Euclidean distance.
     """
     s = structure
-    n = s.dim
     rng = np.random.default_rng(seed)
     seeds = sample_momenta(s, samples, rng)
     kb = s.k_basis_float
-    q = vertical_form(s.algebra.c_float, s.dmat)
-    q3 = q.reshape(n, n, n)
+    terms = s.vertical_terms
+
+    def field(p):
+        return field_rows(terms, p[None])[0]
 
     def residual(p):
-        parts = [vertical_field_coords(s, p), [s.hamiltonian_value(p) - 0.5]]
+        parts = [field(p), [s.hamiltonian_value(p) - 0.5]]
         if s.k.dim:
             parts.append(kb.T @ p)
         return np.concatenate([np.atleast_1d(np.asarray(x)) for x in parts])
 
-    def jacobian(p):
-        # d/dp of the field's pᵀ Q_j p is (Q_j + Q_jᵀ) p; of H, dmat p.
-        field_jac = (q3 @ p).T + (p @ q).reshape(n, n)
-        return np.concatenate([field_jac, s.dH(p)[None, :], kb.T], axis=0)
+    def jacobian(p):  # H - 1/2 has gradient dH(p)
+        return np.concatenate(
+            [field_jacobian(terms, p), s.dH(p)[None, :], kb.T], axis=0)
 
     found = []
     for p in seeds:
@@ -260,7 +261,7 @@ def find_fixed_points(structure, samples, seed=0, residual_tol=1e-10,
                 break
         if not np.all(np.isfinite(x)):
             continue
-        if np.linalg.norm(vertical_field_coords(s, x), np.inf) < residual_tol and \
+        if np.linalg.norm(field(x), np.inf) < residual_tol and \
            abs(s.hamiltonian_value(x) - 0.5) < 1e-9 and \
            (not s.k.dim or np.max(np.abs(kb.T @ x)) < 1e-9):
             found.append(x)

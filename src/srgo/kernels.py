@@ -1,28 +1,22 @@
-"""Fixed-step RK4 kernel for the vertical momentum flow.
+"""Float evaluation and RK4 integration of the vertical field.
 
-The vertical field is quadratic in p: f_j(p) = p([dH(p), e_j]) = pᵀ Q_j p
-with Q_j = dmatᵀ c[:, j, :]. ``vertical_form`` stores every Q_j once as one
-(n, n·n) matrix Q, for callers that evaluate the field on whole arrays (the
-horizontal lift's stage points, the homogeneity residuals).
+Everything here reads the field as the structure's ``vertical_terms``: its
+few nonzero terms (j, a, k, coef) of f_j(p) = sum coef p_a p_k (at most 4 at
+n ≤ 6, 30 on free_step2_rank6). ``field_rows`` evaluates them on a (B, n)
+batch as (P[:, a] * P[:, k]) @ S, with the index arrays and the scatter
+matrix S built once per term tuple; ``field_jacobian`` reads the Jacobian
+off the same arrays.
 
-``vertical_rk4`` integrates one momentum. The field's few nonzero terms
-(``vertical_terms``: at most 4 at n ≤ 6, 30 on free_step2_rank6) become
-straight-line Python-float code for a block of RK4 steps, compiled once per
-distinct term tuple per process, in 0.2–4 ms. At small n a numpy call on
-4–6 numbers costs more than the arithmetic, so a step takes 1–2 µs at
-n ≤ 6 and 7–10 µs on free_step2_rank6 (2-core Xeon VM). A batch of momenta
-is a loop over its rows: at the phase portrait's 8 rows that beats stepping
-the (B, n) batch with two numpy matmuls against vertical_form (so3_axisym,
-5000 steps: 54 against 103 ms; free_step2_rank6, 1000 steps: 84 against
-109 ms; best of 5). The matmuls win at 100 rows (so3_axisym, 10000 steps:
-567 against 1592 ms), which only the acceptance tests run.
-
-The kernel checks finiteness every CHECK_EVERY steps and stops a
-trajectory at its last finite sample.
+``vertical_rk4`` integrates one momentum. The terms become straight-line
+Python-float code for a block of RK4 steps, compiled once per distinct term
+tuple per process, in 0.2–4 ms. At small n a numpy call on 4–6 numbers
+costs more than the arithmetic, so a step takes 1–2 µs at n ≤ 6 and
+7–10 µs on free_step2_rank6 (2-core Xeon VM); a batch of momenta is a loop
+over its rows. The kernel checks finiteness every CHECK_EVERY steps and
+stops a trajectory at its last finite sample.
 """
 
 import functools
-import math
 
 import numpy as np
 
@@ -33,52 +27,36 @@ HAVE_NUMBA = False
 CHECK_EVERY = 64
 
 
-def vertical_form(c, dmat):
-    """The (n, n·n) matrix Q of the vertical field f(p) = pᵀ Q_j p.
+@functools.lru_cache(maxsize=None)
+def _field_arrays(n, terms):
+    """Read-only arrays, shared by every caller, for the terms of an
+    n-dimensional field: the index arrays a and k and the (terms, n) scatter
+    matrix S with S[t, j] = coef; then, for the Jacobian, each term's two
+    partial derivatives, coef p_k at (j, a) and coef p_a at (j, k), as flat
+    positions, coefficients and indices into p."""
+    js, a, k = (np.array([t[i] for t in terms], dtype=int) for i in range(3))
+    coef = np.array([t[3] for t in terms], dtype=float)
+    scatter = np.zeros((len(terms), n))
+    scatter[np.arange(len(terms)), js] = coef
+    out = (a, k, scatter, np.concatenate([js * n + a, js * n + k]),
+           np.concatenate([coef, coef]), np.concatenate([k, a]))
+    for x in out:
+        x.setflags(write=False)
+    return out
 
-    Row a, column j·n + k holds Σ_i dmat[i, a] c[i, j, k], so that
-    (p @ Q).reshape(n, n) @ p = f(p).
-    """
-    c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-    q = np.einsum("ia,ijk->ajk", np.asarray(dmat, dtype=float), c)
-    return np.ascontiguousarray(q.reshape(n, n * n))
+
+def field_rows(terms, p):
+    """f(p) for each row of a (B, n) batch p, from the field's terms."""
+    a, k, scatter = _field_arrays(p.shape[1], terms)[:3]
+    return (p[:, a] * p[:, k]) @ scatter
 
 
-def vertical_field_rows(q, p):
-    """f(p) for each row of a (B, n) batch, from the matrix of vertical_form."""
-    b, n = p.shape
-    return ((p @ q).reshape(b, n, n) @ p[:, :, None])[:, :, 0]
-
-
-def vertical_terms(c, dmat):
-    """The nonzero terms of the vertical field, f_j(p) = Σ coef p_a p_k.
-
-    A tuple of (j, a, k, coef) with a ≤ k, sorted: coef is Q_j[a, k] +
-    Q_j[k, a] for a < k and Q_j[a, a] for a == k, with Q_j[a, k] = Σ_i
-    dmat[i, a] c[i, j, k] summed over the nonzero entries of c and dmat
-    only, and a pair that cancels to zero is dropped. The entries are
-    Python ints and floats, so equal fields give equal, equally hashed
-    tuples.
-    """
-    c = np.asarray(c, dtype=float)
-    dmat = np.asarray(dmat, dtype=float)
-    if not (np.isfinite(c).all() and np.isfinite(dmat).all()):
-        raise ValueError("the vertical field has non-finite coefficients")
-    d_rows = [[(a, d) for a, d in enumerate(row) if d] for row in dmat.tolist()]
-    nz = np.nonzero(c)
-    q = {}  # (j, a, k) -> Q_j[a, k]
-    for i, j, k, v in zip(*(x.tolist() for x in nz), c[nz].tolist()):
-        for a, d in d_rows[i]:
-            q[j, a, k] = q.get((j, a, k), 0.0) + d * v
-    terms = []
-    for j, a, k in sorted({(j, min(a, k), max(a, k)) for j, a, k in q}):
-        coef = q.get((j, a, k), 0.0) + (q.get((j, k, a), 0.0) if a < k else 0.0)
-        if not math.isfinite(coef):
-            raise ValueError("the vertical field has non-finite coefficients")
-        if coef:
-            terms.append((j, a, k, coef))
-    return tuple(terms)
+def field_jacobian(terms, p):
+    """The (n, n) Jacobian of the field at one momentum p, read off its
+    terms: each adds coef p_k at (j, a) and coef p_a at (j, k)."""
+    n = len(p)
+    pos, coef, src = _field_arrays(n, terms)[3:]
+    return np.bincount(pos, coef * p[src], n * n).reshape(n, n)
 
 
 def _rk4_block_source(n, terms):
@@ -86,7 +64,7 @@ def _rk4_block_source(n, terms):
     n-tuple p, returned as a list of n-tuples, on Python floats.
 
     Built only from integer indices and the repr of float coefficients,
-    which vertical_terms has checked to be finite. A component with no term
+    which the structure has checked to be finite. A component with no term
     has zero slope, so it is never updated and stands in for its own stage
     values.
     """
@@ -137,19 +115,19 @@ def _rk4_block(n, terms):
     return namespace["block"]
 
 
-def rk4_stage_points(q, p, dt):
+def rk4_stage_points(terms, p, dt):
     """The four points at which one RK4 step from each row of p evaluates
     the field: p, p + dt/2 k1, p + dt/2 k2, p + dt k3.
 
     ``dt`` is a scalar or a (B, 1) column of per-row steps.
     """
-    p2 = p + 0.5 * dt * vertical_field_rows(q, p)
-    p3 = p + 0.5 * dt * vertical_field_rows(q, p2)
-    p4 = p + dt * vertical_field_rows(q, p3)
+    p2 = p + 0.5 * dt * field_rows(terms, p)
+    p3 = p + 0.5 * dt * field_rows(terms, p2)
+    p4 = p + dt * field_rows(terms, p3)
     return p, p2, p3, p4
 
 
-def vertical_rk4(c, dmat, p0, dt, nsteps):
+def vertical_rk4(terms, p0, dt, nsteps):
     """Integrate one momentum p0 of shape (n,) with classical RK4, fixed step.
 
     Returns (samples, last_index): samples has shape (nsteps + 1, n); on a
@@ -159,7 +137,7 @@ def vertical_rk4(c, dmat, p0, dt, nsteps):
     nsteps = int(nsteps)
     h = float(dt)
     p = tuple(float(v) for v in p0)
-    block = _rk4_block(len(p), vertical_terms(c, dmat))
+    block = _rk4_block(len(p), terms)
     try:
         out = np.zeros((nsteps + 1, len(p)))
     except MemoryError:

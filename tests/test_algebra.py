@@ -131,6 +131,15 @@ def test_structure_rejects_bad_metric(heisenberg):
         )
 
 
+def test_structure_rejects_asymmetric_metric(heisenberg):
+    # Positive definite in its lower triangle, which is all Cholesky reads.
+    s = heisenberg.structure
+    with pytest.raises(ValueError, match="not symmetric"):
+        srgo.HomogeneousSRStructure(
+            s.algebra, s.k, s.m, s.delta, [[1, 5], [0, 1]]
+        )
+
+
 def test_structure_rejects_nonreductive():
     # k = span(e1) with [e1, e2] = e1 pushes brackets back into k.
     g = LieAlgebra.from_brackets(2, {(0, 1): {0: 1}})

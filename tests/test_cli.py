@@ -272,6 +272,23 @@ def test_check_rejects_non_finite_p0(capsys):
     assert run(["check", "--model", "heisenberg", "--p0=1,inf,1"]) == 2
 
 
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, as strict parsers do."""
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_check_inconclusive_output_is_strict_json(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert run(["check", "--model", "heisenberg", "--p0=1e308,1e308,1e308",
+                "--out", str(out)]) == 4
+    payload = _strict_json(out.read_text())
+    assert payload["verdict"] == "inconclusive"
+    assert payload["residual"] is None
+    assert "inconclusive (residual nan)" in capsys.readouterr().err
+
+
 def test_check_overflowing_p0_is_inconclusive(tmp_path):
     out = tmp_path / "c.json"
     assert run(["check", "--model", "heisenberg", "--p0=1e308,1e308,1e308",
@@ -348,3 +365,31 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv):
     assert "No such file or directory" in captured.err
     assert captured.err.count("\n") == 1  # no summary line after the error
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["integrate", "--p0=1,0,1", "--T", "0.01"],
+    ["check", "--p0=1,0,1"],
+    ["go", "--samples", "20"],
+    ["exist"],
+], ids=lambda argv: argv[0])
+def test_field_overflowing_a_float_exits_2(tmp_path, capsys, argv):
+    # heisenberg with its constants scaled by 10^200 and its metric by
+    # 10^-200: every entry is a float, the field's coefficients (about
+    # 10^400) are not.
+    import srgo
+
+    data = srgo.load_model("heisenberg").to_dict()
+    data["constants"] = [[i, j, k, num * 10 ** 200, den]
+                         for i, j, k, num, den in data["constants"]]
+    data["metric"] = [[f"{x}/1{'0' * 200}" for x in row]
+                      for row in data["metric"]]
+    del data["representation"], data["casimirs"]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(data))
+    assert run(argv + ["--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the vertical field has non-finite "
+                            "coefficients\n")

@@ -13,13 +13,7 @@ from srgo import (
     integrate_vertical_batch,
     sample_momenta,
 )
-from srgo.kernels import (
-    CHECK_EVERY,
-    vertical_field_rows,
-    vertical_form,
-    vertical_rk4,
-    vertical_terms,
-)
+from srgo.kernels import CHECK_EVERY, field_jacobian, field_rows, vertical_rk4
 
 
 def _seed_momentum(structure, seed=0):
@@ -255,26 +249,39 @@ def _rk4_einsum_reference(c, dmat, p0, dt, nsteps):
 @pytest.mark.parametrize("name", srgo.list_models())
 def test_vertical_terms_reproduce_the_field(models, name):
     s = models[name].structure
-    c, d = s.algebra.c_float, s.dmat
-    terms = vertical_terms(c, d)
+    terms = s.vertical_terms
     assert all(a <= k and coef != 0.0 for _, a, k, coef in terms)
     p = np.random.default_rng(4).standard_normal((20, s.dim))
     field = np.zeros_like(p)
     for j, a, k, coef in terms:
         field[:, j] += coef * p[:, a] * p[:, k]
-    expected = vertical_field_rows(vertical_form(c, d), p)
+    expected = np.array([s.algebra.coad_apply(s.dH(row), row) for row in p])
     assert np.allclose(field, expected, rtol=1e-12, atol=1e-12)
+    assert np.allclose(field_rows(terms, p), expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", srgo.list_models())
+def test_field_jacobian_matches_central_differences(models, name):
+    # The field is quadratic, so a central difference is exact up to rounding.
+    s = models[name].structure
+    p = np.random.default_rng(8).standard_normal(s.dim)
+    h = 1e-3
+    steps = p + h * np.eye(s.dim), p - h * np.eye(s.dim)
+    diff = (field_rows(s.vertical_terms, steps[0])
+            - field_rows(s.vertical_terms, steps[1])).T / (2 * h)
+    assert np.allclose(field_jacobian(s.vertical_terms, p), diff,
+                       rtol=1e-9, atol=1e-9)
 
 
 @pytest.mark.parametrize("name", srgo.list_models())
 def test_kernel_batch_rows_match_single_runs_and_reference(models, name):
     s = models[name].structure
-    c, d = s.algebra.c_float, s.dmat
+    c, d, terms = s.algebra.c_float, s.dmat, s.vertical_terms
     p0 = sample_momenta(s, 5, np.random.default_rng(1))
     trajs = integrate_vertical_batch(s, p0, 0.3, 1e-3)
     assert len(trajs) == 5
     for b, traj in enumerate(trajs):
-        single, single_last = vertical_rk4(c, d, p0[b], 1e-3, 300)
+        single, single_last = vertical_rk4(terms, p0[b], 1e-3, 300)
         assert single.shape == (301, s.dim) and single_last == 300
         assert not traj.aborted
         assert np.array_equal(traj.momenta, single)
@@ -284,7 +291,7 @@ def test_kernel_batch_rows_match_single_runs_and_reference(models, name):
 
 def test_kernel_overflowing_rows_abort_alone(models):
     s = models["so3_generic"].structure
-    c, d = s.algebra.c_float, s.dmat
+    terms = s.vertical_terms
     # Row 1 overflows in the first step; row 3 grows until it overflows
     # after the first finiteness check.
     p0 = np.array([[1.0, 0.3, 0.8], [1e308, 1e308, 1e308], [0.2, -1.0, 0.5],
@@ -293,19 +300,19 @@ def test_kernel_overflowing_rows_abort_alone(models):
     assert [t.aborted for t in trajs] == [False, True, False, True]
     assert [t.n_samples for t in trajs[:3]] == [201, 1, 201]
     assert np.array_equal(trajs[1].momenta[0], p0[1])
-    samples, last = vertical_rk4(c, d, p0[1], 1e-3, 200)
+    samples, last = vertical_rk4(terms, p0[1], 1e-3, 200)
     assert last == 0 and not np.any(samples[1:])
     late = trajs[3].n_samples - 1
     assert CHECK_EVERY < late < 200
     assert np.all(np.isfinite(trajs[3].momenta))
-    assert vertical_rk4(c, d, trajs[3].momenta[late], 1e-3, 1)[1] == 0
-    single, single_last = vertical_rk4(c, d, p0[3], 1e-3, 200)
+    assert vertical_rk4(terms, trajs[3].momenta[late], 1e-3, 1)[1] == 0
+    single, single_last = vertical_rk4(terms, p0[3], 1e-3, 200)
     assert single_last == late
     assert np.array_equal(single[:late + 1], trajs[3].momenta)
     assert not np.any(single[late + 1:])
     for b in (0, 2):
         assert np.all(np.isfinite(trajs[b].momenta))
-        single, _ = vertical_rk4(c, d, p0[b], 1e-3, 200)
+        single, _ = vertical_rk4(terms, p0[b], 1e-3, 200)
         assert np.array_equal(trajs[b].momenta, single)
 
 

@@ -252,3 +252,90 @@ def test_lie_closure_early_exit_matches_full_fixpoint(name, models):
         full = _full_fixpoint_closure(g, seed)
         assert fast == full
         assert (fast.basis == full.basis).all()
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_exact_forms_match_the_coadjoint_action(name, models):
+    s = models[name].structure
+    g, n = s.algebra, s.dim
+    assert list(s.vertical_terms_exact) == sorted(s.vertical_terms_exact)
+    assert list(s.k_action_exact) == sorted(s.k_action_exact)
+    assert all(a <= k and c for _, a, k, c in s.vertical_terms_exact)
+    rng = np.random.default_rng(len(name) + 7)
+    for _ in range(3):
+        p = _rational_vec(rng, n, zero_share=0.3)
+        field = [Fraction(0)] * n
+        for j, a, k, c in s.vertical_terms_exact:
+            field[j] += c * p[a] * p[k]
+        assert field == list(g.coad_apply_exact(s.dH_exact(p), p))
+        action = [[Fraction(0)] * n for _ in range(s.k.dim)]
+        for a, j, k, c in s.k_action_exact:
+            action[a][j] += c * p[k]
+        for a in range(s.k.dim):
+            assert action[a] == list(g.coad_apply_exact(s.k.basis[:, a], p))
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_float_forms_mirror_the_exact_ones(name, models):
+    s = models[name].structure
+    assert s.vertical_terms == tuple((j, a, k, float(c))
+                                     for j, a, k, c in s.vertical_terms_exact)
+    dense = np.zeros((s.k.dim, s.dim, s.dim))
+    for a, j, k, c in s.k_action_exact:
+        dense[a, j, k] = float(c)
+    assert s.k_action.tobytes() == dense.tobytes()
+    assert not s.k_action.flags.writeable
+
+
+def _rank_route(s, p):
+    """The feasibility test as two ranks and a dense solve over
+    coad_apply_exact columns (the route _exact_feasible replaces)."""
+    g = s.algebra
+    coords = np.array([Fraction(float(x)) for x in p], dtype=object)
+    b = np.array([-v for v in g.coad_apply_exact(s.dH_exact(coords), coords)],
+                 dtype=object)
+    cols = [g.coad_apply_exact(s.k.basis[:, j], coords).reshape(-1, 1)
+            for j in range(s.k.dim)]
+    a = np.concatenate(cols, axis=1) if cols else exactla.fzeros(s.dim, 0)
+    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
+    if exactla.rank(a) != exactla.rank(aug):
+        return None
+    return exactla.solve(a, b)
+
+
+def _same_solution(got, want):
+    return (got is None) == (want is None) and (
+        got is None or list(got) == list(want))
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_exact_feasible_matches_the_rank_route(name, models):
+    from srgo.homogeneity import _exact_feasible
+
+    s = models[name].structure
+    rows = srgo.sample_momenta(s, 2 if s.dim > 16 else 4,
+                               np.random.default_rng(len(name)))
+    if name == "cartan":  # on the homogeneous set p4 = p5 = 0 as well
+        rows = np.concatenate([rows, rows * [1, 1, 1, 0, 0, 1]])
+    for p in rows:
+        got = _exact_feasible(srgo.Momentum(p, s))
+        assert _same_solution(got, _rank_route(s, p))
+
+
+def test_exact_feasible_on_the_escalation_band_momentum(cartan):
+    # cartan with p4 small and p5 = 0 puts the float residual inside the
+    # exact band [1e-8, 1e-7), where check_homogeneous escalates.
+    from srgo.homogeneity import _exact_feasible, feasibility_residuals
+
+    s = cartan.structure
+    a = np.random.default_rng(5).standard_normal(s.m.dim)
+    a[4] = 0.0
+    p1, p2, p3 = a[:3]
+    a[3] = (np.sqrt(1e-15) * (1.0 + abs(p3) * np.hypot(p1, p2))
+            / np.hypot(p1, p3))
+    p = s.m_dual @ a
+    relres, _ = feasibility_residuals(s, p[None])
+    assert 1e-8 <= relres[0] < 1e-7
+    got = _exact_feasible(srgo.Momentum(p, s))
+    assert got is None
+    assert _same_solution(got, _rank_route(s, p))
