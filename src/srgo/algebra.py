@@ -65,6 +65,14 @@ def _float_terms(terms, what):
         raise ValueError(f"{what} has non-finite coefficients") from None
 
 
+def _float_matrix(a, what):
+    """to_float(a); an entry beyond the float range is a ValueError."""
+    try:
+        return to_float(a)
+    except OverflowError:
+        raise ValueError(f"{what} has entries beyond the float range") from None
+
+
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by its structure constants.
 
@@ -96,8 +104,8 @@ class LieAlgebra:
                 rows[i].append((j, k, v))
         self.by_i = tuple(tuple(sorted(row)) for row in rows)
         self.c_float = np.zeros((dim, dim, dim))
-        for i, j, k, v in self.coo:
-            self.c_float[i, j, k] = float(v)
+        for i, j, k, v in _float_terms(self.coo, "the bracket"):
+            self.c_float[i, j, k] = v
 
     @classmethod
     def from_brackets(cls, dim, brackets, labels=None):
@@ -303,7 +311,7 @@ class Subspace:
         return self.basis.shape[1]
 
     def basis_float(self):
-        return to_float(self.basis)
+        return _float_matrix(self.basis, "a subspace basis")
 
     def contains(self, v):
         if self.dim == 0:
@@ -376,8 +384,9 @@ class HomogeneousSRStructure:
     ``vertical_terms_exact``, its nonzero (j, a, k, coef) with a <= k, sorted;
     the k action p([Z_a, e_j]) = sum_k T[a, j, k] p_k is ``k_action_exact``,
     the nonzero (a, j, k, T[a, j, k]). Float mirrors: ``vertical_terms``
-    (float coefficients) and the dense ``k_action`` T; a coefficient that
-    overflows a float is a ValueError.
+    (float coefficients) and the dense ``k_action`` T; a coefficient, or an
+    entry of the metric, its inverse or Dmat, that overflows a float is a
+    ValueError.
     """
 
     def __init__(self, algebra, k, m, delta, metric, grading=None,
@@ -402,21 +411,22 @@ class HomogeneousSRStructure:
             raise ValueError("metric shape must match delta dimension")
         if (self.metric != self.metric.T).any():
             raise ValueError("metric is not symmetric")
-        mf = to_float(self.metric)
+        mf = _float_matrix(self.metric, "the metric")
         try:
             np.linalg.cholesky(mf)
         except np.linalg.LinAlgError:
             raise ValueError("metric is not positive definite") from None
         self.metric_float = mf
         self.metric_inv = exactla.inverse(self.metric)
-        self.metric_inv_float = to_float(self.metric_inv)
+        self.metric_inv_float = _float_matrix(self.metric_inv,
+                                              "the inverse metric")
 
         # dH(p) = Dmat @ p with Dmat = delta B^{-1} delta^T.
         db = delta.basis
         self.dmat_exact = exactla.matmul(
             exactla.matmul(db, self.metric_inv), db.T
         )
-        self.dmat = to_float(self.dmat_exact)
+        self.dmat = _float_matrix(self.dmat_exact, "the map p -> dH(p)")
         self.k_basis_float = k.basis_float()
         self.m_basis_float = m.basis_float()
         self.delta_basis_float = delta.basis_float()

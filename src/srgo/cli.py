@@ -23,6 +23,8 @@ from .homogeneity import (
     check_homogeneous,
 )
 from .integrate import (
+    CSV_BLOCK_ROWS,
+    _csv_rows,
     integrate_horizontal,
     integrate_vertical,
     integrate_vertical_batch,
@@ -119,24 +121,22 @@ def _phase_portrait_csv(spec, args):
     n = s.dim
     rng = np.random.default_rng(args.seed)
     points = sample_momenta(s, args.samples, rng)
-    lines = [
-        "kind,id,t,"
-        + ",".join(f"p_{i + 1}" for i in range(n))
-        + ","
-        + ",".join(f"v_{i + 1}" for i in range(n))
-    ]
-    values = ",".join(["%.17g"] * n)
-    arrow = "arrow,%d,0," + values + "," + values
-    arrows = field_rows(s.vertical_terms, points)
-    for i, (p, v) in enumerate(zip(points, arrows)):
-        lines.append(arrow % (i, *p, *v))
-    trajectory = "trajectory,%d,%.17g," + values + "," + ",".join(["0"] * n)
+    header = ("kind,id,t," + ",".join(f"p_{i + 1}" for i in range(n)) + ","
+              + ",".join(f"v_{i + 1}" for i in range(n)) + "\n")
+    ids = np.arange(len(points), dtype=float)[:, None]
+    arrows = np.hstack([ids, np.zeros_like(ids), points,
+                        field_rows(s.vertical_terms, points)])
+    chunks = [header] + [
+        _csv_rows(arrows[start:start + CSV_BLOCK_ROWS], "arrow,")
+        for start in range(0, len(arrows), CSV_BLOCK_ROWS)]
     trajs = integrate_vertical_batch(s, points[:8], args.T, args.step)
     for i, traj in enumerate(trajs):
         stride = max(1, traj.n_samples // 200)
-        for t, row in zip(traj.times[::stride], traj.momenta[::stride]):
-            lines.append(trajectory % (i, t, *row))
-    return "\n".join(lines) + "\n"
+        rows = traj.momenta[::stride]
+        chunks.append(_csv_rows(np.hstack([
+            np.full((len(rows), 1), float(i)), traj.times[::stride, None],
+            rows, np.zeros_like(rows)]), "trajectory,"))
+    return "".join(chunks)
 
 
 def cmd_integrate(args):

@@ -165,8 +165,12 @@ def _bracket_on_m(f, adot):
     ``adot`` is ``_m_vertical_field``; the result is the polynomial that
     bracketing F(m_basis^T p) with H on g* and setting p = m_dual a gives.
     """
-    return sum((f.diff(r) * a for r, a in enumerate(adot)),
-               Polynomial.zero(f.nvars))
+    out = defaultdict(Fraction)  # one dict: Polynomial.__add__ copies its terms
+    for r, a in enumerate(adot):
+        for m1, c1 in f.diff(r).terms.items():
+            for m2, c2 in a.terms.items():
+                out[tuple(x + y for x, y in zip(m1, m2))] += c1 * c2
+    return Polynomial(f.nvars, out)
 
 
 def _tangency_witness(structure):

@@ -4,10 +4,17 @@ Fixed-step classical RK4 throughout (reproducible diagnostics). Every
 evaluation of the vertical field goes through kernels.py and the
 structure's ``vertical_terms``: the vertical loop one momentum at a time,
 the lift's stage points and the fixed-point search on arrays. The work done
-per sample afterwards (H and Casimirs, the lift's propagators, CSV rows)
-runs on whole arrays.
+per sample afterwards (H and Casimirs, the lift's propagators) runs on
+whole arrays.
+
+CSV text is made per block of rows and its bytes are those of '%.17g' on
+every value. A column with one 64-bit pattern throughout the block is
+printed once and repeated; the other values get their 17 significant digits
+from a double-double product and their layout from numpy byte arithmetic,
+and '%.17g' itself prints those the product cannot certify.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,8 +23,209 @@ from .hamiltonian import Momentum
 from .kernels import field_jacobian, field_rows, rk4_stage_points, vertical_rk4
 
 # Rows per block of CSV text, and steps per block of lift propagators.
-CSV_BLOCK_ROWS = 2048
+CSV_BLOCK_ROWS = 512
 LIFT_BLOCK_STEPS = 1024
+
+# -- CSV text: the bytes of '%.17g' % value, made over whole arrays ----------
+#
+# _digits17 finds the 17 significant digits D and the decimal exponent X of
+# each value from a double-double product, or reports that it cannot
+# certify them. _layout writes the text of a certified value into a field
+# of four little-endian 64-bit words: word 0 holds the sign and the "0.000"
+# prefix of fixed notation below 1; words 1-3 hold the digits with the
+# point among them and then "e+XX". Bytes a value does not use hold the
+# filler byte 0, which one bytes.translate deletes from a block's text.
+# '%.17g' prints every other value into the same field; it never needs
+# more than 24 bytes. The last byte of a field is its separator.
+_X_MIN, _X_MAX = -99, 99  # decimal exponents of the power table
+# The double-double |x| * 10^(16 - X) is within 5e-15 of the exact product
+# (about 3 * 2^-106 relative, plus one rounding of a sum below 32); a
+# fraction this far from 1/2 rounds to the same 17 digits as the exact one.
+_TIE_MARGIN = 1e-9
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+
+
+def _split(a):
+    """Veltkamp split: a = hi + lo exactly, each with at most 26 bits."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# Built on the first block of CSV text, not at import: a process that
+# prints none then does not hold them (about 0.9 MB resident).
+@functools.cache
+def _power_table():
+    """10^(16 - X) for _X_MIN <= X <= _X_MAX, indexed by _X_MAX - X, as
+    float pairs (hi, lo): hi is the power rounded to a float, lo the rest
+    rounded to a float, so hi + lo is within 2^-106 of the power. hi also
+    comes split for the exact product."""
+    pairs = []
+    for k in range(16 - _X_MAX, 16 - _X_MIN + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hi = num / den  # int / int rounds correctly
+        hi_num, hi_den = hi.as_integer_ratio()
+        pairs.append((hi, (num * hi_den - hi_num * den) / (den * hi_den)))
+    hi, lo = np.array(pairs).T
+    return hi, lo, *_split(hi)
+
+
+def _words(byte_strings, nwords):
+    """Each byte string, zero-padded, as nwords little-endian words."""
+    raw = b"".join(b.ljust(8 * nwords, b"\0") for b in byte_strings)
+    return np.frombuffer(raw, "<u8").astype(np.uint64).reshape(-1, nwords)
+
+
+@functools.cache
+def _layout_tables():
+    """Tables of _layout.
+
+    Per decimal exponent X, indexed by X - _X_MIN: the digits before the
+    point, the digits kept at least, word 0 and the exponent bits of
+    word 3. Per (kept digits c, digits before the point q), indexed by
+    18 c + q, one array per word 1-3: the bytes of the digits before the
+    point, the bytes of those after it (which move up one byte), and the
+    point in the byte between, if any digit follows it. Per g < 10^4: its
+    four digits as little-endian bytes, and how many of them end it as
+    zeros.
+    """
+    point, least, prefix, exponent = [], [], [], []
+    for x in range(_X_MIN, _X_MAX + 1):
+        fixed = -4 <= x < 17
+        # Below 1 the point is in the prefix: 17 puts none among the digits.
+        point.append(x + 1 if fixed and x >= 0 else 17 if fixed else 1)
+        least.append(x + 1 if fixed and x >= 0 else 1)
+        prefix.append(b"\0" + (b"0." + b"0" * (-x - 1) if fixed and x < 0
+                               else b""))
+        exponent.append(b"" if fixed else b"\0\0e%+03d" % x)
+    before, after, dot = [], [], []
+    for c in range(18):
+        for q in range(18):
+            before.append(b"\xff" * min(c, q))
+            after.append(b"\0" * q + b"\xff" * (c - q))
+            dot.append(b"\0" * q + b"." if c > q else b"")
+    groups = np.arange(10000)
+    two = _words([b"%02d" % g for g in range(100)], 1)[:, 0]
+    return (np.array(point), np.array(least), _words(prefix, 1)[:, 0],
+            _words(exponent, 1)[:, 0],
+            *(tuple(_words(t, 3).T.copy()) for t in (before, after, dot)),
+            two[groups // 100] | two[groups % 100] << 16,
+            sum(groups % 10 ** j == 0 for j in range(1, 5)))
+
+
+def _digits17(x):
+    """17 significant digits D and decimal exponent X of each |x|, as
+    '%.17g' rounds them (to nearest, ties to even).
+
+    Returns (D, X, ok); where ok is False, D and X are not certified:
+    zeros, subnormals, non-finite values, |x| outside 10^_X_MIN ..
+    10^(_X_MAX + 1), values within the error bound of a rounding tie, and
+    values whose digits would round to, or whose log10 misplaces them
+    against, a power of ten. '%.17g' must print those.
+    """
+    pow_hi, pow_lo, pow_hi_hi, pow_hi_lo = _power_table()
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    ok = (e >= _X_MIN) & (e <= _X_MAX)  # False for 0, inf and nan
+    a = np.where(ok, a, 1.0)
+    i = np.where(ok, _X_MAX - e, _X_MAX).astype(np.intp)
+    # y = a * 10^(16 - e) as the exact a * hi (Dekker) plus a * lo.
+    p = a * pow_hi[i]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = pow_hi_hi[i], pow_hi_lo[i]
+    t = (((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+         + a * pow_lo[i])
+    s = p + t  # |p| > 2^53 > |t|: s + r is p + t exactly, s an integer
+    r = t - (s - p)
+    r_int = np.floor(r)
+    frac = r - r_int
+    floor_y = s.astype(np.int64) + r_int.astype(np.int64)
+    d = floor_y + (frac > 0.5)
+    # y below 10^16 means e was one too high; d of 10^17 or more, that y
+    # rounds up to, or lies at, the next power of ten.
+    ok &= (np.abs(frac - 0.5) > _TIE_MARGIN) & (floor_y >= 10 ** 16) \
+        & (d < 10 ** 17)
+    return d, np.where(ok, e, 0).astype(np.int64), ok
+
+
+def _layout(negative, d, x):
+    """Fields, as (n, 4) words, of the '%.17g' text of values with sign
+    ``negative``, 17 significant digits ``d`` and decimal exponent ``x``:
+    fixed notation for -4 <= x < 17, else d.ddde+XX, without the digits'
+    trailing zeros and without a point that nothing follows."""
+    (point_of, least_of, prefix_of, exponent_of, before, after, dot, four,
+     trailing) = _layout_tables()
+    xi = x - _X_MIN
+    # Quotient and remainder by a // and a product: np.divmod on integer
+    # arrays runs several times slower than //.
+    lead = d // 10 ** 16
+    hi8 = d // 10 ** 8 - lead * 10 ** 8
+    lo8 = d - d // 10 ** 8 * 10 ** 8
+    h1 = hi8 // 10 ** 4
+    h2 = hi8 - h1 * 10 ** 4
+    l1 = lo8 // 10 ** 4
+    l2 = lo8 - l1 * 10 ** 4
+    zeros = np.where(l2 != 0, trailing[l2], 4 + trailing[l1])
+    zeros += np.where(lo8 != 0, 0,
+                      np.where(h2 != 0, trailing[h2], 4 + trailing[h1]))
+    k = np.maximum(17 - zeros, least_of[xi]) * 18 + point_of[xi]
+    # The 17 digits as one 192-bit little-endian number in words 1-3.
+    a = four[h1] | four[h2] << 32
+    b = four[l1] | four[l2] << 32
+    w = ((lead.astype(np.uint64) + ord("0")) | a << 8, a >> 56 | b << 8,
+         b >> 56)
+    up = [v & t[k] for v, t in zip(w, after)]
+    out = np.empty((len(d), 4), np.uint64)
+    out[:, 0] = prefix_of[xi] | negative.astype(np.uint64) * ord("-")
+    out[:, 1] = w[0] & before[0][k] | up[0] << 8 | dot[0][k]
+    out[:, 2] = w[1] & before[1][k] | up[1] << 8 | up[0] >> 56 | dot[1][k]
+    out[:, 3] = (w[2] & before[2][k] | up[2] << 8 | up[1] >> 56
+                 | dot[2][k] | exponent_of[xi])
+    return out
+
+
+def _printf_fields(values):
+    """Fields, as (n, 4) words, holding '%.17g' % value left-aligned."""
+    return _words([b"%.17g" % v for v in values.tolist()], 4)
+
+
+def _value_fields(values):
+    """Fields, as (n, 4) words, of '%.17g' % value for each value."""
+    d, x, ok = _digits17(values)
+    out = _layout(np.signbit(values), d, x)
+    if not ok.all():
+        out[~ok] = _printf_fields(values[~ok])
+    return out
+
+
+def _csv_rows(block, lead=""):
+    """CSV text of the rows of a 2-D float array: each row is ``lead``,
+    then its values as '%.17g' % value prints them, comma separated, then a
+    newline.
+
+    A column whose values have one 64-bit pattern is formatted once; the
+    others go through _digits17 and _layout. ``lead`` takes a field of its
+    own, so it may not be longer than 31 bytes.
+    """
+    block = np.ascontiguousarray(block, dtype=float)
+    nrow, ncol = block.shape
+    first = 1 if lead else 0
+    out = np.zeros((nrow, first + ncol, 4), np.uint64)
+    if lead:
+        out[:, 0] = _words([lead.encode("ascii")], 4)
+    cells = out[:, first:]
+    bits = block.view(np.uint64)
+    same = (bits == bits[0]).all(axis=0)
+    cells[:, same] = _printf_fields(block[0, same])
+    varied = block[:, ~same]
+    cells[:, ~same] = _value_fields(varied.ravel()).reshape(
+        nrow, varied.shape[1], 4)
+    sep = np.full(ncol, ord(","), np.uint64)
+    sep[-1] = ord("\n")
+    cells[:, :, 3] |= sep << 56
+    return out.astype("<u8", copy=False).tobytes().translate(
+        None, b"\0").decode("ascii")
 
 
 @dataclass
@@ -53,7 +261,7 @@ class Trajectory:
         """CSV export in pieces: the header line, then blocks of rows.
 
         Columns are t, p_1..p_n, H, casimirs, then flattened group points;
-        every value is printed with %.17g.
+        every value reads as '%.17g' prints it (see _csv_rows).
         """
         n = self.momenta.shape[1]
         names = [k for k in self.diagnostics if k != "H"]
@@ -66,11 +274,9 @@ class Trajectory:
             cols += [f"g_{i + 1}{j + 1}" for i in range(r) for j in range(r)]
             parts.append(self.group_points.reshape(self.n_samples, r * r))
         yield ",".join(cols) + "\n"
-        row = ",".join(["%.17g"] * len(cols)) + "\n"
         for start in range(0, self.n_samples, CSV_BLOCK_ROWS):
-            block = np.concatenate(
-                [a[start:start + CSV_BLOCK_ROWS] for a in parts], axis=1)
-            yield (row * len(block)) % tuple(block.ravel().tolist())
+            yield _csv_rows(np.concatenate(
+                [a[start:start + CSV_BLOCK_ROWS] for a in parts], axis=1))
 
     def to_csv_text(self):
         return "".join(self.csv_chunks())

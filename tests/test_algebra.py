@@ -140,6 +140,19 @@ def test_structure_rejects_asymmetric_metric(heisenberg):
         )
 
 
+@pytest.mark.parametrize("scale, what", [
+    (Fraction(10) ** 400, "the metric"),
+    (Fraction(10) ** -310, "the inverse metric"),  # subnormal, inverse 1e310
+])
+def test_structure_rejects_metric_beyond_the_float_range(heisenberg, scale,
+                                                         what):
+    s = heisenberg.structure
+    with pytest.raises(ValueError,
+                       match=f"^{what} has entries beyond the float range"):
+        srgo.HomogeneousSRStructure(
+            s.algebra, s.k, s.m, s.delta, [[scale, 0], [0, scale]])
+
+
 def test_structure_rejects_nonreductive():
     # k = span(e1) with [e1, e2] = e1 pushes brackets back into k.
     g = LieAlgebra.from_brackets(2, {(0, 1): {0: 1}})

@@ -142,6 +142,37 @@ def test_phase_portrait(tmp_path):
     assert kinds == {"arrow", "trajectory"}
 
 
+def test_phase_portrait_bytes_match_per_row_templates(tmp_path):
+    # 600 arrows span two blocks of rows; the per-row '%' templates below
+    # are how the portrait's rows were printed one at a time.
+    import srgo
+    from srgo.kernels import field_rows
+
+    out = tmp_path / "pp.csv"
+    assert run([
+        "integrate", "--model", "rolling_sphere", "--phase-portrait",
+        "--samples", "600", "--T", "5", "--step", "0.01", "--seed", "5",
+        "--out", str(out),
+    ]) == 0
+    s = srgo.load_model("rolling_sphere").structure
+    n = s.dim
+    points = srgo.sample_momenta(s, 600, np.random.default_rng(5))
+    lines = ["kind,id,t," + ",".join(f"p_{i + 1}" for i in range(n)) + ","
+             + ",".join(f"v_{i + 1}" for i in range(n))]
+    values = ",".join(["%.17g"] * n)
+    arrow = "arrow,%d,0," + values + "," + values
+    for i, (p, v) in enumerate(zip(points,
+                                   field_rows(s.vertical_terms, points))):
+        lines.append(arrow % (i, *p, *v))
+    trajectory = "trajectory,%d,%.17g," + values + "," + ",".join(["0"] * n)
+    trajs = srgo.integrate_vertical_batch(s, points[:8], 5.0, 0.01)
+    for i, traj in enumerate(trajs):
+        stride = max(1, traj.n_samples // 200)
+        for t, row in zip(traj.times[::stride], traj.momenta[::stride]):
+            lines.append(trajectory % (i, t, *row))
+    assert out.read_text() == "\n".join(lines) + "\n"
+
+
 def test_phase_portrait_circles(tmp_path):
     # Trajectories close onto circles about the p3-axis.
     out = tmp_path / "pp.csv"
@@ -367,29 +398,48 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv):
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("argv", [
+def _scaled_heisenberg(tmp_path, power):
+    """heisenberg as a model file, its constants scaled by 10^power and its
+    metric by 10^-power."""
+    import srgo
+
+    data = srgo.load_model("heisenberg").to_dict()
+    data["constants"] = [[i, j, k, num * 10 ** power, den]
+                         for i, j, k, num, den in data["constants"]]
+    data["metric"] = [[f"{x}/1{'0' * power}" for x in row]
+                      for row in data["metric"]]
+    del data["representation"], data["casimirs"]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+_EVERY_SUBCOMMAND = pytest.mark.parametrize("argv", [
     ["validate"],
     ["integrate", "--p0=1,0,1", "--T", "0.01"],
     ["check", "--p0=1,0,1"],
     ["go", "--samples", "20"],
     ["exist"],
 ], ids=lambda argv: argv[0])
-def test_field_overflowing_a_float_exits_2(tmp_path, capsys, argv):
-    # heisenberg with its constants scaled by 10^200 and its metric by
-    # 10^-200: every entry is a float, the field's coefficients (about
-    # 10^400) are not.
-    import srgo
 
-    data = srgo.load_model("heisenberg").to_dict()
-    data["constants"] = [[i, j, k, num * 10 ** 200, den]
-                         for i, j, k, num, den in data["constants"]]
-    data["metric"] = [[f"{x}/1{'0' * 200}" for x in row]
-                      for row in data["metric"]]
-    del data["representation"], data["casimirs"]
-    path = tmp_path / "scaled.json"
-    path.write_text(json.dumps(data))
-    assert run(argv + ["--model", str(path)]) == 2
+
+@_EVERY_SUBCOMMAND
+def test_field_overflowing_a_float_exits_2(tmp_path, capsys, argv):
+    # Scaled by 10^200: every entry is a float, the field's coefficients
+    # (about 10^400) are not.
+    assert run(argv + ["--model", _scaled_heisenberg(tmp_path, 200)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: the vertical field has non-finite "
+                            "coefficients\n")
+
+
+@_EVERY_SUBCOMMAND
+def test_constants_overflowing_a_float_exit_2(tmp_path, capsys, argv):
+    # Scaled by 10^400: the structure constants themselves are beyond the
+    # float range.
+    assert run(argv + ["--model", _scaled_heisenberg(tmp_path, 400)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the bracket has non-finite "
                             "coefficients\n")

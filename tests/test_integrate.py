@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srgo
 from srgo import (
@@ -13,6 +15,7 @@ from srgo import (
     integrate_vertical_batch,
     sample_momenta,
 )
+from srgo.integrate import CSV_BLOCK_ROWS, Trajectory, _csv_rows
 from srgo.kernels import CHECK_EVERY, field_jacobian, field_rows, vertical_rk4
 
 
@@ -376,14 +379,99 @@ def _csv_text_per_value(traj):
 
 
 def test_csv_bytes_match_per_value_formatter(models, tmp_path):
-    spec = models["rolling_sphere"]
-    s = spec.structure
-    p0 = Momentum(sample_momenta(s, 1, np.random.default_rng(6))[0], s)
-    traj = integrate_horizontal(
-        integrate_vertical(p0, 5.0, 1e-3, casimirs=spec.casimirs))
-    assert traj.n_samples > 2 * srgo.integrate.CSV_BLOCK_ROWS
-    want = _csv_text_per_value(traj)
-    assert traj.to_csv_text() == want
+    # Every model, lifted where it has a representation, past a block
+    # boundary; two aborted trajectories; a column mixing 0.0 with -0.0,
+    # a constant -0.0 column and a constant NaN column.
+    trajs = []
+    for name in srgo.list_models():
+        spec = models[name]
+        s = spec.structure
+        p0 = Momentum(sample_momenta(s, 1, np.random.default_rng(6))[0], s)
+        traj = integrate_vertical(p0, 0.6, 1e-3, casimirs=spec.casimirs)
+        if s.representation is not None:
+            traj = integrate_horizontal(traj)
+        assert traj.n_samples > CSV_BLOCK_ROWS
+        trajs.append(traj)
+    s = models["cartan"].structure
+    p0 = 1200 * sample_momenta(s, 1, np.random.default_rng(1))[0]
+    trajs.append(integrate_vertical(Momentum(p0, s), 1.0, 1e-3))
+    s = models["so3_generic"].structure
+    trajs.append(integrate_vertical(Momentum(np.array([1e80, 2e80, 3e80]), s),
+                                    1.0, 1e-3))
+    assert trajs[-2].aborted and trajs[-2].n_samples > 10
+    assert trajs[-1].aborted
+    t = trajs[0]
+    signed_zeros = np.where(np.arange(t.n_samples) % 3, 0.0, -0.0)
+    trajs.append(Trajectory(
+        t.structure, t.times, t.momenta,
+        diagnostics={"H": signed_zeros, "neg0": np.full(t.n_samples, -0.0),
+                     "nan": np.full(t.n_samples, np.nan)}))
+    for traj in trajs:
+        assert traj.to_csv_text() == _csv_text_per_value(traj)
     path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    assert path.read_bytes() == want.encode()
+    trajs[-1].to_csv(path)
+    assert path.read_bytes() == _csv_text_per_value(trajs[-1]).encode()
+    assert b",-0,-0,nan\n" in path.read_bytes()
+
+
+def _csv_rows_reference(block):
+    """The rows of ``block`` with each value printed by '%.17g'."""
+    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return (row * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def _assert_csv_rows_match(values, width=8):
+    """_csv_rows against '%.17g' on ``values``, in blocks of ``width``
+    columns and CSV_BLOCK_ROWS rows."""
+    step = width * CSV_BLOCK_ROWS
+    for start in range(0, len(values), step):
+        block = values[start:start + step].reshape(-1, width)
+        assert _csv_rows(block) == _csv_rows_reference(block)
+
+
+def test_csv_rows_match_printf_on_a_million_values():
+    # Two thirds of raw 64-bit patterns lie outside the power table and go
+    # to '%.17g' itself, so they are the smaller share.
+    rng = np.random.default_rng(2024)
+    u = rng.uniform(-30, 30, 500_000)
+    _assert_csv_rows_match(np.concatenate([
+        rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64),
+        rng.standard_normal(500_000) * 10.0 ** u,
+        np.arange(150_000) / 1000,
+        1e-3 * np.arange(150_000),  # the times of a trajectory
+    ]))
+
+
+def test_csv_rows_match_printf_on_edge_values():
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    edges = [
+        0.0, 5e-324, 1e-323, 4.9e-322, 2.2250738585072009e-308,  # subnormal
+        2.2250738585072014e-308, np.inf, np.nan,
+        1e16, 1e17, 9999999999999998.0, 99999999999999984.0,  # %g switches
+        1e-5, 1e-4, 9.9999999999999991e-06, 9.9999999999999991e-05,
+        1.5e100, 1.5e-100, 9.9999999999999997e99, 1e-99, 1e-100,  # 3 digits
+        1.7976931348623157e308, 1000000000000000.25, 0.5, 2.5, 123.0,
+    ]
+    for p in powers:
+        edges += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    values = np.array(edges + [-v for v in edges])
+    _assert_csv_rows_match(np.concatenate([values, values[::-1]]), width=1)
+    _assert_csv_rows_match(np.resize(values, 8 * (len(values) // 8 + 1)))
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_csv_rows_do_not_trust_log10(monkeypatch, shift):
+    # The decimal exponent comes from np.log10, which numpy does not promise
+    # to round correctly; one that is off by one must not change the text.
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    rng = np.random.default_rng(5)
+    _assert_csv_rows_match(rng.standard_normal(4096) * 10.0 ** rng.uniform(
+        -20, 20, 4096))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_csv_rows_match_printf_on_any_floats(xs):
+    # Two distinct values keep the column off the constant-column path.
+    _assert_csv_rows_match(np.array(xs + [1.0, 2.0]), width=1)
