@@ -153,6 +153,8 @@ def cmd_integrate(args):
             return EXIT_OK
         p0 = Momentum(_parse_p0(args.p0, s), s)
         traj = integrate_vertical(p0, args.T, args.step, casimirs=spec.casimirs)
+        if not all(np.isfinite(v[0]) for v in traj.diagnostics.values()):
+            raise ValueError("H or a Casimir of p0 is beyond the float range")
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -13,7 +13,10 @@ derivation rows, taken by ``exactla.nullspace_sparse``, and on the
 annihilator of k the bracket is {H, F} = sum_r dF/da_r * adot_r, where
 adot is the vertical field as dim m exact quadratics in a. The
 g-coordinate route through ``hamiltonian.lie_poisson_bracket`` gives the
-same polynomials and is kept as the tests' oracle.
+same polynomials and is kept as the tests' oracle. The scan of ``go_verdict``
+gets the witness too: Z(p) = L p decides each sampled momentum it closes,
+and only the rest go through the batched SVD of
+``homogeneity.feasibility_residuals``.
 """
 
 from collections import defaultdict
@@ -404,7 +407,7 @@ def go_verdict(structure, degree_cap=4, samples=1000, seed=0) -> GoVerdict:
     skew = None
     if structure.grading is not None:
         skew = carnot_skew_test(structure)
-    scan = scan_homogeneous(structure, samples, seed)
+    scan = scan_homogeneous(structure, samples, seed, witness=bracket.witness)
     notes = []
     exact_isotropy = structure.isotropy_exact
     connected = structure.isotropy_connected

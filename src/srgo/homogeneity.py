@@ -2,9 +2,14 @@
 
 A geodesic with momentum p is homogeneous iff some X = dH(p) + z with
 z in the isotropy algebra satisfies p([X, g]) = 0, a linear system in z
-read off the structure's k action and vertical field. The float systems of
-a whole stack of momenta are solved by one batched SVD; a borderline
-residual escalates to the exact forms, solved over the rationals.
+read off the structure's k action and vertical field. A scan decides its
+rows in up to three steps. Given a linear witness L (``go`` passes the one
+its bracket test solves), the candidate z = L p decides every row whose
+residual is below the threshold: the least-squares residual is at most that
+of any z. The rows it leaves open are solved by one batched SVD, and a
+borderline residual escalates to the exact forms, solved over the
+rationals. ``check_homogeneous`` always takes the SVD route, since its
+certificate prints the least-squares z and residual.
 """
 
 from collections import defaultdict
@@ -55,14 +60,16 @@ def feasibility_systems(structure, momenta):
             -field_rows(structure.vertical_terms, momenta))
 
 
-def feasibility_residuals(structure, momenta):
+def feasibility_residuals(structure, momenta, witness=None):
     """Relative least-squares residuals of the systems of a (B, n) stack.
 
     Each row is solved through a batched SVD with lstsq's cutoff (singular
     values up to eps * max(n, dk) * sigma_max count as zero), in blocks of
     RESIDUAL_BLOCK_ROWS. Returns (relres, z) of shapes (B,) and (B, dk),
     with relres = |A z - b| / (1 + |b|) for the minimum-norm z; a row whose
-    system is not finite gets NaN in both.
+    system is not finite gets NaN in both. Given a float (dk, n) witness L,
+    z = L p instead, with no SVD: its relres bounds the least-squares one
+    from above.
     """
     momenta = np.asarray(momenta, dtype=float)
     nrows, n = momenta.shape
@@ -76,7 +83,10 @@ def feasibility_residuals(structure, momenta):
             a, b = feasibility_systems(structure, momenta[block])
             ok = np.isfinite(b).all(axis=1) & np.isfinite(a).all(axis=(1, 2))
             a, b = a[ok], b[ok]
-            if dk:
+            if witness is not None:
+                zb = momenta[block][ok] @ witness.T
+                res = (a @ zb[:, :, None])[:, :, 0] - b
+            elif dk:
                 u, sv, vt = np.linalg.svd(a, full_matrices=False)
                 keep = sv > cutoff * sv[:, :1]
                 coef = np.where(keep, (b[:, None, :] @ u)[:, 0]
@@ -113,17 +123,13 @@ def _check_threshold(threshold):
         raise ValueError(f"threshold must be finite and positive, got {threshold}")
 
 
-def _float_verdict(relres, threshold):
-    """The verdict a float residual decides, or None in the exact band
-    [threshold, 10 threshold). A residual that is not finite is
-    inconclusive."""
-    if not np.isfinite(relres):
-        return INCONCLUSIVE
-    if relres < threshold:
-        return HOMOGENEOUS
-    if relres >= 10.0 * threshold:
-        return NOT_HOMOGENEOUS
-    return None
+def _float_verdicts(relres, threshold):
+    """The verdicts an array of float residuals decides, as an object
+    array: None in the exact band [threshold, 10 threshold), and
+    inconclusive where a residual is not finite."""
+    decided = np.where(relres < threshold, HOMOGENEOUS, np.where(
+        relres >= 10.0 * threshold, NOT_HOMOGENEOUS, None))
+    return np.where(np.isfinite(relres), decided, INCONCLUSIVE)
 
 
 def _escalate(p: Momentum, relres, threshold):
@@ -153,8 +159,8 @@ def check_homogeneous(p: Momentum, threshold=DEFAULT_THRESHOLD) -> HomogeneityCe
     _check_threshold(threshold)
     s = p.structure
     relres, z = feasibility_residuals(s, p.coords[None])
+    verdict = _float_verdicts(relres, threshold)[0]
     relres, z = float(relres[0]), z[0]
-    verdict = _float_verdict(relres, threshold)
     if verdict is None:
         return _escalate(p, relres, threshold)
     witness = None
@@ -163,23 +169,47 @@ def check_homogeneous(p: Momentum, threshold=DEFAULT_THRESHOLD) -> HomogeneityCe
     return HomogeneityCertificate(verdict, witness, relres, threshold)
 
 
-def homogeneity_verdicts(structure, momenta, threshold=DEFAULT_THRESHOLD):
+def _float_witness(witness):
+    """A witness L as a float array; None for no witness, or for one with
+    an entry beyond the float range (then every row takes the SVD route)."""
+    if witness is None:
+        return None
+    try:
+        return np.asarray(witness, dtype=float)
+    except OverflowError:
+        return None
+
+
+def homogeneity_verdicts(structure, momenta, threshold=DEFAULT_THRESHOLD,
+                         witness=None):
     """check_homogeneous's verdict for each row of a (B, n) stack of
     momenta annihilating k (as sample_momenta draws them).
 
-    The residuals of all rows come from one feasibility_residuals call;
-    only the rows in the exact band are escalated, one at a time.
+    A linear witness L (exact or float, shape (dk, n)) decides first: a row
+    whose residual at z = L p is below the threshold is homogeneous. The
+    other rows get their residuals from one feasibility_residuals call;
+    only those in the exact band are escalated, one at a time. A witness
+    that closes no row changes no verdict. Where it closes one, the exact
+    least-squares residual is at most its own, but the SVD's cutoff can
+    lift the float one by about eps * sigma_max * |z|: that the verdicts
+    still agree is checked by the tests, not proved.
     """
     _check_threshold(threshold)
-    relres, _ = feasibility_residuals(structure, momenta)
-    verdicts = []
-    for row, r in zip(momenta, relres):
-        verdict = _float_verdict(r, threshold)
-        if verdict is None:
-            verdict = _escalate(Momentum(row, structure), float(r),
-                                threshold).verdict
-        verdicts.append(verdict)
-    return verdicts
+    momenta = np.asarray(momenta, dtype=float)
+    relres = np.full(len(momenta), np.nan)
+    todo = np.ones(len(momenta), dtype=bool)
+    witness = _float_witness(witness)
+    if witness is not None:
+        closed, _ = feasibility_residuals(structure, momenta, witness)
+        todo = ~(closed < threshold)
+        relres[~todo] = closed[~todo]
+    if todo.any():
+        relres[todo] = feasibility_residuals(structure, momenta[todo])[0]
+    verdicts = _float_verdicts(relres, threshold)
+    for i in np.flatnonzero(np.equal(verdicts, None)):
+        verdicts[i] = _escalate(Momentum(momenta[i], structure),
+                                float(relres[i]), threshold).verdict
+    return verdicts.tolist()
 
 
 @dataclass
@@ -232,20 +262,20 @@ class ScanSummary:
         }
 
 
-def scan_homogeneous(structure, samples, seed=0,
-                     threshold=DEFAULT_THRESHOLD) -> ScanSummary:
-    """Homogeneity census over seeded momenta on the H = 1/2 level set."""
+def scan_homogeneous(structure, samples, seed=0, threshold=DEFAULT_THRESHOLD,
+                     witness=None) -> ScanSummary:
+    """Homogeneity census over seeded momenta on the H = 1/2 level set.
+
+    ``witness`` is an optional linear witness L, handed to
+    homogeneity_verdicts to decide the rows it closes without an SVD.
+    """
     rng = np.random.default_rng(seed)
     momenta = sample_momenta(structure, samples, rng)
-    summary = ScanSummary(samples, 0, 0, 0, seed)
-    for row, verdict in zip(momenta, homogeneity_verdicts(structure, momenta,
-                                                          threshold)):
-        if verdict == HOMOGENEOUS:
-            summary.n_homogeneous += 1
-        elif verdict == NOT_HOMOGENEOUS:
-            summary.n_not += 1
-            if len(summary.counterexamples) < 10:
-                summary.counterexamples.append(row.copy())
-        else:
-            summary.n_inconclusive += 1
-    return summary
+    verdicts = np.array(homogeneity_verdicts(structure, momenta, threshold,
+                                             witness))
+    refuted = verdicts == NOT_HOMOGENEOUS
+    n_homogeneous = int(np.count_nonzero(verdicts == HOMOGENEOUS))
+    n_not = int(np.count_nonzero(refuted))
+    return ScanSummary(samples, n_homogeneous, n_not,
+                       samples - n_homogeneous - n_not, seed,
+                       list(momenta[refuted][:10]))

@@ -295,22 +295,33 @@ def _nsteps(T, step):
 
 
 def _trajectory(s, samples, last, step, casimirs):
-    """The Trajectory of kernel output ``samples`` valid up to ``last``."""
+    """The Trajectory of kernel output ``samples`` valid up to ``last``.
+
+    A finite momentum can still overflow H or a Casimir, which grow as
+    its square or higher powers: the trajectory then ends at the last
+    sample whose diagnostics are finite too, and is flagged aborted. The
+    start is kept whatever its diagnostics.
+    """
     momenta = samples[: last + 1]
-    times = step * np.arange(last + 1)
-    diagnostics = {"H": 0.5 * np.einsum("ti,ij,tj->t", momenta, s.dmat, momenta)}
-    for name, poly in (casimirs or {}).items():
-        diagnostics[name] = poly(momenta)
-    return Trajectory(s, times, momenta, diagnostics=diagnostics,
-                      aborted=last < len(samples) - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagnostics = {
+            "H": 0.5 * np.einsum("ti,ij,tj->t", momenta, s.dmat, momenta)}
+        for name, poly in (casimirs or {}).items():
+            diagnostics[name] = poly(momenta)
+    finite = np.logical_and.reduce([np.isfinite(v) for v in diagnostics.values()])
+    keep = len(finite) if finite.all() else max(1, int(np.argmin(finite)))
+    return Trajectory(s, step * np.arange(keep), momenta[:keep],
+                      diagnostics={k: v[:keep] for k, v in diagnostics.items()},
+                      aborted=keep < len(samples))
 
 
 def integrate_vertical(p0: Momentum, T, step, casimirs=None) -> Trajectory:
     """Integrate the momentum equation over [0, T] with fixed step RK4.
 
     ``casimirs`` is an optional mapping name -> Polynomial (on g*) recorded
-    per sample alongside H. On a non-finite state the trajectory is
-    truncated at the last valid sample and flagged aborted.
+    per sample alongside H. On a non-finite state, or one whose H or
+    Casimirs overflow, the trajectory is truncated at the last valid
+    sample and flagged aborted.
     """
     nsteps = _nsteps(T, step)
     s = p0.structure

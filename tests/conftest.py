@@ -36,3 +36,10 @@ def invariant_basis(models):
         return cache[name, cap]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def witnesses(models):
+    """go._tangency_witness of every model: its L, or None."""
+    return {name: srgo.go._tangency_witness(spec.structure)
+            for name, spec in models.items()}

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import srgo
 import srgo.cli as cli
 from srgo.homogeneity import INCONCLUSIVE, HomogeneityCertificate
 
@@ -109,6 +110,35 @@ def test_integrate_blowup(tmp_path):
         "--out", str(out),
     ])
     assert code == 3
+
+
+def test_integrate_overflowing_diagnostics_end_the_trajectory(tmp_path,
+                                                              capsys):
+    # At t = 0.017 the momentum is still finite but C1 (and H) overflow;
+    # the CSV ends one sample earlier and every drift is finite. Pytest
+    # makes a RuntimeWarning an error, so none may be printed.
+    s = srgo.load_model("cartan").structure
+    p0 = 1050 * srgo.sample_momenta(s, 1, np.random.default_rng(1))[0]
+    out = tmp_path / "o.csv"
+    code = run(["integrate", "--model", "cartan",
+                "--p0=" + ",".join("%.17g" % x for x in p0), "--T", "1",
+                "--out", str(out)])
+    assert code == 3
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in out.read_text().splitlines()[1:]])
+    assert len(rows) == 17 and rows[-1, 0] == 0.016
+    assert np.isfinite(rows).all()
+    err = capsys.readouterr().err
+    assert "ABORTED" in err and "inf" not in err and "nan" not in err
+    drift = float(err.split("H drift ")[1].split(",")[0])
+    assert np.isfinite(drift)
+
+
+def test_integrate_start_with_overflowing_h_exits_2(capsys):
+    # At m*-coordinates (1e160, 0, 0, 0, 0), H is beyond the float range.
+    assert run(["integrate", "--model", "cartan", "--p0=1e160,0,0,0,0",
+                "--T", "1"]) == 2
+    assert "beyond the float range" in capsys.readouterr().err
 
 
 def test_integrate_deterministic(tmp_path):

@@ -174,12 +174,6 @@ def test_bracket_witness_certifies(models):
         assert report.witness is not None, name
 
 
-@pytest.fixture(scope="module")
-def witnesses(models):
-    return {name: _tangency_witness(spec.structure)
-            for name, spec in models.items()}
-
-
 def test_witness_exists_except_on_four_models(witnesses):
     # Trivial k (biinvariant_compact, rolling_sphere, so3_generic) has no
     # witness to look for; on cartan the exact system is inconsistent.
@@ -283,6 +277,26 @@ def test_go_verdicts(verdicts):
     assert verdicts["cartan"].verdict == GO_REFUTED
     assert verdicts["so3_generic"].verdict == GO_EVIDENCE
     assert verdicts["rolling_sphere"].verdict == GO_EVIDENCE
+
+
+@pytest.mark.parametrize("name", srgo.list_models())
+def test_go_scan_equals_scan_without_witness(models, monkeypatch, name):
+    # go hands its bracket test's witness to the scan; the scan it reports
+    # is the one that solves every sampled system by SVD.
+    s = models[name].structure
+    handed = []
+    real = srgo.go.scan_homogeneous
+
+    def spy(*args, **kwargs):
+        handed.append(kwargs.get("witness"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(srgo.go, "scan_homogeneous", spy)
+    for seed in (0, 7):
+        verdict = go_verdict(s, seed=seed)
+        assert handed.pop() is verdict.bracket.witness
+        assert verdict.to_dict()["scan"] == (
+            real(s, 1000, seed).to_dict()), (name, seed)
 
 
 def test_refutation_witness_content(verdicts):
