@@ -1,7 +1,8 @@
 """Lie algebra arithmetic from structure constants.
 
 The structure constants are stored once, as their nonzero entries: a COO
-list (i, j, k, c) of exact rationals, grouped by i. The float tensor the
+list (i, j, k, c) of exact rationals (ints where integral, as everywhere in
+the exact layer; see ``exactla``), grouped by i. The float tensor the
 kernels use and the dense exact view are both derived from it, and every
 exact loop (brackets, ad and coad matrices, the Killing form, the
 antisymmetry and Jacobi checks) runs over the nonzeros only. All
@@ -17,22 +18,23 @@ from functools import cached_property
 import numpy as np
 
 from . import exactla
-from .exactla import fmat, fzeros, to_float
+from .exactla import _int_or_fraction, fmat, fzeros, to_float
 
 
-def _as_fraction_vec(v, n):
+def _as_exact_vec(v, n):
     out = np.empty(n, dtype=object)
-    for i in range(n):
-        out[i] = Fraction(v[i]) if not isinstance(v[i], Fraction) else v[i]
+    out[:] = [_int_or_fraction(v[i]) for i in range(n)]
     return out
 
 
 def _nonzero_items(v, n):
-    """The (index, Fraction) pairs of the nonzero entries of a length-n vector."""
+    """The (index, value) pairs of the nonzero entries of a length-n vector,
+    each value normalised by ``exactla._int_or_fraction``."""
     if len(v) != n:
         raise ValueError("dimension mismatch")
-    return [(i, x if type(x) is Fraction else Fraction(x))
-            for i, x in enumerate(v) if x]
+    if isinstance(v, np.ndarray):
+        v = v.tolist()  # iterating the list skips numpy's per-item access
+    return [(i, _int_or_fraction(x)) for i, x in enumerate(v) if x]
 
 
 def _object_vec(values):
@@ -50,7 +52,7 @@ def _contract_first(algebra, vectors):
     """{(a, j, k): sum_i vectors[i, a] c[i, j, k]}: with X_a the a-th column,
     the coefficient of p_k in p([X_a, e_j]). Exact, over the nonzeros."""
     rows = exactla.row_nonzeros(vectors)  # i -> [(a, vectors[i, a])]
-    out = defaultdict(Fraction)
+    out = defaultdict(int)
     for i, j, k, c in algebra.coo:
         for a, x in rows[i]:
             out[a, j, k] += x * c
@@ -79,7 +81,10 @@ class LieAlgebra:
     ``constants`` is either a dense (n, n, n) array or a mapping
     {(i, j, k): value}; entry (i, j, k) is the coefficient of e_k in
     [e_i, e_j]. Only the nonzero entries are kept: ``by_i[i]`` is the tuple
-    of (j, k, c) with exact Fraction c, sorted by (j, k).
+    of (j, k, c) sorted by (j, k), with c exact: an int when it is
+    integral, else a Fraction. Integral constants are the common case, and
+    every exact loop over them then runs in int arithmetic, which is
+    several times cheaper than Fraction's.
     """
 
     def __init__(self, dim, constants, labels=None):
@@ -99,7 +104,7 @@ class LieAlgebra:
             i, j, k = int(i), int(j), int(k)
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"structure constant index {(i, j, k)} out of range")
-            v = v if isinstance(v, Fraction) else Fraction(v)
+            v = _int_or_fraction(v)
             if v:
                 rows[i].append((j, k, v))
         self.by_i = tuple(tuple(sorted(row)) for row in rows)
@@ -117,8 +122,9 @@ class LieAlgebra:
         entries = {}
         for (i, j), comps in brackets.items():
             for k, v in comps.items():
-                entries[(i, j, k)] = Fraction(v)
-                entries[(j, i, k)] = -Fraction(v)
+                v = _int_or_fraction(v)
+                entries[(i, j, k)] = v
+                entries[(j, i, k)] = -v
         return cls(dim, entries, labels)
 
     @property
@@ -129,10 +135,11 @@ class LieAlgebra:
 
     @property
     def constants(self):
-        """Dense (n, n, n) object array of Fractions, built on each access."""
+        """Dense (n, n, n) object array of the exact constants, built on
+        each access."""
         n = self.dim
         c = np.empty((n, n, n), dtype=object)
-        c[:] = Fraction(0)
+        c[:] = 0
         for i, j, k, v in self.coo:
             c[i, j, k] = v
         return c
@@ -147,7 +154,7 @@ class LieAlgebra:
 
     def bracket_exact(self, a, b):
         b = dict(_nonzero_items(b, self.dim))
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for i, ai in _nonzero_items(a, self.dim):
             for j, k, c in self.by_i[i]:
                 bj = b.get(j)
@@ -179,7 +186,7 @@ class LieAlgebra:
 
     def coad_apply_exact(self, x, p):
         p = dict(_nonzero_items(p, self.dim))
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for i, xi in _nonzero_items(x, self.dim):
             for j, k, c in self.by_i[i]:
                 pk = p.get(k)
@@ -271,18 +278,28 @@ class ValidationReport:
 
 
 class Subspace:
-    """Subspace of R^n spanned by the columns of ``basis`` (exact)."""
+    """Subspace of R^n spanned by the columns of ``basis`` (exact).
+
+    ``basis`` is held as a copy with normalised entries (ints where
+    integral, see ``exactla``); ``canonical`` is its reduced column echelon
+    form, which two equal subspaces share.
+    """
 
     def __init__(self, ambient_dim, basis):
-        self.ambient_dim = ambient_dim
         if basis.size == 0:
             basis = fzeros(ambient_dim, 0)
-        self.basis = basis
         if basis.shape[0] != ambient_dim:
             raise ValueError("basis rows must match ambient dimension")
-        self.canonical = exactla.column_echelon(basis)
-        if self.canonical.shape[1] != basis.shape[1]:
+        basis = fmat(basis)
+        canonical = exactla.column_echelon(basis)
+        if canonical.shape[1] != basis.shape[1]:
             raise ValueError("basis columns are linearly dependent")
+        self._init(ambient_dim, basis, canonical)
+
+    def _init(self, ambient_dim, basis, canonical):
+        self.ambient_dim = ambient_dim
+        self.basis = basis
+        self.canonical = canonical
         # Fast membership path when every basis column is a standard vector.
         idx = set()
         for j in range(basis.shape[1]):
@@ -303,8 +320,16 @@ class Subspace:
 
     @classmethod
     def span_of_columns(cls, ambient_dim, cols):
-        """Span, discarding dependent columns."""
-        return cls(ambient_dim, exactla.column_echelon(cols))
+        """Span, discarding dependent columns.
+
+        The basis is the canonical form itself, computed once.
+        """
+        if cols.shape[0] != ambient_dim:
+            raise ValueError("basis rows must match ambient dimension")
+        canonical = exactla.column_echelon(cols)
+        out = cls.__new__(cls)
+        out._init(ambient_dim, canonical, canonical)
+        return out
 
     @property
     def dim(self):
@@ -321,7 +346,7 @@ class Subspace:
                 not v[i] for i in range(self.ambient_dim)
                 if i not in self._std_indices
             )
-        vv = _as_fraction_vec(v, self.ambient_dim)
+        vv = _as_exact_vec(v, self.ambient_dim)
         return exactla.solve(self.basis, vv) is not None
 
     def contains_subspace(self, other):
@@ -396,7 +421,7 @@ class HomogeneousSRStructure:
         self.k = k
         self.m = m
         self.delta = delta
-        self.metric = fmat(metric) if not isinstance(metric, np.ndarray) or metric.dtype != object else metric
+        self.metric = fmat(metric)
         self.grading = grading
         self.representation = (
             [np.asarray(r, dtype=float) for r in representation]
@@ -435,13 +460,14 @@ class HomogeneousSRStructure:
         if not rep.ok:
             raise ValueError(f"invalid structure: {rep}")
 
-        merged = defaultdict(Fraction)  # (j, a, k) -> coefficient, a <= k
+        merged = defaultdict(int)  # (j, a, k) -> coefficient, a <= k
         for (a, j, kk), v in _contract_first(algebra, self.dmat_exact).items():
             merged[j, min(a, kk), max(a, kk)] += v
         self.vertical_terms_exact = tuple(sorted(
-            (*key, v) for key, v in merged.items() if v))
+            (*key, _int_or_fraction(v)) for key, v in merged.items() if v))
         self.k_action_exact = tuple(sorted(
-            (*key, v) for key, v in _contract_first(algebra, k.basis).items() if v))
+            (*key, _int_or_fraction(v))
+            for key, v in _contract_first(algebra, k.basis).items() if v))
         self.vertical_terms = _float_terms(self.vertical_terms_exact,
                                            "the vertical field")
         self.k_action = np.zeros((k.dim, algebra.dim, algebra.dim))
@@ -563,7 +589,7 @@ class HomogeneousSRStructure:
         return self.dmat @ p
 
     def dH_exact(self, p):
-        return exactla.matvec(self.dmat_exact, _as_fraction_vec(p, self.dim))
+        return exactla.matvec(self.dmat_exact, _as_exact_vec(p, self.dim))
 
     def hamiltonian_value(self, p):
         p = np.asarray(p, dtype=float)

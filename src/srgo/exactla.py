@@ -1,13 +1,20 @@
 """Exact rational linear algebra that skips zero entries.
 
-Matrices are numpy object arrays holding ``fractions.Fraction`` entries;
-the loops work on their rows as Python lists and touch only nonzeros:
-``rref`` eliminates over the pivot row's nonzero columns and divides only
-by a pivot that is not 1, ``matmul`` and ``matvec`` multiply through lists
-of each row's nonzero entries. ``solve_sparse`` and ``nullspace_sparse``
-take a matrix as rows of {column: value} dicts and share one eliminator
-that reduces them one at a time; ``nullspace`` runs its dense input through
-``nullspace_sparse``. Everything here is
+Matrices are numpy object arrays of exact rationals: an integral value is
+held as a Python int, any other as a ``fractions.Fraction``. Most values
+are integral (every bundled structure constant is), and int arithmetic is
+several times cheaper than Fraction's. Division is the one operation that
+leaves the rationals on ints (``int / int`` is a float), so every division
+here goes through Fraction. ``_int_or_fraction`` normalises a value, and
+every matrix or vector returned here holds normalised entries.
+
+All elimination runs through one sparse eliminator, ``_echelon``, which
+takes rows as {column: value} dicts and reduces them one at a time,
+touching only nonzeros. ``rref`` back-reduces its pivot rows to the
+canonical form that ``rank``, ``solve``, ``inverse`` and
+``column_echelon`` read; ``solve_sparse``, ``nullspace_sparse`` and the
+dense ``nullspace`` back-substitute instead. ``matmul`` and ``matvec``
+multiply through lists of each row's nonzero entries. Everything here is
 deterministic and exact; float counterparts live with the callers.
 """
 
@@ -17,25 +24,40 @@ from fractions import Fraction
 import numpy as np
 
 
+def _int_or_fraction(v):
+    """An exact rational as an int when it is integral, else as a Fraction.
+
+    Anything ``Fraction`` accepts (an int, a float, a string such as
+    "1/2") is converted exactly.
+    """
+    t = type(v)
+    if t is int:
+        return v
+    if t is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 def fmat(rows):
-    """Build a Fraction matrix from a nested sequence."""
-    a = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
+    """Build an exact matrix, entries normalised, from a nested sequence
+    or a 2-d array."""
+    a = np.empty((len(rows), len(rows[0]) if len(rows) else 0), dtype=object)
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
-            a[i, j] = Fraction(v)
+            a[i, j] = _int_or_fraction(v)
     return a
 
 
 def fzeros(nrows, ncols):
     a = np.empty((nrows, ncols), dtype=object)
-    a[:] = Fraction(0)
-    return a.copy()
+    a[:] = 0
+    return a
 
 
 def feye(n):
     a = fzeros(n, n)
     for i in range(n):
-        a[i, i] = Fraction(1)
+        a[i, i] = 1
     return a
 
 
@@ -43,46 +65,47 @@ def to_float(a):
     return np.array([[float(x) for x in row] for row in a], dtype=float)
 
 
-def _from_rows(rows, nrows, ncols):
-    out = np.empty((nrows, ncols), dtype=object)
-    for i, row in enumerate(rows):
-        out[i] = row
-    return out
-
-
 def row_nonzeros(a):
     """Per row of ``a``, the list of its (column, value) nonzero entries."""
     return [[(j, v) for j, v in enumerate(row) if v] for row in a.tolist()]
 
 
+def _dict_rows(a):
+    """The rows of a matrix as {column: value} dicts of their nonzeros."""
+    return [{j: v for j, v in enumerate(row) if v} for row in a.tolist()]
+
+
 def rref(a):
-    """Reduced row echelon form. Returns (R, pivot_columns)."""
+    """Reduced row echelon form. Returns (R, pivot_columns).
+
+    ``_echelon`` gives one pivot row per pivot column, each zero left of
+    its leading 1. From the last pivot back, each row is cleared at the
+    later pivot columns with the rows already cleared, which leaves the
+    canonical form; its zero rows follow the pivot rows.
+    """
     nrows, ncols = a.shape
-    rows = a.tolist()
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        piv = next((i for i in range(row, nrows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        prow = rows[row]
-        # Rows from ``row`` on are zero left of ``col``.
-        nz = [j for j in range(col, ncols) if prow[j]]
-        lead = prow[col]
-        if lead != 1:
-            for j in nz:
-                prow[j] = prow[j] / lead
-        for i, other in enumerate(rows):
-            f = other[col]
-            if f and i != row:
-                for j in nz:
-                    other[j] = other[j] - f * prow[j]
-        pivots.append(col)
-        row += 1
-    return _from_rows(rows, nrows, ncols), pivots
+    pivots = _echelon(_dict_rows(a))
+    order = sorted(pivots)
+    reduced = {}
+    for p in reversed(order):
+        row = dict(pivots[p])
+        for q in [c for c in row if c in reduced]:
+            f = row.pop(q)
+            for c, v in reduced[q].items():
+                w = row.get(c, 0) - f * v
+                if w:
+                    row[c] = w
+                else:
+                    row.pop(c, None)
+        reduced[p] = row
+    r = fzeros(nrows, ncols)
+    for i, p in enumerate(order):
+        row = [0] * ncols
+        row[p] = 1
+        for c, v in reduced[p].items():
+            row[c] = _int_or_fraction(v)
+        r[i] = row
+    return r, order
 
 
 def rank(a):
@@ -100,8 +123,7 @@ def nullspace(a):
     nrows, ncols = a.shape
     if ncols == 0:
         return fzeros(0, 0)
-    kernel = nullspace_sparse(
-        ({j: v for j, v in enumerate(row) if v} for row in a.tolist()), ncols)
+    kernel = nullspace_sparse(_dict_rows(a), ncols)
     basis = fzeros(ncols, len(kernel))
     for bi, vec in enumerate(kernel):
         for j, v in vec.items():
@@ -122,17 +144,8 @@ def solve(a, b):
         return None
     x = fzeros(ncols, b2.shape[1])
     for ri, pc in enumerate(pivots):
-        for j in range(b2.shape[1]):
-            x[pc, j] = r[ri, ncols + j]
+        x[pc] = r[ri, ncols:]
     return x if b.ndim == 2 else x[:, 0]
-
-
-def _int_or_fraction(v):
-    """An integral rational as an int, else as a Fraction."""
-    if type(v) is int:
-        return v
-    v = Fraction(v)
-    return v.numerator if v.denominator == 1 else v
 
 
 def _echelon(rows):
@@ -143,9 +156,9 @@ def _echelon(rows):
     column, and becomes a pivot row where that column has none yet.
     Returns {pivot column: {column: value}}, each row given right of its
     leading 1. The pivot rows span the row space and lead at distinct
-    columns, so the pivot columns are those of ``rref``. Integral entries
-    are held as ints, whose arithmetic is several times cheaper than
-    Fraction's; every value stays exact.
+    columns, so the pivot columns are those of ``rref``. Entries come in
+    normalised, so integral ones are ints; a pivot row is divided by its
+    lead through Fraction.
     """
     pivots = {}
     for coeffs in rows:
@@ -188,7 +201,7 @@ def solve_sparse(rows, ncols):
     """Solve a sparse system exactly; returns None if it is inconsistent.
 
     ``rows`` is an iterable of (coefficients, rhs) pairs, the coefficients a
-    {column: Fraction} dict over columns 0..ncols-1. The right-hand side
+    {column: value} dict over columns 0..ncols-1. The right-hand side
     rides along as column ``ncols``, so the system is inconsistent exactly
     when that column leads a pivot row. Back-substitution with x[ncols] = -1
     and the free variables set to zero gives the vector ``solve`` returns.
@@ -198,7 +211,7 @@ def solve_sparse(rows, ncols):
         return None
     x = _back_substitute(pivots, sorted(pivots), ncols, -1)
     out = np.empty(ncols, dtype=object)
-    out[:] = [Fraction(x.get(c, 0)) for c in range(ncols)]
+    out[:] = [_int_or_fraction(x.get(c, 0)) for c in range(ncols)]
     return out
 
 
@@ -206,14 +219,15 @@ def nullspace_sparse(rows, ncols):
     """Exact right null space of a sparse matrix, as sparse vectors.
 
     ``rows`` is an iterable of {column: value} dicts over columns
-    0..ncols-1. Returns one {column: Fraction} dict per free column j, in
+    0..ncols-1. Returns one {column: value} dict per free column j, in
     increasing j: x_j = 1, the other free variables 0, and the pivot
     variables back-substituted. That is the basis ``nullspace`` reads off
     the canonical RREF.
     """
     pivots = _echelon(rows)
     order = sorted(pivots)
-    return [{c: Fraction(v) for c, v in _back_substitute(pivots, order, j, 1).items()}
+    return [{c: _int_or_fraction(v)
+             for c, v in _back_substitute(pivots, order, j, 1).items()}
             for j in range(ncols) if j not in pivots]
 
 
@@ -252,7 +266,7 @@ def matmul(a, b):
             for j, bkj in b_rows[k]:
                 acc[j] = acc[j] + aik * bkj if j in acc else aik * bkj
         for j, v in acc.items():
-            out[i, j] = v
+            out[i, j] = _int_or_fraction(v)
     return out
 
 
@@ -260,9 +274,9 @@ def matvec(a, v):
     v_nz = [(k, x) for k, x in enumerate(v) if x]
     out = np.empty(a.shape[0], dtype=object)
     for i, row in enumerate(a.tolist()):
-        s = Fraction(0)
+        s = 0
         for k, x in v_nz:
             if row[k]:
                 s += row[k] * x
-        out[i] = s
+        out[i] = _int_or_fraction(s)
     return out

@@ -9,7 +9,6 @@ Every returned momentum carries a homogeneity certificate.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -104,9 +103,8 @@ def _intersection(a: Subspace, b: Subspace):
 
 def _is_ideal(algebra, space):
     for i in range(algebra.dim):
-        e = np.empty(algebra.dim, dtype=object)
-        e[:] = Fraction(0)
-        e[i] = Fraction(1)
+        e = np.zeros(algebra.dim, dtype=object)
+        e[i] = 1
         for b in range(space.dim):
             if not space.contains(algebra.bracket_exact(e, space.basis[:, b])):
                 return False
@@ -139,7 +137,7 @@ def factorize_by_ideal(structure, ideal: Subspace) -> Factorization:
     current = ideal.basis
     for i in range(n):
         e = exactla.fzeros(n, 1)
-        e[i, 0] = Fraction(1)
+        e[i, 0] = 1
         cand = np.concatenate([current, e], axis=1)
         if exactla.rank(cand) > exactla.rank(current):
             comp_idx.append(i)
@@ -147,7 +145,7 @@ def factorize_by_ideal(structure, ideal: Subspace) -> Factorization:
     n_hat = len(comp_idx)
     comp = exactla.fzeros(n, n_hat)
     for a, i in enumerate(comp_idx):
-        comp[i, a] = Fraction(1)
+        comp[i, a] = 1
     full = np.concatenate([ideal.basis, comp], axis=1)
     proj = exactla.inverse(full)[ideal.dim:]  # (n_hat, n): quotient coords
 
@@ -273,7 +271,7 @@ def _khat_extension(structure, steps):
         for j in range(dg):
             blocks[i, j] = b_gamma[i, j]
     for i in range(dg, n):
-        blocks[i, i] = Fraction(1)
+        blocks[i, i] = 1
     inv = exactla.inverse(full)
     bhat = exactla.matmul(exactla.matmul(inv.T, blocks), inv)
     return exactla.to_float(bhat), exactla.to_float(gamma)

@@ -36,20 +36,24 @@ GO_EVIDENCE = "evidence_only"
 
 
 def _m_action_matrices(structure):
-    """Exact matrices of ad z restricted to m, in the m-basis, per k-basis z."""
+    """Exact matrices of ad z restricted to m, in the m-basis, per k-basis z.
+
+    All dk * dm brackets [z_j, m_i] are expressed in the m-basis by one
+    ``exactla.solve``.
+    """
     g = structure.algebra
-    mb = structure.m.basis
-    out = []
-    for j in range(structure.k.dim):
-        cols = []
-        for i in range(structure.m.dim):
-            w = g.bracket_exact(structure.k.basis[:, j], mb[:, i])
-            coords = exactla.solve(mb, w)
-            if coords is None:
-                raise ValueError("decomposition is not reductive")
-            cols.append(coords.reshape(-1, 1))
-        out.append(np.concatenate(cols, axis=1))
-    return out
+    kb, mb = structure.k.basis, structure.m.basis
+    dk, dm = structure.k.dim, structure.m.dim
+    if dk == 0:
+        return []
+    w = exactla.fzeros(structure.dim, dk * dm)
+    for j in range(dk):
+        for i in range(dm):
+            w[:, j * dm + i] = g.bracket_exact(kb[:, j], mb[:, i])
+    coords = exactla.solve(mb, w)
+    if coords is None:
+        raise ValueError("decomposition is not reductive")
+    return [coords[:, j * dm:(j + 1) * dm] for j in range(dk)]
 
 
 @dataclass
@@ -72,10 +76,10 @@ def invariant_polynomials(structure, degree_cap) -> InvariantBasis:
     if degree_cap < 1:
         raise ValueError("degree_cap must be at least 1")
     dm = structure.m.dim
-    # Per action j and variable i, the nonzeros (k, R_j[k, i]) of column i;
-    # integral entries as ints, so that the rows are built in int arithmetic.
-    actions = [[[(k, c.numerator if c.denominator == 1 else c)
-                 for k, c in enumerate(r[:, i]) if c] for i in range(dm)]
+    # Per action j and variable i, the nonzeros (k, R_j[k, i]) of column i,
+    # integral ones as ints (exactla's convention), so that the rows are
+    # built in int arithmetic.
+    actions = [[[(k, c) for k, c in enumerate(r[:, i]) if c] for i in range(dm)]
                for r in _m_action_matrices(structure)]
     by_degree = {}
     for d in range(1, degree_cap + 1):
@@ -150,7 +154,7 @@ def _m_vertical_field(structure):
     dm = s.m.dim
     p_rows = exactla.row_nonzeros(_m_dual_exact(s))  # k -> [(t, m_dual[k, t])]
     mb_rows = exactla.row_nonzeros(s.m.basis)  # j -> [(r, m_basis[j, r])]
-    adot = [defaultdict(Fraction) for _ in range(dm)]
+    adot = [defaultdict(int) for _ in range(dm)]
     for j, a, k, c in s.vertical_terms_exact:
         for r, x in mb_rows[j]:
             for u, y in p_rows[a]:
@@ -204,16 +208,16 @@ def _tangency_witness(structure):
         t_forms[j].append((a, k, v))
     rows = []
     for j in range(n):
-        const = defaultdict(Fraction)  # (r, s) -> coefficient of V_j
+        const = defaultdict(int)  # (r, s) -> coefficient of V_j
         for q, k, v in m_forms[j]:
             for r, x in dual_rows[q]:
                 for t, y in dual_rows[k]:
                     const[min(r, t), max(r, t)] += v * x * y
-        g = defaultdict(Fraction)  # (a, t) -> g_aj[t] = (m_dual^T T[a, j])_t
+        g = defaultdict(int)  # (a, t) -> g_aj[t] = (m_dual^T T[a, j])_t
         for a, k, v in t_forms[j]:
             for t, y in dual_rows[k]:
                 g[a, t] += v * y
-        coeffs = defaultdict(lambda: defaultdict(Fraction))  # (r, s) -> {col: .}
+        coeffs = defaultdict(lambda: defaultdict(int))  # (r, s) -> {col: .}
         for (a, t), v in g.items():
             if v:
                 for r in range(dm):
@@ -341,19 +345,22 @@ def carnot_skew_test(structure, delta_perp=None) -> SkewReport:
         delta_perp = subspace_sum(n, s.grading[1:])
     basis = np.concatenate([s.delta.basis, delta_perp.basis], axis=1)
     dd, dp = s.delta.dim, delta_perp.dim
+    # Every [X_a, Y_b] in the basis delta + delta_perp, by one solve.
+    w = exactla.fzeros(n, dd * dp)
+    for a in range(dd):
+        for b in range(dp):
+            w[:, a * dp + b] = g.bracket_exact(s.delta.basis[:, a],
+                                               delta_perp.basis[:, b])
+    coords = exactla.solve(basis, w)
+    if coords is None:
+        raise ValueError("ad X does not preserve delta + delta_perp")
     worst = 0.0
     failing = None
     failing_asym = 0.0
     all_zero = True
     for a in range(dd):
         x = s.delta.basis[:, a]
-        w = exactla.fzeros(n, dp)
-        for b in range(dp):
-            w[:, b] = g.bracket_exact(x, delta_perp.basis[:, b])
-        coords = exactla.solve(basis, w)
-        if coords is None:
-            raise ValueError("ad X does not preserve delta + delta_perp")
-        exact = coords[dd:]
+        exact = coords[dd:, a * dp:(a + 1) * dp]
         mat = exactla.to_float(exact) if dp else np.zeros((0, 0))
         asym = float(np.max(np.abs(mat + mat.T))) if dp else 0.0
         if np.max(np.abs(mat), initial=0.0) > 0:

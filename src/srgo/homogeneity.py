@@ -14,7 +14,6 @@ certificate prints the least-squares z and residual.
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -82,7 +81,10 @@ def feasibility_residuals(structure, momenta, witness=None):
             block = slice(start, start + RESIDUAL_BLOCK_ROWS)
             a, b = feasibility_systems(structure, momenta[block])
             ok = np.isfinite(b).all(axis=1) & np.isfinite(a).all(axis=(1, 2))
-            a, b = a[ok], b[ok]
+            if ok.all():  # nearly every block: index by a view, copy nothing
+                ok = slice(None)
+            else:
+                a, b = a[ok], b[ok]
             if witness is not None:
                 zb = momenta[block][ok] @ witness.T
                 res = (a @ zb[:, :, None])[:, :, 0] - b
@@ -106,11 +108,11 @@ def _exact_feasible(p: Momentum):
     the rational float coordinates of p, or None: row j is
     sum_a T[a, j, k] p_k z_a = -f_j(p), from the exact forms."""
     s = p.structure
-    coords = [Fraction(x) for x in p.coords.tolist()]
-    a = [defaultdict(Fraction) for _ in range(s.dim)]  # j -> {a: A[j, a]}
+    coords = [exactla._int_or_fraction(x) for x in p.coords.tolist()]
+    a = [defaultdict(int) for _ in range(s.dim)]  # j -> {a: A[j, a]}
     for col, j, k, c in s.k_action_exact:
         a[j][col] += c * coords[k]
-    b = [Fraction(0)] * s.dim
+    b = [0] * s.dim
     for j, u, k, c in s.vertical_terms_exact:
         b[j] -= c * coords[u] * coords[k]
     return exactla.solve_sparse(zip(a, b), s.k.dim)

@@ -228,6 +228,13 @@ def _csv_rows(block, lead=""):
         None, b"\0").decode("ascii")
 
 
+def _drift(values):
+    """max |v - v[0]| of a diagnostic series, NaN if v[0] is not finite."""
+    if not np.isfinite(values[0]):
+        return float("nan")
+    return float(np.max(np.abs(values - values[0])))
+
+
 @dataclass
 class Trajectory:
     """Sampled solution of the vertical (and optionally horizontal) system."""
@@ -247,12 +254,15 @@ class Trajectory:
         return Momentum(self.momenta[i], self.structure)
 
     def h_drift(self):
-        h = self.diagnostics["H"]
-        return float(np.max(np.abs(h - h[0])))
+        """max |H(t) - H(0)| over the samples; NaN, with no warning, when
+        H(0) is not finite (a start beyond the float range)."""
+        return _drift(self.diagnostics["H"])
 
     def casimir_drifts(self):
+        """Per Casimir, max |C(t) - C(0)| over the samples; NaN, with no
+        warning, for a Casimir whose value at the start is not finite."""
         return {
-            name: float(np.max(np.abs(vals - vals[0])))
+            name: _drift(vals)
             for name, vals in self.diagnostics.items()
             if name != "H"
         }

@@ -1,6 +1,17 @@
+from fractions import Fraction
+
 import pytest
 
 import srgo
+
+
+@pytest.fixture(scope="session")
+def normalised():
+    """Whether a value is held as the exact layer holds it: an int, or a
+    Fraction that is not integral. A float, or an integral Fraction, is
+    not (an ``int / int`` that slipped in gives the first)."""
+    return lambda v: type(v) is int or (type(v) is Fraction
+                                        and v.denominator > 1)
 
 
 @pytest.fixture(scope="session")

@@ -196,3 +196,44 @@ def test_representation_validation(models):
         s = models[name].structure
         assert s.representation is not None
         assert s.validate().ok, name
+
+
+def test_exact_stores_hold_ints_or_proper_fractions(models, normalised):
+    # An integral value is stored as an int, any other as a Fraction: a
+    # float here is an int / int that slipped in, an integral Fraction a
+    # value that missed exactla._int_or_fraction.
+    for name, spec in models.items():
+        s = spec.structure
+        stores = {
+            "by_i": [c for row in s.algebra.by_i for _, _, c in row],
+            "vertical_terms_exact": [t[-1] for t in s.vertical_terms_exact],
+            "k_action_exact": [t[-1] for t in s.k_action_exact],
+            "dmat_exact": list(s.dmat_exact.flat),
+            "metric": list(s.metric.flat),
+            "metric_inv": list(s.metric_inv.flat),
+            "m_dual_exact": list(s.m_dual_exact.flat),
+        }
+        for label, space in [("k", s.k), ("m", s.m), ("delta", s.delta)] + [
+                (f"grading[{i}]", layer)
+                for i, layer in enumerate(s.grading or ())]:
+            stores[label + ".basis"] = list(space.basis.flat)
+            stores[label + ".canonical"] = list(space.canonical.flat)
+        assert stores["by_i"], name
+        for label, values in stores.items():
+            assert all(normalised(v) for v in values), (name, label)
+
+
+def test_span_of_columns_reduces_once(monkeypatch):
+    calls = []
+    column_echelon = exactla.column_echelon
+
+    def counted(a):
+        calls.append(a.shape)
+        return column_echelon(a)
+
+    monkeypatch.setattr(exactla, "column_echelon", counted)
+    cols = exactla.fmat([[1, 2, 0], [0, 0, 1], [1, 2, 1]])
+    span = Subspace.span_of_columns(3, cols)
+    assert calls == [(3, 3)]
+    assert span.dim == 2 and span == Subspace(3, span.basis)
+    assert (span.basis == span.canonical).all()

@@ -88,7 +88,7 @@ def _sparse_rows(a, b):
 
 @settings(max_examples=200, deadline=None)
 @given(int_systems(), st.booleans())
-def test_solve_sparse_matches_solve(system, contradict):
+def test_solve_sparse_matches_solve(normalised, system, contradict):
     a, b = system
     if contradict:  # the first row again with another right-hand side
         a = np.concatenate([a, a[:1]])
@@ -99,7 +99,7 @@ def test_solve_sparse_matches_solve(system, contradict):
         assert sparse is None
     else:
         assert sparse is not None and sparse.shape == dense.shape
-        assert all(type(v) is Fraction for v in sparse)
+        assert all(normalised(v) for v in sparse)
         assert list(sparse) == list(dense)
 
 
@@ -133,11 +133,11 @@ def int_matrices(max_dim=6):
 
 @settings(max_examples=200, deadline=None)
 @given(int_matrices())
-def test_nullspace_equals_rref_basis(a):
+def test_nullspace_equals_rref_basis(normalised, a):
     got = exactla.nullspace(a)
     want = rref_nullspace(a)
     assert got.shape == want.shape
-    assert all(type(v) is Fraction for v in got.flat)
+    assert all(normalised(v) for v in got.flat)
     assert got.tolist() == want.tolist()
 
 
@@ -172,27 +172,118 @@ def test_column_echelon_canonical():
     assert (exactla.column_echelon(a) == exactla.column_echelon(b)).all()
 
 
-def _dense_rref(a):
-    """Row reduction over whole object-array rows (the former code)."""
-    r = a.copy()
-    nrows, ncols = r.shape
+def _gauss_jordan(a):
+    """Dense Gauss-Jordan reduction in Fraction arithmetic, the oracle for
+    ``exactla.rref``. Returns (R, pivot_columns)."""
+    nrows, ncols = a.shape
+    rows = [[Fraction(v) for v in row] for row in a.tolist()]
     pivots = []
     row = 0
     for col in range(ncols):
         if row >= nrows:
             break
-        piv = next((i for i in range(row, nrows) if r[i, col] != 0), None)
+        piv = next((i for i in range(row, nrows) if rows[i][col]), None)
         if piv is None:
             continue
-        if piv != row:
-            r[[row, piv]] = r[[piv, row]]
-        r[row] = r[row] / r[row, col]
-        for i in range(nrows):
-            if i != row and r[i, col] != 0:
-                r[i] = r[i] - r[i, col] * r[row]
+        rows[row], rows[piv] = rows[piv], rows[row]
+        prow = rows[row]
+        # Rows from ``row`` on are zero left of ``col``.
+        nz = [j for j in range(col, ncols) if prow[j]]
+        lead = prow[col]
+        if lead != 1:
+            for j in nz:
+                prow[j] = prow[j] / lead
+        for i, other in enumerate(rows):
+            f = other[col]
+            if f and i != row:
+                for j in nz:
+                    other[j] = other[j] - f * prow[j]
         pivots.append(col)
         row += 1
+    r = np.empty((nrows, ncols), dtype=object)
+    for i, values in enumerate(rows):
+        r[i] = values
     return r, pivots
+
+
+def _oracle_solve(a, b):
+    """``exactla.solve`` read off the oracle's reduction of [a | b]."""
+    ncols = a.shape[1]
+    r, pivots = _gauss_jordan(np.concatenate([a, b], axis=1))
+    if any(p >= ncols for p in pivots):
+        return None
+    x = np.full((ncols, b.shape[1]), Fraction(0), dtype=object)
+    for ri, pc in enumerate(pivots):
+        x[pc] = r[ri, ncols:]
+    return x
+
+
+_ENTRY = st.one_of(st.integers(-3, 3), st.just(0),
+                   st.fractions(-3, 3, max_denominator=3))
+
+
+@st.composite
+def mixed_matrices(draw, max_dim=5):
+    """Object matrices whose entries mix ints and Fractions (integral ones
+    among them), with a zero row or a dependent row now and then."""
+    ncols = draw(st.integers(1, max_dim))
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=max_dim))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    if draw(st.booleans()):  # rank deficient: a combination of two rows
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        f = draw(_ENTRY)
+        rows.append([x + f * y for x, y in zip(rows[i], rows[j])])
+    a = np.empty((len(rows), ncols), dtype=object)
+    for i, row in enumerate(rows):
+        a[i] = row
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_matrices(), st.data())
+def test_eliminations_equal_the_gauss_jordan_oracle(normalised, a, data):
+    nrows, ncols = a.shape
+    r, pivots = exactla.rref(a)
+    r_ref, pivots_ref = _gauss_jordan(a)
+    assert pivots == pivots_ref
+    assert r.shape == r_ref.shape and r.tolist() == r_ref.tolist()
+    assert exactla.rank(a) == len(pivots_ref)
+
+    b = np.empty((nrows, data.draw(st.integers(1, 3))), dtype=object)
+    for i in range(nrows):
+        b[i] = data.draw(st.lists(_ENTRY, min_size=b.shape[1],
+                                  max_size=b.shape[1]))
+    outputs = [r]
+    # b as a matrix, and its first column as a vector
+    for rhs, x_ref in ((b, _oracle_solve(a, b)),
+                       (b[:, 0], _oracle_solve(a, b[:, :1]))):
+        x = exactla.solve(a, rhs)
+        assert (x is None) == (x_ref is None)
+        if x is not None:
+            assert x.tolist() == x_ref.reshape(x.shape).tolist()
+            outputs.append(x)
+
+    ce = exactla.column_echelon(a)
+    ce_ref = _gauss_jordan(a.T)[0][: len(pivots_ref)].T
+    assert ce.shape == ce_ref.shape and ce.tolist() == ce_ref.tolist()
+    outputs.append(ce)
+
+    d = min(nrows, ncols)
+    square = a[:d, :d]
+    inv_ref = _oracle_solve(square, np.eye(d, dtype=int).astype(object))
+    if inv_ref is None:
+        with pytest.raises(ValueError, match="singular"):
+            exactla.inverse(square)
+    else:
+        inv = exactla.inverse(square)
+        assert inv.tolist() == inv_ref.tolist()
+        outputs.append(inv)
+
+    # Normalised entries: no float (an int / int) and no integral Fraction.
+    assert all(normalised(v) for m in outputs for v in m.flat)
 
 
 def _dense_matmul(a, b):
@@ -211,18 +302,20 @@ def _sparse_matrix(rng, nrows, ncols, zero_share):
                           for _ in range(ncols)] for _ in range(nrows)])
 
 
-def test_nonzero_aware_loops_match_dense_reference():
+def test_nonzero_aware_loops_match_dense_reference(normalised):
     rng = np.random.default_rng(11)
     for nrows, ncols, zero_share in [(4, 7, 0.0), (9, 5, 0.6), (12, 12, 0.85),
                                      (6, 1, 0.5), (1, 6, 0.3), (20, 8, 0.9)]:
         a = _sparse_matrix(rng, nrows, ncols, zero_share)
         a[nrows // 2] = a[0] * 3  # a dependent row
         r, pivots = exactla.rref(a)
-        r_ref, pivots_ref = _dense_rref(a)
+        r_ref, pivots_ref = _gauss_jordan(a)
         assert pivots == pivots_ref
         assert r.shape == r_ref.shape and (r == r_ref).all()
         b = _sparse_matrix(rng, ncols, 5, zero_share)
-        assert (exactla.matmul(a, b) == _dense_matmul(a, b)).all()
+        ab = exactla.matmul(a, b)
+        assert (ab == _dense_matmul(a, b)).all()
         v = b[:, 0]
-        assert list(exactla.matvec(a, v)) == list(_dense_matmul(
-            a, v.reshape(-1, 1))[:, 0])
+        av = exactla.matvec(a, v)
+        assert list(av) == list(_dense_matmul(a, v.reshape(-1, 1))[:, 0])
+        assert all(normalised(x) for x in [*r.flat, *ab.flat, *av])

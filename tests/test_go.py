@@ -183,12 +183,13 @@ def test_witness_exists_except_on_four_models(witnesses):
     assert {"free_step2_rank5", "free_step2_rank6"} <= witnesses.keys()
 
 
-def test_every_witness_passes_the_exact_identity(models, witnesses):
+def test_every_witness_passes_the_exact_identity(models, witnesses,
+                                                 normalised):
     for name, w in witnesses.items():
         if w is not None:
             s = models[name].structure
             assert w.shape == (s.k.dim, s.dim), name
-            assert all(isinstance(v, Fraction) for v in w.flat), name
+            assert all(normalised(v) for v in w.flat), name
             assert _verify_witness(s, w), name
 
 
@@ -260,6 +261,27 @@ def test_skew_decided_exactly():
     assert 0 < report.max_asymmetry < 1e-12
     assert not report.is_skew
     assert list(report.failing_direction) == [1.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def test_skew_test_and_m_actions_take_one_solve(models, monkeypatch):
+    # Every bracket [X, Y] of the skew test, and every [z, m_i] of the m
+    # action, goes into one exact solve with many right-hand sides.
+    calls = []
+    solve = exactla.solve
+
+    def counted(a, b):
+        calls.append(b.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(exactla, "solve", counted)
+    s = models["free_step2_rank3"].structure
+    assert carnot_skew_test(s).is_skew
+    assert calls == [(s.dim, 3 * 3)]  # dim delta * dim delta_perp
+    calls.clear()
+    actions = _m_action_matrices(s)
+    assert calls == [(s.dim, s.k.dim * s.m.dim)]
+    assert len(actions) == s.k.dim
+    assert all(r.shape == (s.m.dim, s.m.dim) for r in actions)
 
 
 def test_skew_requires_grading_or_complement(so3_axisym):

@@ -85,6 +85,18 @@ def test_blowup_aborts_with_truncation(models):
     assert np.all(np.isfinite(traj.momenta))
 
 
+def test_drifts_of_a_non_finite_start_are_nan(models):
+    # H(p0) overflows, so the trajectory keeps only its start; the drifts
+    # are NaN, and computing them must not warn (warnings are errors here).
+    spec = models["so3_generic"]
+    p0 = Momentum([1e308, 1e308, 1e308], spec.structure)
+    assert np.isnan(integrate_vertical(p0, 0.2, 1e-3).h_drift())
+    traj = integrate_vertical(p0, 0.2, 1e-3, casimirs=spec.casimirs)
+    assert not np.isfinite(traj.diagnostics["H"][0])
+    drifts = traj.casimir_drifts()
+    assert drifts and all(np.isnan(v) for v in drifts.values())
+
+
 def test_closed_form_axisymmetric_models(models):
     for name in ["so3_axisym", "sl2_axisym", "so3_kp", "sl2_kp"]:
         spec = models[name]
