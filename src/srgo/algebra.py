@@ -7,12 +7,14 @@ kernels use and the dense exact view are both derived from it, and every
 exact loop (brackets, ad and coad matrices, the Killing form, the
 antisymmetry and Jacobi checks) runs over the nonzeros only. All
 structural checks (antisymmetry, Jacobi, reductivity, bracket generation)
-run in exact arithmetic. A homogeneous structure contracts them once more,
-into the vertical field and the k action, which every other module reads.
+run in exact arithmetic. Every exact bracket is one contraction of two
+bases, ``LieAlgebra.brackets``; a homogeneous structure contracts dH's
+matrix and the k basis with the identity, once, into the vertical field and
+the k action, which every other module reads. A ``Subspace`` reads
+membership off its canonical form, with no solve.
 """
 
 from collections import defaultdict
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -21,10 +23,9 @@ from . import exactla
 from .exactla import _int_or_fraction, fmat, fzeros, to_float
 
 
-def _as_exact_vec(v, n):
-    out = np.empty(n, dtype=object)
-    out[:] = [_int_or_fraction(v[i]) for i in range(n)]
-    return out
+def _columns(a):
+    """The columns of an exact matrix as {row: value} dicts of their nonzeros."""
+    return exactla._dict_rows(a.T)
 
 
 def _nonzero_items(v, n):
@@ -46,17 +47,6 @@ def _object_vec(values):
 def _read_only(a):
     a.setflags(write=False)
     return a
-
-
-def _contract_first(algebra, vectors):
-    """{(a, j, k): sum_i vectors[i, a] c[i, j, k]}: with X_a the a-th column,
-    the coefficient of p_k in p([X_a, e_j]). Exact, over the nonzeros."""
-    rows = exactla.row_nonzeros(vectors)  # i -> [(a, vectors[i, a])]
-    out = defaultdict(int)
-    for i, j, k, c in algebra.coo:
-        for a, x in rows[i]:
-            out[a, j, k] += x * c
-    return out
 
 
 def _float_terms(terms, what):
@@ -152,15 +142,41 @@ class LieAlgebra:
             raise ValueError("dimension mismatch")
         return np.einsum("i,j,ijk->k", a, b, self.c_float)
 
+    def brackets(self, a, b=None):
+        """Every bracket [A_r, B_s] of a column of ``a`` with one of ``b``.
+
+        [A_r, B_s]_k = sum_{i,j} A[i, r] B[j, s] c[i, j, k], summed over the
+        nonzero constants and the nonzeros of the exact matrices ``a`` and
+        ``b`` only; without ``b``, ``a`` with itself, pairs r < s only.
+        Returns {(r, s): {k: value}} of the nonzero normalised coordinates;
+        a pair whose bracket is 0 is left out.
+        """
+        a_rows = exactla.row_nonzeros(a)  # i -> [(r, A[i, r])]
+        b_rows = a_rows if b is None else exactla.row_nonzeros(b)
+        acc = defaultdict(lambda: defaultdict(int))  # (r, s) -> {k: value}
+        for xs, row in zip(a_rows, self.by_i):
+            if not xs:
+                continue
+            for j, k, c in row:
+                for s, y in b_rows[j]:
+                    yc = y * c
+                    for r, x in xs:
+                        if b is not None or r < s:
+                            acc[r, s][k] += x * yc
+        return {key: nz for key, vec in acc.items()
+                if (nz := {k: _int_or_fraction(v) for k, v in vec.items() if v})}
+
+    def _column(self, v):
+        """A length-n vector as an exact (n, 1) matrix."""
+        col = fzeros(self.dim, 1)
+        for i, x in _nonzero_items(v, self.dim):
+            col[i, 0] = x
+        return col
+
     def bracket_exact(self, a, b):
-        b = dict(_nonzero_items(b, self.dim))
-        out = [0] * self.dim
-        for i, ai in _nonzero_items(a, self.dim):
-            for j, k, c in self.by_i[i]:
-                bj = b.get(j)
-                if bj is not None:
-                    out[k] += ai * bj * c
-        return _object_vec(out)
+        """[a, b] exactly, as ``brackets`` of the two vectors."""
+        vec = self.brackets(self._column(a), self._column(b)).get((0, 0), {})
+        return _object_vec([vec.get(k, 0) for k in range(self.dim)])
 
     def ad_matrix(self, x):
         """Matrix of ad x; column j is [x, e_j]."""
@@ -170,10 +186,13 @@ class LieAlgebra:
         return np.einsum("i,ijk->kj", x, self.c_float)
 
     def ad_matrix_exact(self, x):
+        """Exact ad x, column j [x, e_j]: ``brackets`` of x with the
+        identity."""
         out = fzeros(self.dim, self.dim)
-        for i, xi in _nonzero_items(x, self.dim):
-            for j, k, c in self.by_i[i]:
-                out[k, j] += xi * c
+        for (_, j), vec in self.brackets(self._column(x),
+                                         exactla.feye(self.dim)).items():
+            for k, v in vec.items():
+                out[k, j] = v
         return out
 
     def coad_apply(self, x, p):
@@ -235,23 +254,24 @@ class LieAlgebra:
                 report.add(f"antisymmetry violated at ({i + 1},{j + 1},{k + 1})")
         if report.violations:
             return report
-        # jac[i, j, l, k] = coefficient of e_k in [[e_i, e_j], e_l]
-        jac = {}
+        # c1 c2 is a term of the coefficient of e_k in [[e_i, e_j], e_l].
+        # For i < j < l the Jacobi sum takes the rotations (i, j, l),
+        # (l, i, j) and (j, l, i): each term lands on its increasing triple.
+        total = defaultdict(int)  # (i, j, l, k) with i < j < l -> Jacobi sum
         for i, j, m, c1 in self.coo:
             for l, k, c2 in self.by_i[m]:
-                key = (i, j, l, k)
-                jac[key] = jac[key] + c1 * c2 if key in jac else c1 * c2
-        candidates = sorted({(*sorted((i, j, l)), k)
-                             for i, j, l, k in jac if len({i, j, l}) == 3})
-        for i, j, l, k in candidates:
-            total = (jac.get((i, j, l, k), 0) + jac.get((l, i, j, k), 0)
-                     + jac.get((j, l, i, k), 0))
-            if total:
-                if len(report.violations) >= max_reported:
-                    break
-                report.add(
-                    f"Jacobi identity violated at ({i + 1},{j + 1},{l + 1};{k + 1})"
-                )
+                if i < j < l:
+                    total[i, j, l, k] += c1 * c2
+                elif l < i < j:
+                    total[l, i, j, k] += c1 * c2
+                elif j < l < i:
+                    total[j, l, i, k] += c1 * c2
+        for i, j, l, k in sorted(key for key, v in total.items() if v):
+            if len(report.violations) >= max_reported:
+                break
+            report.add(
+                f"Jacobi identity violated at ({i + 1},{j + 1},{l + 1};{k + 1})"
+            )
         return report
 
 
@@ -282,7 +302,10 @@ class Subspace:
 
     ``basis`` is held as a copy with normalised entries (ints where
     integral, see ``exactla``); ``canonical`` is its reduced column echelon
-    form, which two equal subspaces share.
+    form, which two equal subspaces share. Column j of ``canonical`` is 1
+    at its pivot row p_j and 0 at the other pivot rows, so v lies in the
+    subspace exactly when v = sum_j v[p_j] canonical[:, j]: membership is
+    read off the canonical form, over the nonzeros of v, with no solve.
     """
 
     def __init__(self, ambient_dim, basis):
@@ -291,45 +314,44 @@ class Subspace:
         if basis.shape[0] != ambient_dim:
             raise ValueError("basis rows must match ambient dimension")
         basis = fmat(basis)
-        canonical = exactla.column_echelon(basis)
-        if canonical.shape[1] != basis.shape[1]:
+        self._init(ambient_dim, _columns(basis))
+        if self.dim != basis.shape[1]:
             raise ValueError("basis columns are linearly dependent")
-        self._init(ambient_dim, basis, canonical)
-
-    def _init(self, ambient_dim, basis, canonical):
-        self.ambient_dim = ambient_dim
         self.basis = basis
-        self.canonical = canonical
-        # Fast membership path when every basis column is a standard vector.
-        idx = set()
-        for j in range(basis.shape[1]):
-            col = basis[:, j]
-            nz = [i for i in range(ambient_dim) if col[i]]
-            if len(nz) == 1 and col[nz[0]] == 1:
-                idx.add(nz[0])
-            else:
-                idx = None
-                break
-        self._std_indices = idx
+
+    def _init(self, ambient_dim, vectors):
+        """Reduce the sparse ``vectors`` once, by ``exactla._reduce``, to the
+        canonical form of their span, which is also taken as the basis."""
+        reduced = exactla._reduce(vectors)
+        # (p_j, canonical column j as {row: value}), in increasing p_j
+        self._pivot_columns = [(p, {p: 1, **reduced[p]}) for p in sorted(reduced)]
+        canonical = fzeros(ambient_dim, len(reduced))
+        for j, (_, col) in enumerate(self._pivot_columns):
+            for i, v in col.items():
+                canonical[i, j] = v
+        self.ambient_dim = ambient_dim
+        self.basis = self.canonical = canonical
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
-        if not vectors:
-            return cls(ambient_dim, fzeros(ambient_dim, 0))
         return cls(ambient_dim, fmat(vectors).T)
 
     @classmethod
-    def span_of_columns(cls, ambient_dim, cols):
-        """Span, discarding dependent columns.
+    def span(cls, ambient_dim, vectors):
+        """Span of sparse {index: value} vectors, dependent ones discarded.
 
         The basis is the canonical form itself, computed once.
         """
+        out = cls.__new__(cls)
+        out._init(ambient_dim, vectors)
+        return out
+
+    @classmethod
+    def span_of_columns(cls, ambient_dim, cols):
+        """Span of the columns of an exact matrix, as ``span``."""
         if cols.shape[0] != ambient_dim:
             raise ValueError("basis rows must match ambient dimension")
-        canonical = exactla.column_echelon(cols)
-        out = cls.__new__(cls)
-        out._init(ambient_dim, canonical, canonical)
-        return out
+        return cls.span(ambient_dim, _columns(cols))
 
     @property
     def dim(self):
@@ -338,27 +360,28 @@ class Subspace:
     def basis_float(self):
         return _float_matrix(self.basis, "a subspace basis")
 
+    def contains_all(self, vectors):
+        """Whether every sparse vector v, a {index: value} dict of its
+        nonzeros, lies in the subspace: v = sum_j v[p_j] canonical[:, j]."""
+        for v in vectors:
+            rebuilt = defaultdict(int)
+            for p, col in self._pivot_columns:
+                for i, c in col.items() if p in v else ():
+                    rebuilt[i] += v[p] * c
+            if {i: w for i, w in rebuilt.items() if w} != v:
+                return False
+        return True
+
     def contains(self, v):
-        if self.dim == 0:
-            return all(Fraction(x) == 0 for x in v)
-        if self._std_indices is not None:
-            return all(
-                not v[i] for i in range(self.ambient_dim)
-                if i not in self._std_indices
-            )
-        vv = _as_exact_vec(v, self.ambient_dim)
-        return exactla.solve(self.basis, vv) is not None
+        return self.contains_all([dict(_nonzero_items(v, self.ambient_dim))])
 
     def contains_subspace(self, other):
-        return all(self.contains(other.basis[:, j]) for j in range(other.dim))
+        return self.contains_all(col for _, col in other._pivot_columns)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.canonical.shape == other.canonical.shape
-            and (self.canonical == other.canonical).all()
-        )
+        return (isinstance(other, Subspace)
+                and self.ambient_dim == other.ambient_dim
+                and self._pivot_columns == other._pivot_columns)
 
     def __hash__(self):
         return hash((self.ambient_dim, self.canonical.shape))
@@ -368,24 +391,16 @@ class Subspace:
 
 
 def subspace_sum(ambient_dim, subspaces):
-    cols = [s.basis for s in subspaces if s.dim]
-    if not cols:
-        return Subspace(ambient_dim, fzeros(ambient_dim, 0))
-    return Subspace.span_of_columns(ambient_dim, np.concatenate(cols, axis=1))
+    return Subspace.span(ambient_dim, [col for s in subspaces
+                                       for _, col in s._pivot_columns])
 
 
 def lie_closure(algebra, seed):
     """Smallest subalgebra containing the Subspace ``seed``."""
     current = seed
     while True:
-        new_cols = [current.basis]
-        for a in range(current.dim):
-            for b in range(a + 1, current.dim):
-                v = algebra.bracket_exact(current.basis[:, a], current.basis[:, b])
-                new_cols.append(v.reshape(-1, 1))
-        nxt = Subspace.span_of_columns(
-            algebra.dim, np.concatenate(new_cols, axis=1)
-        )
+        nxt = Subspace.span(algebra.dim, [
+            *_columns(current.basis), *algebra.brackets(current.basis).values()])
         # All of g is closed: no confirming round is needed.
         if nxt.dim == current.dim or nxt.dim == algebra.dim:
             return nxt
@@ -460,14 +475,17 @@ class HomogeneousSRStructure:
         if not rep.ok:
             raise ValueError(f"invalid structure: {rep}")
 
+        # [X_a, e_j]_k (X_a column a) is the coefficient of p_k in p([X_a, e_j])
+        eye = exactla.feye(algebra.dim)
         merged = defaultdict(int)  # (j, a, k) -> coefficient, a <= k
-        for (a, j, kk), v in _contract_first(algebra, self.dmat_exact).items():
-            merged[j, min(a, kk), max(a, kk)] += v
+        for (a, j), vec in algebra.brackets(self.dmat_exact, eye).items():
+            for kk, v in vec.items():
+                merged[j, min(a, kk), max(a, kk)] += v
         self.vertical_terms_exact = tuple(sorted(
             (*key, _int_or_fraction(v)) for key, v in merged.items() if v))
         self.k_action_exact = tuple(sorted(
-            (*key, _int_or_fraction(v))
-            for key, v in _contract_first(algebra, k.basis).items() if v))
+            (a, j, kk, v) for (a, j), vec in algebra.brackets(k.basis, eye).items()
+            for kk, v in vec.items()))
         self.vertical_terms = _float_terms(self.vertical_terms_exact,
                                            "the vertical field")
         self.k_action = np.zeros((k.dim, algebra.dim, algebra.dim))
@@ -516,17 +534,13 @@ class HomogeneousSRStructure:
         n = g.dim
         k, m, delta = self.k, self.m, self.delta
 
-        if k.dim + m.dim != n or exactla.rank(
-            np.concatenate([k.basis, m.basis], axis=1) if k.dim else m.basis
-        ) != n:
+        if k.dim + m.dim != n or subspace_sum(n, [k, m]).dim != n:
             report.add("g is not the direct sum of k and m")
         # Every ordered pair, a == b included: antisymmetry is not checked
         # here. Each kind of violation is reported once.
-        if not all(k.contains(g.bracket_exact(k.basis[:, a], k.basis[:, b]))
-                   for a in range(k.dim) for b in range(k.dim)):
+        if not k.contains_all(g.brackets(k.basis, k.basis).values()):
             report.add("k is not a subalgebra")
-        if not all(m.contains(g.bracket_exact(k.basis[:, a], m.basis[:, b]))
-                   for a in range(k.dim) for b in range(m.dim)):
+        if not m.contains_all(g.brackets(k.basis, m.basis).values()):
             report.add("decomposition is not reductive: [k, m] not in m")
         if not m.contains_subspace(delta):
             report.add("delta is not contained in m")
@@ -547,17 +561,12 @@ class HomogeneousSRStructure:
         layers = self.grading
         if subspace_sum(n, layers) != subspace_sum(n, [self.m]):
             report.add("grading layers do not span m")
-        if layers[0] != Subspace(n, self.delta.basis.copy()) and layers[0] != self.delta:
+        if layers[0] != self.delta:
             report.add("first grading layer must equal delta")
         s = len(layers)
         for i, layer in enumerate(layers):
-            brackets = []
-            for a in range(layers[0].dim):
-                for b in range(layer.dim):
-                    brackets.append(
-                        g.bracket_exact(layers[0].basis[:, a], layer.basis[:, b]).reshape(-1, 1)
-                    )
-            span = Subspace.span_of_columns(n, np.concatenate(brackets, axis=1))
+            span = Subspace.span(
+                n, g.brackets(layers[0].basis, layer.basis).values())
             if i + 1 < s:
                 if span != layers[i + 1]:
                     report.add(f"[g_1, g_{i + 1}] != g_{i + 2}")
@@ -589,7 +598,7 @@ class HomogeneousSRStructure:
         return self.dmat @ p
 
     def dH_exact(self, p):
-        return exactla.matvec(self.dmat_exact, _as_exact_vec(p, self.dim))
+        return exactla.matvec(self.dmat_exact, self.algebra._column(p)[:, 0])
 
     def hamiltonian_value(self, p):
         p = np.asarray(p, dtype=float)

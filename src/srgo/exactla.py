@@ -10,12 +10,13 @@ every matrix or vector returned here holds normalised entries.
 
 All elimination runs through one sparse eliminator, ``_echelon``, which
 takes rows as {column: value} dicts and reduces them one at a time,
-touching only nonzeros. ``rref`` back-reduces its pivot rows to the
-canonical form that ``rank``, ``solve``, ``inverse`` and
-``column_echelon`` read; ``solve_sparse``, ``nullspace_sparse`` and the
-dense ``nullspace`` back-substitute instead. ``matmul`` and ``matvec``
-multiply through lists of each row's nonzero entries. Everything here is
-deterministic and exact; float counterparts live with the callers.
+touching only nonzeros. ``_reduce`` back-reduces its pivot rows to the
+canonical form that ``rref`` (so ``rank``, ``solve``, ``inverse`` and
+``column_echelon``) and ``algebra.Subspace`` read; ``solve_sparse``,
+``nullspace_sparse`` and the dense ``nullspace`` back-substitute instead.
+``matmul`` and ``matvec`` multiply through lists of each row's nonzero
+entries. Everything here is deterministic and exact; float counterparts
+live with the callers.
 """
 
 import bisect
@@ -75,19 +76,16 @@ def _dict_rows(a):
     return [{j: v for j, v in enumerate(row) if v} for row in a.tolist()]
 
 
-def rref(a):
-    """Reduced row echelon form. Returns (R, pivot_columns).
+def _reduce(rows):
+    """The nonzero rows of the RREF of a sparse system of {column: value}
+    rows, as {pivot column: row right of its leading 1}, entries normalised.
 
-    ``_echelon`` gives one pivot row per pivot column, each zero left of
-    its leading 1. From the last pivot back, each row is cleared at the
-    later pivot columns with the rows already cleared, which leaves the
-    canonical form; its zero rows follow the pivot rows.
+    From the last of ``_echelon``'s pivot rows back, each is cleared at the
+    later pivot columns with the rows already cleared.
     """
-    nrows, ncols = a.shape
-    pivots = _echelon(_dict_rows(a))
-    order = sorted(pivots)
+    pivots = _echelon(rows)
     reduced = {}
-    for p in reversed(order):
+    for p in sorted(pivots, reverse=True):
         row = dict(pivots[p])
         for q in [c for c in row if c in reduced]:
             f = row.pop(q)
@@ -97,13 +95,24 @@ def rref(a):
                     row[c] = w
                 else:
                     row.pop(c, None)
-        reduced[p] = row
+        reduced[p] = {c: _int_or_fraction(v) for c, v in row.items()}
+    return reduced
+
+
+def rref(a):
+    """Reduced row echelon form. Returns (R, pivot_columns).
+
+    The pivot rows are ``_reduce``'s; the zero rows follow them.
+    """
+    nrows, ncols = a.shape
+    reduced = _reduce(_dict_rows(a))
+    order = sorted(reduced)
     r = fzeros(nrows, ncols)
     for i, p in enumerate(order):
         row = [0] * ncols
         row[p] = 1
         for c, v in reduced[p].items():
-            row[c] = _int_or_fraction(v)
+            row[c] = v
         r[i] = row
     return r, order
 

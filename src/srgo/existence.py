@@ -55,27 +55,24 @@ class Factorization:
 
 def _derived_subspace(algebra, space):
     """Span of all brackets of basis vectors of ``space``."""
-    cols = []
-    for a in range(space.dim):
-        for b in range(a + 1, space.dim):
-            v = algebra.bracket_exact(space.basis[:, a], space.basis[:, b])
-            cols.append(v.reshape(-1, 1))
-    if not cols:
-        return Subspace(algebra.dim, exactla.fzeros(algebra.dim, 0))
-    return Subspace.span_of_columns(algebra.dim, np.concatenate(cols, axis=1))
+    return Subspace.span(algebra.dim, algebra.brackets(space.basis).values())
+
+
+def _derived_series(algebra, space):
+    """[s, [s, s], [[s, s], [s, s]], ...] for s = ``space``, up to the first
+    term that is 0 or no smaller than the one before it; a subalgebra s is
+    solvable exactly when the last term is 0."""
+    series = [space, _derived_subspace(algebra, space)]
+    while 0 < series[-1].dim < series[-2].dim:
+        series.append(_derived_subspace(algebra, series[-1]))
+    return series
 
 
 def is_solvable(algebra, space=None):
     """Exact derived-series test for a subalgebra (default: all of g)."""
     if space is None:
         space = Subspace(algebra.dim, exactla.feye(algebra.dim))
-    current = space
-    while current.dim:
-        nxt = _derived_subspace(algebra, current)
-        if nxt.dim == current.dim:
-            return False
-        current = nxt
-    return True
+    return _derived_series(algebra, space)[-1].dim == 0
 
 
 def radical(algebra):
@@ -91,24 +88,15 @@ def radical(algebra):
 
 def _intersection(a: Subspace, b: Subspace):
     """Exact intersection of two subspaces."""
-    if a.dim == 0 or b.dim == 0:
-        return Subspace(a.ambient_dim, exactla.fzeros(a.ambient_dim, 0))
     stacked = np.concatenate([a.basis, -b.basis], axis=1)
     null = exactla.nullspace(stacked)
-    if null.shape[1] == 0:
-        return Subspace(a.ambient_dim, exactla.fzeros(a.ambient_dim, 0))
     cols = exactla.matmul(a.basis, null[: a.dim])
     return Subspace.span_of_columns(a.ambient_dim, cols)
 
 
 def _is_ideal(algebra, space):
-    for i in range(algebra.dim):
-        e = np.zeros(algebra.dim, dtype=object)
-        e[i] = 1
-        for b in range(space.dim):
-            if not space.contains(algebra.bracket_exact(e, space.basis[:, b])):
-                return False
-    return True
+    return space.contains_all(
+        algebra.brackets(exactla.feye(algebra.dim), space.basis).values())
 
 
 def factorize_by_ideal(structure, ideal: Subspace) -> Factorization:
@@ -139,7 +127,7 @@ def factorize_by_ideal(structure, ideal: Subspace) -> Factorization:
         e = exactla.fzeros(n, 1)
         e[i, 0] = 1
         cand = np.concatenate([current, e], axis=1)
-        if exactla.rank(cand) > exactla.rank(current):
+        if exactla.rank(cand) > ideal.dim + len(comp_idx):
             comp_idx.append(i)
             current = cand
     n_hat = len(comp_idx)
@@ -150,26 +138,22 @@ def factorize_by_ideal(structure, ideal: Subspace) -> Factorization:
     proj = exactla.inverse(full)[ideal.dim:]  # (n_hat, n): quotient coords
 
     brackets = {}
-    for a in range(n_hat):
-        for b in range(a + 1, n_hat):
-            w = exactla.matvec(proj, g.bracket_exact(comp[:, a], comp[:, b]))
-            comps = {k: w[k] for k in range(n_hat) if w[k]}
-            if comps:
-                brackets[(a, b)] = comps
+    for key, vec in g.brackets(comp).items():
+        w = exactla.matvec(proj, [vec.get(k, 0) for k in range(n)])
+        comps = {k: w[k] for k in range(n_hat) if w[k]}
+        if comps:
+            brackets[key] = comps
     labels = [g.labels[i] for i in comp_idx]
     g_hat = LieAlgebra.from_brackets(n_hat, brackets, labels)
 
-    k_hat = Subspace.span_of_columns(n_hat, exactla.matmul(proj, s.k.basis)) \
-        if s.k.dim else Subspace(n_hat, exactla.fzeros(n_hat, 0))
+    k_hat = Subspace.span_of_columns(n_hat, exactla.matmul(proj, s.k.basis))
     m_hat = Subspace.span_of_columns(n_hat, exactla.matmul(proj, s.m.basis))
 
     # delta part surviving the quotient: B-orthogonal complement of
     # delta cap i inside delta, expressed in delta-coordinates.
     cap = _intersection(s.delta, ideal)
     if cap.dim:
-        cap_coords = exactla.fzeros(s.delta.dim, cap.dim)
-        for j in range(cap.dim):
-            cap_coords[:, j] = exactla.solve(s.delta.basis, cap.basis[:, j])
+        cap_coords = exactla.solve(s.delta.basis, cap.basis)
         w_coords = exactla.nullspace(
             exactla.matmul(cap_coords.T, s.metric)
         )
@@ -194,21 +178,17 @@ def _solvable_route(structure, steps):
     s = structure
     g = s.algebra
     n = g.dim
-    # Transitive solvable subalgebra: m itself when it is one, else g.
-    candidate = s.m
-    m_is_subalgebra = candidate.contains_subspace(
-        _derived_subspace(g, candidate)
-    )
-    if m_is_subalgebra:
-        sub = candidate
+    # Transitive solvable subalgebra s: m itself when it is one, else g.
+    series = _derived_series(g, s.m)
+    if s.m.contains_subspace(series[1]):
         steps.append("transitive solvable subalgebra: the complement m")
     else:
-        sub = Subspace(n, exactla.feye(n))
+        series = _derived_series(g, Subspace(n, exactla.feye(n)))
         steps.append("transitive solvable subalgebra: g itself")
-    if not is_solvable(g, sub):
+    if series[-1].dim:
         steps.append("selected subalgebra is not solvable")
         return None
-    derived = _derived_subspace(g, sub)
+    derived = series[1]
     blocked = subspace_sum(n, [s.k, derived])
     if blocked.dim == n:
         steps.append("annihilator of k + [s, s] is trivial")

@@ -38,22 +38,21 @@ GO_EVIDENCE = "evidence_only"
 def _m_action_matrices(structure):
     """Exact matrices of ad z restricted to m, in the m-basis, per k-basis z.
 
-    All dk * dm brackets [z_j, m_i] are expressed in the m-basis by one
-    ``exactla.solve``.
+    [Z_a, m_i] = sum_{j,k} m_basis[j, i] T[a, j, k] e_k lies in m (the
+    structure is reductive), and column r of ``m_dual_exact`` reads off its
+    m_r coordinate: R_a[r, i] = sum_{j,k} m_basis[j, i] T[a, j, k]
+    m_dual[k, r], over the nonzeros of the k action.
     """
-    g = structure.algebra
-    kb, mb = structure.k.basis, structure.m.basis
-    dk, dm = structure.k.dim, structure.m.dim
-    if dk == 0:
-        return []
-    w = exactla.fzeros(structure.dim, dk * dm)
-    for j in range(dk):
-        for i in range(dm):
-            w[:, j * dm + i] = g.bracket_exact(kb[:, j], mb[:, i])
-    coords = exactla.solve(mb, w)
-    if coords is None:
-        raise ValueError("decomposition is not reductive")
-    return [coords[:, j * dm:(j + 1) * dm] for j in range(dk)]
+    s = structure
+    dm = s.m.dim
+    mb_rows = exactla.row_nonzeros(s.m.basis)  # j -> [(i, m_basis[j, i])]
+    dual_rows = exactla.row_nonzeros(_m_dual_exact(s))  # k -> [(r, m_dual[k, r])]
+    out = [exactla.fzeros(dm, dm) for _ in range(s.k.dim)]
+    for a, j, k, t in s.k_action_exact:
+        for i, x in mb_rows[j]:
+            for r, y in dual_rows[k]:
+                out[a][r, i] += x * t * y
+    return [exactla.fmat(r_a) for r_a in out]  # entries normalised
 
 
 @dataclass
@@ -347,10 +346,9 @@ def carnot_skew_test(structure, delta_perp=None) -> SkewReport:
     dd, dp = s.delta.dim, delta_perp.dim
     # Every [X_a, Y_b] in the basis delta + delta_perp, by one solve.
     w = exactla.fzeros(n, dd * dp)
-    for a in range(dd):
-        for b in range(dp):
-            w[:, a * dp + b] = g.bracket_exact(s.delta.basis[:, a],
-                                               delta_perp.basis[:, b])
+    for (a, b), vec in g.brackets(s.delta.basis, delta_perp.basis).items():
+        for k, v in vec.items():
+            w[k, a * dp + b] = v
     coords = exactla.solve(basis, w)
     if coords is None:
         raise ValueError("ad X does not preserve delta + delta_perp")

@@ -104,7 +104,13 @@ def test_reductivity_exact(models):
                 assert s.m.contains(w), spec.name
 
 
-def test_subspace_equality_and_membership():
+_entries = st.one_of(st.integers(-3, 3),
+                    st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_subspace_equality_and_membership(data):
     a = Subspace.from_vectors(3, [[1, 0, 0], [1, 1, 0]])
     b = Subspace.from_vectors(3, [[0, 1, 0], [2, 1, 0]])
     assert a == b
@@ -113,6 +119,31 @@ def test_subspace_equality_and_membership():
     assert a.contains_subspace(b)
     with pytest.raises(ValueError):
         Subspace.from_vectors(3, [[1, 0, 0], [2, 0, 0]])
+
+    # Random integer and Fraction spanning sets, dependent ones included:
+    # membership read off the canonical form agrees with exactla.solve.
+    n = data.draw(st.integers(1, 5))
+    d = data.draw(st.integers(0, 4))
+    vecs = data.draw(st.lists(st.lists(_entries, min_size=n, max_size=n),
+                              min_size=d, max_size=d))
+    cols = exactla.fmat(vecs).T if d else exactla.fzeros(n, 0)
+    span = Subspace.span_of_columns(n, cols)
+    assert span.dim == exactla.rank(cols)
+    assert span == Subspace(n, span.basis)
+    if span.dim:
+        assert (span.canonical == exactla.column_echelon(cols)).all()
+    coeffs = data.draw(st.lists(_entries, min_size=d, max_size=d))
+    inside = exactla.matvec(cols, coeffs) if d else exactla.fzeros(n, 1)[:, 0]
+    outside = data.draw(st.lists(_entries, min_size=n, max_size=n))
+    for v in (inside, outside):
+        expected = exactla.solve(cols, exactla.fmat([[x] for x in v])) is not None
+        assert span.contains(v) == expected
+        assert span.contains_all([{i: exactla._int_or_fraction(x)
+                                   for i, x in enumerate(v) if x}]) == expected
+    assert span.contains(inside)
+    assert span.contains_subspace(span)
+    line = Subspace.span_of_columns(n, exactla.fmat([[x] for x in outside]))
+    assert span.contains_subspace(line) == span.contains(outside)
 
 
 def test_subspace_sum_and_closure(heisenberg):
@@ -225,15 +256,16 @@ def test_exact_stores_hold_ints_or_proper_fractions(models, normalised):
 
 def test_span_of_columns_reduces_once(monkeypatch):
     calls = []
-    column_echelon = exactla.column_echelon
+    reduce = exactla._reduce
 
-    def counted(a):
-        calls.append(a.shape)
-        return column_echelon(a)
+    def counted(rows):
+        rows = list(rows)
+        calls.append(len(rows))
+        return reduce(rows)
 
-    monkeypatch.setattr(exactla, "column_echelon", counted)
+    monkeypatch.setattr(exactla, "_reduce", counted)
     cols = exactla.fmat([[1, 2, 0], [0, 0, 1], [1, 2, 1]])
     span = Subspace.span_of_columns(3, cols)
-    assert calls == [(3, 3)]
+    assert calls == [3]
     assert span.dim == 2 and span == Subspace(3, span.basis)
     assert (span.basis == span.canonical).all()

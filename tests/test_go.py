@@ -264,8 +264,9 @@ def test_skew_decided_exactly():
 
 
 def test_skew_test_and_m_actions_take_one_solve(models, monkeypatch):
-    # Every bracket [X, Y] of the skew test, and every [z, m_i] of the m
-    # action, goes into one exact solve with many right-hand sides.
+    # Every bracket [X, Y] of the skew test goes into one exact solve with
+    # many right-hand sides; the m action is read off the k action and
+    # m_dual, with no solve.
     calls = []
     solve = exactla.solve
 
@@ -277,11 +278,32 @@ def test_skew_test_and_m_actions_take_one_solve(models, monkeypatch):
     s = models["free_step2_rank3"].structure
     assert carnot_skew_test(s).is_skew
     assert calls == [(s.dim, 3 * 3)]  # dim delta * dim delta_perp
+    s.m_dual_exact  # the structure's one inverse, cached and shared
     calls.clear()
     actions = _m_action_matrices(s)
-    assert calls == [(s.dim, s.k.dim * s.m.dim)]
+    assert calls == []
     assert len(actions) == s.k.dim
     assert all(r.shape == (s.m.dim, s.m.dim) for r in actions)
+
+
+@pytest.mark.parametrize("name", srgo.list_models())
+def test_m_actions_match_solve_oracle(name, models):
+    # R_j: every [z_j, m_i] in the m-basis, by one exact solve.
+    s = models[name].structure
+    g = s.algebra
+    dk, dm = s.k.dim, s.m.dim
+    w = exactla.fzeros(s.dim, dk * dm)
+    for j in range(dk):
+        for i in range(dm):
+            w[:, j * dm + i] = g.bracket_exact(s.k.basis[:, j], s.m.basis[:, i])
+    coords = exactla.solve(s.m.basis, w) if dk else exactla.fzeros(dm, 0)
+    assert coords is not None
+    actions = _m_action_matrices(s)
+    assert len(actions) == dk
+    for j, r in enumerate(actions):
+        ref = coords[:, j * dm:(j + 1) * dm]
+        assert r.tolist() == ref.tolist(), (name, j)
+        assert all(type(v) is int or v.denominator != 1 for v in r.flat)
 
 
 def test_skew_requires_grading_or_complement(so3_axisym):

@@ -149,6 +149,23 @@ def test_exact_loops_match_dense_reference(name, models):
         assert list(g.bracket_exact(a, b)) == _dense_bracket(c, a, b)
         assert (g.ad_matrix_exact(a) == _dense_ad(c, a)).all()
         assert list(g.coad_apply_exact(a, p)) == _dense_coad(c, a, p)
+    # Whole bases through the one contraction, pair by pair.
+    da, db = (2, 2) if n > 16 else (3, 4)
+    a_basis, b_basis = (np.stack([_rational_vec(rng, n) for _ in range(d)],
+                                 axis=1) for d in (da, db))
+    for basis, other, pairs in (
+            (a_basis, b_basis, [(r, s) for r in range(da) for s in range(db)]),
+            (b_basis, None, [(r, s) for r in range(db) for s in range(r + 1, db)])):
+        got = g.brackets(basis, other)
+        assert set(got) <= set(pairs)
+        for r, s in pairs:
+            vec = got.get((r, s), {})
+            assert all(v and (type(v) is int or v.denominator != 1)
+                       for v in vec.values())
+            dense = [vec.get(k, 0) for k in range(n)]
+            ref = _dense_bracket(c, basis[:, r],
+                                 (basis if other is None else other)[:, s])
+            assert dense == ref, (r, s)
     if n <= 16:
         assert (g.killing_form() == _dense_killing(c)).all()
 
