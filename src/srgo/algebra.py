@@ -512,6 +512,31 @@ class HomogeneousSRStructure:
         """Float mirror of ``m_dual_exact``."""
         return _read_only(to_float(self.m_dual_exact))
 
+    @cached_property
+    def m_vertical_terms_exact(self):
+        """The vertical field in m*-coordinates a: the nonzero (j, u, t, c)
+        with u <= t, sorted, c the coefficient of a_u a_t in f_j(m_dual a)."""
+        dual_rows = exactla.row_nonzeros(self.m_dual_exact)  # q -> [(r, m_dual[q, r])]
+        merged = defaultdict(int)  # (j, u, t) -> coefficient, u <= t
+        for j, q, k, c in self.vertical_terms_exact:
+            for u, x in dual_rows[q]:
+                for t, y in dual_rows[k]:
+                    merged[j, min(u, t), max(u, t)] += c * x * y
+        return tuple(sorted((*key, _int_or_fraction(v))
+                            for key, v in merged.items() if v))
+
+    @cached_property
+    def m_k_action_exact(self):
+        """The k action in m*-coordinates a: the nonzero (b, j, t, c),
+        sorted, c the coefficient of a_t in p([Z_b, e_j]) at p = m_dual a."""
+        dual_rows = exactla.row_nonzeros(self.m_dual_exact)
+        merged = defaultdict(int)  # (b, j, t) -> coefficient
+        for b, j, q, c in self.k_action_exact:
+            for t, y in dual_rows[q]:
+                merged[b, j, t] += c * y
+        return tuple(sorted((*key, _int_or_fraction(v))
+                            for key, v in merged.items() if v))
+
     def freeze(self):
         """Mark every array of this structure read-only.
 
@@ -604,7 +629,7 @@ class HomogeneousSRStructure:
         p = np.asarray(p, dtype=float)
         return 0.5 * float(p @ self.dmat @ p)
 
-    def annihilates_k(self, p, tol=1e-9):
+    def annihilates_k(self, p):
         if self.k.dim == 0:
             return True
-        return float(np.max(np.abs(self.k_basis_float.T @ np.asarray(p, dtype=float)))) <= tol
+        return float(np.max(np.abs(self.k_basis_float.T @ np.asarray(p, dtype=float)))) <= 1e-9

@@ -99,6 +99,17 @@ def _is_ideal(algebra, space):
         algebra.brackets(exactla.feye(algebra.dim), space.basis).values())
 
 
+def _standard_completion(subspace):
+    """The i whose e_i complete ``subspace`` to R^n, picked greedily in
+    index order: e_i is skipped exactly when some vector of the subspace
+    has its last nonzero entry at i, that is when n - 1 - i is a pivot of
+    the subspace's basis with its coordinates reversed."""
+    n = subspace.ambient_dim
+    lead = exactla._echelon({n - 1 - c: v for c, v in col}
+                            for col in exactla.row_nonzeros(subspace.basis.T))
+    return [i for i in range(n) if n - 1 - i not in lead]
+
+
 def factorize_by_ideal(structure, ideal: Subspace) -> Factorization:
     """Quotient structure on g / i with the inherited metric.
 
@@ -120,16 +131,7 @@ def factorize_by_ideal(structure, ideal: Subspace) -> Factorization:
     if ideal.contains_subspace(s.delta):
         raise ValueError("delta collapses in the quotient")
 
-    # Completion by standard vectors, greedily by rank.
-    comp_idx = []
-    current = ideal.basis
-    for i in range(n):
-        e = exactla.fzeros(n, 1)
-        e[i, 0] = 1
-        cand = np.concatenate([current, e], axis=1)
-        if exactla.rank(cand) > ideal.dim + len(comp_idx):
-            comp_idx.append(i)
-            current = cand
+    comp_idx = _standard_completion(ideal)
     n_hat = len(comp_idx)
     comp = exactla.fzeros(n, n_hat)
     for a, i in enumerate(comp_idx):
@@ -238,8 +240,9 @@ def _khat_extension(structure, steps):
         return None, None
     # Killing-orthogonal complement of Gamma in g.
     comp = exactla.nullspace(exactla.matmul(gamma.T, kf))
-    full = np.concatenate([gamma, comp], axis=1)
-    if exactla.rank(full) != n:
+    try:
+        inv = exactla.inverse(np.concatenate([gamma, comp], axis=1))
+    except ValueError:  # not square, or singular
         steps.append("Gamma meets its Killing complement; extension fails")
         return None, None
     b_gamma = exactla.matmul(
@@ -252,7 +255,6 @@ def _khat_extension(structure, steps):
             blocks[i, j] = b_gamma[i, j]
     for i in range(dg, n):
         blocks[i, i] = 1
-    inv = exactla.inverse(full)
     bhat = exactla.matmul(exactla.matmul(inv.T, blocks), inv)
     return exactla.to_float(bhat), exactla.to_float(gamma)
 

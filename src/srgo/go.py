@@ -8,10 +8,12 @@ coad(dH(p) + Z(p))p = 0 on the annihilator of k: one sparse rational
 system whose solution certifies vanishing brackets at every degree, and
 whose inconsistency proves that no such linear Z exists. Enumeration of
 invariants up to the degree cap then decides. It works in m*-coordinates
-a throughout: the invariants of each degree are the kernel of sparse
-derivation rows, taken by ``exactla.nullspace_sparse``, and on the
-annihilator of k the bracket is {H, F} = sum_r dF/da_r * adot_r, where
-adot is the vertical field as dim m exact quadratics in a. The
+a (p = m_dual a) throughout, on the structure's field and k action pulled
+back to a: the witness rows are read off those terms, and the k action on
+m and adot, the vertical field as dim m exact quadratics in a, are their
+projections by the m basis. The invariants of each degree are the kernel
+of sparse derivation rows, taken by ``exactla.nullspace_sparse``, and on
+the annihilator of k the bracket is {H, F} = sum_r dF/da_r * adot_r. The
 g-coordinate route through ``hamiltonian.lie_poisson_bracket`` gives the
 same polynomials and is kept as the tests' oracle. The scan of ``go_verdict``
 gets the witness too: Z(p) = L p decides each sampled momentum it closes,
@@ -38,21 +40,19 @@ GO_EVIDENCE = "evidence_only"
 def _m_action_matrices(structure):
     """Exact matrices of ad z restricted to m, in the m-basis, per k-basis z.
 
-    [Z_a, m_i] = sum_{j,k} m_basis[j, i] T[a, j, k] e_k lies in m (the
-    structure is reductive), and column r of ``m_dual_exact`` reads off its
-    m_r coordinate: R_a[r, i] = sum_{j,k} m_basis[j, i] T[a, j, k]
-    m_dual[k, r], over the nonzeros of the k action.
+    [Z_b, m_i] lies in m (the structure is reductive), and its m_t
+    coordinate is p([Z_b, m_i]) at p = m_dual e_t. So R_b[t, i] =
+    sum_j m_basis[j, i] P[b, j, t], over the structure's
+    ``m_k_action_exact`` terms (b, j, t, P[b, j, t]).
     """
     s = structure
     dm = s.m.dim
     mb_rows = exactla.row_nonzeros(s.m.basis)  # j -> [(i, m_basis[j, i])]
-    dual_rows = exactla.row_nonzeros(_m_dual_exact(s))  # k -> [(r, m_dual[k, r])]
     out = [exactla.fzeros(dm, dm) for _ in range(s.k.dim)]
-    for a, j, k, t in s.k_action_exact:
+    for b, j, t, c in s.m_k_action_exact:
         for i, x in mb_rows[j]:
-            for r, y in dual_rows[k]:
-                out[a][r, i] += x * t * y
-    return [exactla.fmat(r_a) for r_a in out]  # entries normalised
+            out[b][t, i] += x * c
+    return [exactla.fmat(r_b) for r_b in out]  # entries normalised
 
 
 @dataclass
@@ -145,23 +145,20 @@ def _m_vertical_field(structure):
     """The vertical field on k-circ in m*-coordinates, as exact quadratics.
 
     With p = m_dual a, the coordinate a_r = p(m_r) moves as
-    adot_r = sum_j m_basis[j, r] f_j(m_dual a), where f_j(p) is the sum
-    of coef p_a p_k over the structure's ``vertical_terms_exact``; returns
-    the dim m polynomials adot_r in a.
+    adot_r = sum_j m_basis[j, r] f_j(m_dual a), with f_j(m_dual a) read off
+    the structure's ``m_vertical_terms_exact``; returns the dim m
+    polynomials adot_r in a.
     """
     s = structure
     dm = s.m.dim
-    p_rows = exactla.row_nonzeros(_m_dual_exact(s))  # k -> [(t, m_dual[k, t])]
     mb_rows = exactla.row_nonzeros(s.m.basis)  # j -> [(r, m_basis[j, r])]
     adot = [defaultdict(int) for _ in range(dm)]
-    for j, a, k, c in s.vertical_terms_exact:
+    for j, u, t, c in s.m_vertical_terms_exact:
+        mono = [0] * dm
+        mono[u] += 1
+        mono[t] += 1
         for r, x in mb_rows[j]:
-            for u, y in p_rows[a]:
-                for t, z in p_rows[k]:
-                    mono = [0] * dm
-                    mono[u] += 1
-                    mono[t] += 1
-                    adot[r][tuple(mono)] += c * x * y * z
+            adot[r][tuple(mono)] += c * x
     return [Polynomial(dm, terms) for terms in adot]
 
 
@@ -186,44 +183,24 @@ def _tangency_witness(structure):
     is a quadratic form in a whose coefficients are linear in W; matching
     the coefficient of each a_r a_s (r <= s) to zero gives one sparse
     rational system in the dk * dm entries of W, built from the structure's
-    exact vertical field and k action and solved exactly by
+    ``m_vertical_terms_exact`` and ``m_k_action_exact`` and solved exactly by
     ``exactla.solve_sparse``. Returns L = W m_basis^T, or None when the
     system is inconsistent: then no Z(p) in k linear in p closes the
     identity. With trivial k it returns None without solving.
     """
     s = structure
-    n, dk, dm = s.dim, s.k.dim, s.m.dim
+    dk, dm = s.k.dim, s.m.dim
     if dk == 0:
         return None
-    dual_rows = exactla.row_nonzeros(_m_dual_exact(s))  # q -> [(r, m_dual[q, r])]
-    # Per j, in g-coordinates of p: coad(dH(p))p_j = f_j(p), the sum of
-    # v p_q p_k over the vertical terms (j, q, k, v), and p([Z_a, e_j]) =
-    # sum_k T[a, j, k] p_k over the k action's terms (a, j, k, T[a, j, k]).
-    m_forms = [[] for _ in range(n)]
-    t_forms = [[] for _ in range(n)]
-    for j, q, k, v in s.vertical_terms_exact:
-        m_forms[j].append((q, k, v))
-    for a, j, k, v in s.k_action_exact:
-        t_forms[j].append((a, k, v))
-    rows = []
-    for j in range(n):
-        const = defaultdict(int)  # (r, s) -> coefficient of V_j
-        for q, k, v in m_forms[j]:
-            for r, x in dual_rows[q]:
-                for t, y in dual_rows[k]:
-                    const[min(r, t), max(r, t)] += v * x * y
-        g = defaultdict(int)  # (a, t) -> g_aj[t] = (m_dual^T T[a, j])_t
-        for a, k, v in t_forms[j]:
-            for t, y in dual_rows[k]:
-                g[a, t] += v * y
-        coeffs = defaultdict(lambda: defaultdict(int))  # (r, s) -> {col: .}
-        for (a, t), v in g.items():
-            if v:
-                for r in range(dm):
-                    coeffs[min(r, t), max(r, t)][a * dm + r] += v
-        for key in sorted(const.keys() | coeffs.keys()):
-            rows.append((coeffs.get(key, {}), -const.get(key, 0)))
-    sol = exactla.solve_sparse(rows, dk * dm)
+    # Row (j, u, t), u <= t, sets the coefficient of a_u a_t in
+    # f_j(m_dual a) + sum_b (W a)_b p([Z_b, e_j]) to zero.
+    rows = defaultdict(lambda: [defaultdict(int), 0])  # key -> [{col: .}, rhs]
+    for j, u, t, c in s.m_vertical_terms_exact:
+        rows[j, u, t][1] = -c
+    for b, j, t, g in s.m_k_action_exact:  # g a_t in p([Z_b, e_j])
+        for r in range(dm):  # W[b, r] a_r * g a_t
+            rows[j, min(r, t), max(r, t)][0][b * dm + r] += g
+    sol = exactla.solve_sparse((rows[key] for key in sorted(rows)), dk * dm)
     if sol is None:
         return None
     return exactla.matmul(sol.reshape(dk, dm), s.m.basis.T)
@@ -314,7 +291,6 @@ class SkewReport:
     is_skew: bool
     failing_direction: np.ndarray | None
     step_conclusion: str
-    bhat_note: str
 
     def to_dict(self):
         return {
@@ -324,24 +300,24 @@ class SkewReport:
             if self.failing_direction is None
             else [float(x) for x in self.failing_direction],
             "step_conclusion": self.step_conclusion,
-            "extension": self.bhat_note,
+            "extension": "identity extension on the graded complement",
         }
 
 
-def carnot_skew_test(structure, delta_perp=None) -> SkewReport:
+def carnot_skew_test(structure) -> SkewReport:
     """Skew-symmetry of the projected adjoint operators on the complement.
 
-    For each delta-basis X the operator (projection onto delta-perp) o ad X
-    restricted to delta-perp must be skew for a geodesic-orbit structure;
-    for graded structures a failure refutes the GO property.
+    The complement delta-perp is the sum of the grading layers after the
+    first. For each delta-basis X the operator (projection onto delta-perp)
+    o ad X restricted to delta-perp must be skew for a geodesic-orbit
+    structure; for graded structures a failure refutes the GO property.
     """
     s = structure
     g = s.algebra
     n = s.dim
-    if delta_perp is None:
-        if s.grading is None:
-            raise ValueError("no grading and no declared complement")
-        delta_perp = subspace_sum(n, s.grading[1:])
+    if s.grading is None:
+        raise ValueError("the skew test needs a graded structure")
+    delta_perp = subspace_sum(n, s.grading[1:])
     basis = np.concatenate([s.delta.basis, delta_perp.basis], axis=1)
     dd, dp = s.delta.dim, delta_perp.dim
     # Every [X_a, Y_b] in the basis delta + delta_perp, by one solve.
@@ -378,8 +354,7 @@ def carnot_skew_test(structure, delta_perp=None) -> SkewReport:
         conclusion = "skew and nilpotent forces zero: step at most 2"
     else:
         conclusion = "skew holds"
-    return SkewReport(worst, is_skew, failing, conclusion,
-                      "identity extension on the graded complement")
+    return SkewReport(worst, is_skew, failing, conclusion)
 
 
 @dataclass

@@ -14,8 +14,6 @@ import numpy as np
 from .kernels import field_rows
 from .poly import Polynomial
 
-MOMENTUM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Momentum:

@@ -228,7 +228,7 @@ class TangencyReport:
         return max(self.gaps.values(), default=0.0)
 
 
-def orbit_tangency_check(traj, invariants, tolerance=1e-8) -> TangencyReport:
+def orbit_tangency_check(traj, invariants) -> TangencyReport:
     """Constancy of invariant polynomials (on m*) along a trajectory."""
     s = traj.structure
     coords = traj.momenta @ s.m_basis_float  # m*-coordinates per sample
@@ -236,7 +236,7 @@ def orbit_tangency_check(traj, invariants, tolerance=1e-8) -> TangencyReport:
     for i, poly in enumerate(invariants):
         vals = poly(coords)
         gaps[f"F{i + 1}"] = float(np.max(np.abs(vals - vals[0])))
-    return TangencyReport(gaps, tolerance)
+    return TangencyReport(gaps, 1e-8)
 
 
 @dataclass

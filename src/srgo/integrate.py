@@ -348,18 +348,18 @@ def integrate_vertical_batch(structure, momenta, T, step, casimirs=None):
     return [integrate_vertical(p, T, step, casimirs) for p in rows]
 
 
-def closed_form_axisymmetric(p0: Momentum, t, kappa) -> Momentum:
+def closed_form_axisymmetric(p0: Momentum, t) -> Momentum:
     """Exact vertical solution for the axisymmetric models.
 
     Rotates the (p1, p2) pair by the angle kappa * p3 * t and keeps the
-    remaining coordinates; kappa is the per-model constant calibrated
-    against the integrator (the structure's ``kappa``).
+    remaining coordinates; kappa is the structure's ``kappa``, the
+    per-model constant calibrated against the integrator.
     """
     s = p0.structure
     if s.kappa is None:
         raise ValueError("closed form only applies to the axisymmetric models")
     p = p0.coords.copy()
-    theta = kappa * p[2] * t
+    theta = s.kappa * p[2] * t
     c, sn = np.cos(theta), np.sin(theta)
     p1, p2 = p[0], p[1]
     p[0] = c * p1 - sn * p2
@@ -422,8 +422,8 @@ def sample_momenta(structure, nsamples, rng):
         raise ValueError("samples must be positive")
     s = structure
     dm = s.m.dim
-    # delta = m_basis @ E; pairings with delta are E^T a for m*-coords a.
-    e_coef, *_ = np.linalg.lstsq(s.m_basis_float, s.delta_basis_float, rcond=None)
+    # delta = m_basis @ E, E = m_dual^T delta; delta-pairings are E^T a.
+    e_coef = s.m_dual.T @ s.delta_basis_float
     rank = e_coef.shape[1]
     gram_inv = np.linalg.inv(e_coef.T @ e_coef)
     # fixed basis of ker(E^T): fill directions that leave H untouched
@@ -445,8 +445,7 @@ def sample_momenta(structure, nsamples, rng):
     return (s.m_dual @ a)[:, :, 0]
 
 
-def find_fixed_points(structure, samples, seed=0, residual_tol=1e-10,
-                      dedup_tol=1e-6):
+def find_fixed_points(structure, samples, seed=0):
     """Fixed points of the vertical field on the level set H = 1/2.
 
     Seeds are sampled momenta polished by Gauss-Newton on the stacked
@@ -488,13 +487,13 @@ def find_fixed_points(structure, samples, seed=0, residual_tol=1e-10,
                 break
         if not np.all(np.isfinite(x)):
             continue
-        if np.linalg.norm(field(x), np.inf) < residual_tol and \
+        if np.linalg.norm(field(x), np.inf) < 1e-10 and \
            abs(s.hamiltonian_value(x) - 0.5) < 1e-9 and \
            (not s.k.dim or np.max(np.abs(kb.T @ x)) < 1e-9):
             found.append(x)
     found.sort(key=lambda v: tuple(np.round(v, 8)))
     unique = []
     for x in found:
-        if all(np.linalg.norm(x - y) > dedup_tol for y in unique):
+        if all(np.linalg.norm(x - y) > 1e-6 for y in unique):
             unique.append(x)
     return [Momentum(x, s) for x in unique]

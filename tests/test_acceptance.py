@@ -92,7 +92,7 @@ def test_04_closed_form_cross_check(so3_axisym):
     traj = integrate_vertical(p0, 10.0, 1e-3)
     worst = 0.0
     for i in range(0, traj.n_samples, 50):
-        exact = closed_form_axisymmetric(p0, traj.times[i], s.kappa)
+        exact = closed_form_axisymmetric(p0, traj.times[i])
         worst = max(worst, np.max(np.abs(traj.momenta[i] - exact.coords)))
     assert worst < 1e-6
 

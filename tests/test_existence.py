@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srgo
 from srgo import (
@@ -15,7 +17,8 @@ from srgo import (
     radical,
     verify_eigenconstruction,
 )
-from srgo.existence import ROUTE_EIGENVECTOR, ROUTE_SOLVABLE
+from srgo import exactla
+from srgo.existence import ROUTE_EIGENVECTOR, ROUTE_SOLVABLE, _standard_completion
 
 
 def test_is_solvable(models):
@@ -33,6 +36,37 @@ def test_radical(models):
     assert r == Subspace.from_vectors(5, [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
     # Solvable algebra: the radical is everything.
     assert radical(models["heisenberg"].structure.algebra).dim == 4
+
+
+def _greedy_completion(subspace):
+    """The standard-vector completion picked greedily by rank, one rank of
+    [basis | chosen e_i] per coordinate (the loop _standard_completion
+    replaces)."""
+    n = subspace.ambient_dim
+    chosen, current = [], subspace.basis
+    for i in range(n):
+        e = exactla.fzeros(n, 1)
+        e[i, 0] = 1
+        cand = np.concatenate([current, e], axis=1)
+        if exactla.rank(cand) > subspace.dim + len(chosen):
+            chosen.append(i)
+            current = cand
+    return chosen
+
+
+@st.composite
+def _subspaces(draw):
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=3))
+    cols = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n))
+    return Subspace.span_of_columns(
+        n, exactla.fmat(cols).T if cols else exactla.fzeros(n, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subspaces())
+def test_standard_completion_equals_the_greedy_rank_loop(subspace):
+    assert _standard_completion(subspace) == _greedy_completion(subspace)
 
 
 def test_factorize_cartan_gives_heisenberg(cartan, heisenberg):

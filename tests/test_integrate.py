@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -104,21 +105,21 @@ def test_closed_form_axisymmetric_models(models):
         p0 = Momentum(np.array([1.0, 0.4, 0.8, 0.0]), s)
         traj = integrate_vertical(p0, 10.0, 1e-3)
         for i in range(0, traj.n_samples, 250):
-            cf = closed_form_axisymmetric(p0, traj.times[i], s.kappa)
+            cf = closed_form_axisymmetric(p0, traj.times[i])
             assert np.max(np.abs(cf.coords - traj.momenta[i])) < 1e-6, name
 
 
 def test_closed_form_spec_rotation(so3_axisym):
-    s = so3_axisym.structure
+    s = so3_axisym.structure  # kappa = 1/2: the angle at t = pi is pi/2
     p0 = Momentum(np.array([1.0, 0.0, 1.0, 0.0]), s)
-    out = closed_form_axisymmetric(p0, np.pi / 2, kappa=1.0)
+    out = closed_form_axisymmetric(p0, np.pi)
     assert np.allclose(out.coords, [0.0, 1.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_closed_form_rejects_other_models(cartan):
     p0 = Momentum(np.zeros(6), cartan.structure)
     with pytest.raises(ValueError):
-        closed_form_axisymmetric(p0, 1.0, 1.0)
+        closed_form_axisymmetric(p0, 1.0)
 
 
 def test_sample_momenta_on_level_set(models):
@@ -170,6 +171,46 @@ def test_sample_momenta_equals_per_row_draws_bitwise(models, name):
         want = _sample_momenta_per_row(s, 300, np.random.default_rng(seed))
         assert got.shape == want.shape
         assert np.array_equal(got, want), (name, seed)
+
+
+# sha256 of sample_momenta(s, 64, default_rng(0)).tobytes(), taken when
+# the delta coordinates E were found by a float least-squares solve.
+SAMPLE_DIGESTS = {
+    "biinvariant_compact":
+        "4d35bd8541997a833c343593213e832ef22632760f42ba5dec66f0fcaaa2db5d",
+    "cartan":
+        "eeb988acb85f7a70759af77495d8b780685f69f3130257bb28654f10f6ae1a5c",
+    "free_step2_rank2":
+        "1957e455ceec4494d3797a1fab95085d446df10e4df6f5ef9c16a5f6e2c8ccd0",
+    "free_step2_rank3":
+        "d2389e44d8f77b44516cc158fbc3eeca033bee254b343edfa6044e9af82fda8f",
+    "free_step2_rank4":
+        "d924c33c890ab8df9da779190625410dc2eb8b9b0c54b0abad564d45b219cc29",
+    "free_step2_rank5":
+        "7479bb33cc0e8c0f84c5f7378cdfffbb690b0ff9c7eba4588d8cb7f7a86c3dc9",
+    "free_step2_rank6":
+        "e413a3bca1fc3163c9cd8f4ed01f1c124e3d36c636b2e8681746c42aa5079a98",
+    "heisenberg":
+        "1957e455ceec4494d3797a1fab95085d446df10e4df6f5ef9c16a5f6e2c8ccd0",
+    "rolling_sphere":
+        "6e3c80f0d195af3fc070f4307ec5571c1183624e3ca6434a87876894b0bdf0dc",
+    "sl2_axisym":
+        "45155ba48de812a2185aecfa29287c20a3e2d38e8bf565b359bf6eade33dcc21",
+    "sl2_kp":
+        "1957e455ceec4494d3797a1fab95085d446df10e4df6f5ef9c16a5f6e2c8ccd0",
+    "so3_axisym":
+        "45155ba48de812a2185aecfa29287c20a3e2d38e8bf565b359bf6eade33dcc21",
+    "so3_generic":
+        "af946a10817fd4c18dc70e4ab38cd447eec02974a33ef1320f1a139897733dbf",
+    "so3_kp":
+        "1957e455ceec4494d3797a1fab95085d446df10e4df6f5ef9c16a5f6e2c8ccd0",
+}
+
+
+@pytest.mark.parametrize("name", srgo.list_models())
+def test_sample_momenta_bytes_are_pinned(models, name):
+    got = sample_momenta(models[name].structure, 64, np.random.default_rng(0))
+    assert hashlib.sha256(got.tobytes()).hexdigest() == SAMPLE_DIGESTS[name]
 
 
 def test_fixed_points_so3_generic(models):

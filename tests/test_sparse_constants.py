@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 import srgo
-from srgo import LieAlgebra, Subspace, lie_closure, subspace_sum
+from srgo import (
+    HomogeneousSRStructure,
+    LieAlgebra,
+    Subspace,
+    lie_closure,
+    subspace_sum,
+)
 from srgo import exactla
 
 ALL_MODELS = srgo.list_models()
@@ -290,6 +296,45 @@ def test_exact_forms_match_the_coadjoint_action(name, models):
             action[a][j] += c * p[k]
         for a in range(s.k.dim):
             assert action[a] == list(g.coad_apply_exact(s.k.basis[:, a], p))
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_m_forms_match_the_coadjoint_action_on_the_annihilator(
+        name, models, normalised):
+    # The pull-back to m*-coordinates a, evaluated at a, against the
+    # coadjoint action at p = m_dual a, exactly. Every bundled m_dual holds
+    # only 0 and 1, so the structure is also taken with its m basis mixed
+    # by an invertible rational matrix.
+    bundled = models[name].structure
+    dm = bundled.m.dim
+    mix = exactla.fmat([[i + 2 if i == j else (Fraction(1, 2) if j > i else 0)
+                         for j in range(dm)] for i in range(dm)])
+    mixed = HomogeneousSRStructure(
+        bundled.algebra, bundled.k,
+        Subspace(bundled.dim, exactla.matmul(bundled.m.basis, mix)),
+        bundled.delta, bundled.metric)
+    assert any(v not in (0, 1) for v in mixed.m_dual_exact.flat)
+    rng = np.random.default_rng(len(name) + 11)
+    for s in (bundled, mixed):
+        g, n = s.algebra, s.dim
+        for terms in (s.m_vertical_terms_exact, s.m_k_action_exact):
+            assert type(terms) is tuple and list(terms) == sorted(terms)
+            assert all(type(t) is tuple and normalised(t[-1]) and t[-1]
+                       for t in terms)
+        assert all(u <= t for _, u, t, _ in s.m_vertical_terms_exact)
+        for _ in range(3):
+            a = _rational_vec(rng, dm, zero_share=0.3)
+            p = exactla.matvec(s.m_dual_exact, a)
+            field = [Fraction(0)] * n
+            for j, u, t, c in s.m_vertical_terms_exact:
+                field[j] += c * a[u] * a[t]
+            assert field == list(g.coad_apply_exact(s.dH_exact(p), p))
+            action = [[Fraction(0)] * n for _ in range(s.k.dim)]
+            for b, j, t, c in s.m_k_action_exact:
+                action[b][j] += c * a[t]
+            for b in range(s.k.dim):
+                assert action[b] == list(
+                    g.coad_apply_exact(s.k.basis[:, b], p))
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
