@@ -5,7 +5,10 @@ evaluation of the vertical field goes through kernels.py and the
 structure's ``vertical_terms``: the vertical loop one momentum at a time,
 the lift's stage points and the fixed-point search on arrays. The work done
 per sample afterwards (H and Casimirs, the lift's propagators) runs on
-whole arrays.
+whole arrays, and so does the lift's product G_{i+1} = G_i Phi_i: blocked
+prefix products, chunk by chunk, with only the chunk ends chained in
+order. The fixed-point search runs Gauss-Newton on all its seeds at once,
+with one batched pseudo-inverse per iteration.
 
 CSV text is made per block of rows and its bytes are those of '%.17g' on
 every value. A column with one 64-bit pattern throughout the block is
@@ -22,9 +25,11 @@ import numpy as np
 from .hamiltonian import Momentum
 from .kernels import field_jacobian, field_rows, rk4_stage_points, vertical_rk4
 
-# Rows per block of CSV text, and steps per block of lift propagators.
+# Rows per block of CSV text, steps per block of lift propagators, and
+# propagators per chunk of the lift's prefix products (a power of two).
 CSV_BLOCK_ROWS = 512
 LIFT_BLOCK_STEPS = 1024
+LIFT_CHUNK = 64
 
 # -- CSV text: the bytes of '%.17g' % value, made over whole arrays ----------
 #
@@ -367,6 +372,33 @@ def closed_form_axisymmetric(p0: Momentum, t) -> Momentum:
     return Momentum(p, s)
 
 
+def _chained_products(g0, phi):
+    """g0 phi_0, g0 phi_0 phi_1, ..., g0 phi_0 ... phi_{m-1} for a stack phi
+    of m (r, r) matrices, as an (m, r, r) array.
+
+    The stack is cut into chunks of LIFT_CHUNK, the last padded with the
+    identity. Each chunk's inclusive prefix products take log2(LIFT_CHUNK)
+    doubling passes of batched matmul (Hillis-Steele); the chunk ends are
+    chained from g0 one at a time, and one batched matmul places every
+    chunk behind the end of the one before it.
+    """
+    m, r = phi.shape[0], phi.shape[1]
+    chunks = -(-m // LIFT_CHUNK)
+    prefix = np.empty((chunks * LIFT_CHUNK, r, r))
+    prefix[:m] = phi
+    prefix[m:] = np.eye(r)
+    prefix = prefix.reshape(chunks, LIFT_CHUNK, r, r)
+    shift = 1
+    while shift < LIFT_CHUNK:
+        prefix[:, shift:] = prefix[:, :-shift] @ prefix[:, shift:]
+        shift *= 2
+    heads = np.empty((chunks, 1, r, r))
+    heads[0, 0] = g0
+    for c in range(1, chunks):
+        heads[c, 0] = heads[c - 1, 0] @ prefix[c - 1, -1]
+    return (heads @ prefix).reshape(-1, r, r)[:m]
+
+
 def integrate_horizontal(traj: Trajectory) -> Trajectory:
     """Fill group_points by solving G' = G rho(dH(p(t))), G(0) = I.
 
@@ -374,8 +406,12 @@ def integrate_horizontal(traj: Trajectory) -> Trajectory:
     (p, G): the stage values of p are recomputed from the stored sample with
     the vertical field, so the lift is fourth order like the vertical flow.
     An RK4 step is linear in G, G_{i+1} = G_i Phi_i; the propagators Phi_i
-    are built for blocks of LIFT_BLOCK_STEPS steps at once, and only the
-    products G_i Phi_i run one step at a time.
+    are built for blocks of LIFT_BLOCK_STEPS steps at once, and each block's
+    G_i come from its prefix products (_chained_products): batched within
+    chunks of LIFT_CHUNK steps, chained one chunk end at a time. The
+    products associate differently from the step-by-step ones, so G differs
+    from them by rounding only (about 1e-13 relative to max |G| at 10 000
+    steps).
     """
     s = traj.structure
     if s.representation is None:
@@ -400,8 +436,7 @@ def integrate_horizontal(traj: Trajectory) -> Trajectory:
         k3 = a3 + 0.5 * h * (k2 @ a3)
         k4 = a4 + h * (k3 @ a4)
         phi = np.eye(r) + h / 6.0 * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
-        for i in range(start, stop):
-            np.matmul(gpts[i], phi[i - start], out=gpts[i + 1])
+        gpts[start + 1:stop + 1] = _chained_products(gpts[start], phi)
     return Trajectory(
         s, traj.times, traj.momenta, group_points=gpts,
         diagnostics=traj.diagnostics, aborted=traj.aborted,
@@ -445,55 +480,75 @@ def sample_momenta(structure, nsamples, rng):
     return (s.m_dual @ a)[:, :, 0]
 
 
+def _fixed_point_residuals(s, x):
+    """The fixed-point system at each row of x, as (B, n + 1 + dk): the
+    vertical field, H - 1/2 and the k-pairings. A row too large for floats
+    gives inf or NaN entries, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = 0.5 * np.einsum("bi,ij,bj->b", x, s.dmat, x) - 0.5
+        return np.concatenate(
+            [field_rows(s.vertical_terms, x), h[:, None], x @ s.k_basis_float],
+            axis=1)
+
+
+def _gauss_newton(s, seeds):
+    """Up to 60 Gauss-Newton steps of the fixed-point system from every
+    seed at once, each at most 1 long; returns the final states.
+
+    The step is -J^+ r, the minimum-norm least-squares solution that
+    lstsq(J, -r, rcond=None) gives, from one batched pseudo-inverse of the
+    stacked (B, n + 1 + dk, n) Jacobians with the same cutoff. A seed
+    leaves the batch once its residual is below 1e-14 in max norm, or once
+    its state or residual is not finite, so no non-finite row reaches the
+    pseudo-inverse.
+    """
+    x = np.array(seeds, dtype=float)
+    k_rows = s.k_basis_float.T
+    active = np.arange(len(x))
+    for _ in range(60):
+        p = x[active]
+        res = _fixed_point_residuals(s, p)
+        go = np.isfinite(p).all(axis=1) & np.isfinite(res).all(axis=1)
+        go[go] = np.max(np.abs(res[go]), axis=1) >= 1e-14
+        active, p, res = active[go], p[go], res[go]
+        if not len(active):
+            break
+        jac = np.concatenate(
+            [field_jacobian(s.vertical_terms, p), (p @ s.dmat.T)[:, None],
+             np.broadcast_to(k_rows, (len(p),) + k_rows.shape)], axis=1)
+        pinv = np.linalg.pinv(
+            jac, rcond=np.finfo(float).eps * max(jac.shape[1:]))
+        step = -(pinv @ res[:, :, None])[:, :, 0]
+        step /= np.maximum(np.linalg.norm(step, axis=1), 1.0)[:, None]
+        x[active] = p + step
+    return x
+
+
 def find_fixed_points(structure, samples, seed=0):
     """Fixed points of the vertical field on the level set H = 1/2.
 
-    Seeds are sampled momenta polished by Gauss-Newton on the stacked
-    system (vertical field, H - 1/2, k-pairings) with its exact Jacobian;
-    converged points are deduplicated by Euclidean distance.
+    Seeds are sampled momenta polished together by batched Gauss-Newton
+    (_gauss_newton) on the stacked system (vertical field, H - 1/2,
+    k-pairings) with its exact Jacobian. A polished seed is a fixed point
+    when it is finite, its field is below 1e-10, |H - 1/2| below 1e-9 and
+    its k-pairings below 1e-9. The points are sorted by their coordinates
+    rounded to 8 decimals, and a point is kept when it is more than 1e-6
+    from every point kept before it.
     """
     s = structure
-    rng = np.random.default_rng(seed)
-    seeds = sample_momenta(s, samples, rng)
-    kb = s.k_basis_float
-    terms = s.vertical_terms
-
-    def field(p):
-        return field_rows(terms, p[None])[0]
-
-    def residual(p):
-        parts = [field(p), [s.hamiltonian_value(p) - 0.5]]
-        if s.k.dim:
-            parts.append(kb.T @ p)
-        return np.concatenate([np.atleast_1d(np.asarray(x)) for x in parts])
-
-    def jacobian(p):  # H - 1/2 has gradient dH(p)
-        return np.concatenate(
-            [field_jacobian(terms, p), s.dH(p)[None, :], kb.T], axis=0)
-
-    found = []
-    for p in seeds:
-        x = p.copy()
-        for _ in range(60):
-            r = residual(x)
-            if np.linalg.norm(r, np.inf) < 1e-14:
-                break
-            dx, *_ = np.linalg.lstsq(jacobian(x), -r, rcond=None)
-            step_len = np.linalg.norm(dx)
-            if step_len > 1.0:
-                dx = dx / step_len
-            x = x + dx
-            if not np.all(np.isfinite(x)):
-                break
-        if not np.all(np.isfinite(x)):
-            continue
-        if np.linalg.norm(field(x), np.inf) < 1e-10 and \
-           abs(s.hamiltonian_value(x) - 0.5) < 1e-9 and \
-           (not s.k.dim or np.max(np.abs(kb.T @ x)) < 1e-9):
-            found.append(x)
-    found.sort(key=lambda v: tuple(np.round(v, 8)))
-    unique = []
-    for x in found:
-        if all(np.linalg.norm(x - y) > 1e-6 for y in unique):
-            unique.append(x)
-    return [Momentum(x, s) for x in unique]
+    n = s.dim
+    seeds = sample_momenta(s, samples, np.random.default_rng(seed))
+    x = _gauss_newton(s, seeds)
+    x = x[np.isfinite(x).all(axis=1)]
+    res = np.abs(_fixed_point_residuals(s, x))
+    x = x[(res[:, :n] < 1e-10).all(axis=1) & (res[:, n] < 1e-9)
+          & (res[:, n + 1:] < 1e-9).all(axis=1)]
+    x = x[sorted(range(len(x)), key=np.round(x, 8).tolist().__getitem__)]
+    dist = np.linalg.norm(x[:, None] - x[None], axis=2)
+    open_ = np.ones(len(x), dtype=bool)
+    kept = []
+    while open_.any():
+        i = int(np.argmax(open_))
+        kept.append(i)
+        open_ &= dist[i] > 1e-6
+    return [Momentum(p, s) for p in x[kept]]

@@ -5,7 +5,7 @@ few nonzero terms (j, a, k, coef) of f_j(p) = sum coef p_a p_k (at most 4 at
 n ≤ 6, 30 on free_step2_rank6). ``field_rows`` evaluates them on a (B, n)
 batch as (P[:, a] * P[:, k]) @ S, with the index arrays and the scatter
 matrix S built once per term tuple; ``field_jacobian`` reads the Jacobian
-off the same arrays.
+of one momentum or of a batch off the same arrays.
 
 ``vertical_rk4`` integrates one momentum. The terms become straight-line
 Python-float code for a block of RK4 steps, compiled once per distinct term
@@ -52,11 +52,15 @@ def field_rows(terms, p):
 
 
 def field_jacobian(terms, p):
-    """The (n, n) Jacobian of the field at one momentum p, read off its
-    terms: each adds coef p_k at (j, a) and coef p_a at (j, k)."""
-    n = len(p)
+    """The (n, n) Jacobian of the field at a momentum p of shape (n,), or
+    one per row of a (B, n) batch, read off its terms: each adds coef p_k
+    at (j, a) and coef p_a at (j, k)."""
+    n = p.shape[-1]
     pos, coef, src = _field_arrays(n, terms)[3:]
-    return np.bincount(pos, coef * p[src], n * n).reshape(n, n)
+    rows = p.reshape(-1, n)
+    flat = pos + n * n * np.arange(len(rows))[:, None]
+    return np.bincount(flat.ravel(), (coef * rows[:, src]).ravel(),
+                       rows.size * n).reshape(p.shape + (n,))
 
 
 def _rk4_block_source(n, terms):

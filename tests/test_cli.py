@@ -160,6 +160,29 @@ def test_integrate_horizontal_columns(tmp_path):
     assert "g_11" in header and "g_44" in header
 
 
+@pytest.mark.parametrize("name", [
+    name for name in srgo.list_models()
+    if srgo.load_model(name).structure.representation is not None])
+def test_integrate_horizontal_adds_only_the_g_columns(tmp_path, name):
+    # Past a CSV block boundary: the t, p, H and Casimir bytes of a lifted
+    # run are those of the same run without the lift.
+    s = srgo.load_model(name).structure
+    p0 = srgo.sample_momenta(s, 1, np.random.default_rng(4))[0]
+    args = ["integrate", "--model", name,
+            "--p0=" + ",".join(map(repr, p0.tolist())),
+            "--T", "0.6", "--step", "0.001"]
+    plain, lifted = tmp_path / "plain.csv", tmp_path / "lifted.csv"
+    assert run(args + ["--out", str(plain)]) == 0
+    assert run(args + ["--out", str(lifted), "--horizontal"]) == 0
+    plain_rows = plain.read_text().splitlines()
+    lifted_rows = lifted.read_text().splitlines()
+    assert len(plain_rows) == len(lifted_rows) == 602
+    r = s.representation[0].shape[0]
+    for a, b in zip(plain_rows, lifted_rows):
+        head, *g = b.rsplit(",", r * r)
+        assert head == a and len(g) == r * r
+
+
 def test_phase_portrait(tmp_path):
     out = tmp_path / "pp.csv"
     assert run([

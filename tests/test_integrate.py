@@ -16,8 +16,14 @@ from srgo import (
     integrate_vertical_batch,
     sample_momenta,
 )
-from srgo.integrate import CSV_BLOCK_ROWS, Trajectory, _csv_rows
-from srgo.kernels import CHECK_EVERY, field_jacobian, field_rows, vertical_rk4
+from srgo.integrate import CSV_BLOCK_ROWS, LIFT_CHUNK, Trajectory, _csv_rows
+from srgo.kernels import (
+    CHECK_EVERY,
+    field_jacobian,
+    field_rows,
+    rk4_stage_points,
+    vertical_rk4,
+)
 
 
 def _seed_momentum(structure, seed=0):
@@ -244,6 +250,90 @@ def test_fixed_points_rolling_sphere(models):
         assert np.max(np.abs(cross)) < 1e-7
 
 
+def _fixed_points_per_seed(s, samples, seed):
+    """Oracle: Gauss-Newton from one seed at a time with lstsq, then the
+    greedy deduplication, one point at a time."""
+    kb = s.k_basis_float
+    terms = s.vertical_terms
+
+    def residual(p):
+        return np.concatenate([field_rows(terms, p[None])[0],
+                               [s.hamiltonian_value(p) - 0.5], kb.T @ p])
+
+    def jacobian(p):
+        return np.concatenate(
+            [field_jacobian(terms, p), s.dH(p)[None, :], kb.T], axis=0)
+
+    found = []
+    for p in sample_momenta(s, samples, np.random.default_rng(seed)):
+        x = p.copy()
+        for _ in range(60):
+            r = residual(x)
+            if np.linalg.norm(r, np.inf) < 1e-14:
+                break
+            dx, *_ = np.linalg.lstsq(jacobian(x), -r, rcond=None)
+            step_len = np.linalg.norm(dx)
+            if step_len > 1.0:
+                dx = dx / step_len
+            x = x + dx
+            if not np.all(np.isfinite(x)):
+                break
+        if not np.all(np.isfinite(x)):
+            continue
+        r = residual(x)
+        if np.max(np.abs(r[:s.dim])) < 1e-10 and abs(r[s.dim]) < 1e-9 \
+                and np.all(np.abs(r[s.dim + 1:]) < 1e-9):
+            found.append(x)
+    found.sort(key=lambda v: tuple(np.round(v, 8)))
+    unique = []
+    for x in found:
+        if all(np.linalg.norm(x - y) > 1e-6 for y in unique):
+            unique.append(x)
+    return unique
+
+
+@pytest.mark.parametrize("name, samples", [
+    ("so3_generic", 200), ("so3_axisym", 100), ("heisenberg", 100),
+    ("cartan", 100)])
+def test_fixed_points_equal_the_per_seed_loop(models, name, samples):
+    s = models[name].structure
+    got = np.array([p.coords for p in find_fixed_points(s, samples, seed=3)])
+    want = np.array(_fixed_points_per_seed(s, samples, 3))
+    assert got.shape == want.shape and len(got)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_fixed_points_on_a_continuum_match_the_per_seed_count(models):
+    # rolling_sphere's fixed points form a continuum, on which rounding
+    # moves each seed's landing point a little: compare the count, and
+    # check each point against the conditions themselves.
+    s = models["rolling_sphere"].structure
+    got = np.array([p.coords for p in find_fixed_points(s, 100, seed=3)])
+    assert len(got) == len(_fixed_points_per_seed(s, 100, 3)) > 0
+    assert np.max(np.abs(field_rows(s.vertical_terms, got))) < 1e-10
+    h = 0.5 * np.einsum("bi,ij,bj->b", got, s.dmat, got)
+    assert np.max(np.abs(h - 0.5)) < 1e-9
+    assert np.all(np.abs(got @ s.k_basis_float) < 1e-9)
+
+
+def test_fixed_points_drop_non_finite_seeds_quietly(models, monkeypatch):
+    # A NaN seed, an infinite one and a finite one whose residual and
+    # Jacobian overflow leave the batch at once, with no RuntimeWarning (an
+    # error here) and no LinAlgError; the other seeds give the points they
+    # give alone.
+    s = models["so3_kp"].structure
+    seeds = sample_momenta(s, 40, np.random.default_rng(2))
+    alone = find_fixed_points(s, 40, seed=2)
+    bad = np.full((3, s.dim), 1.7e308)
+    bad[0, 0], bad[1, 1] = np.nan, np.inf
+    monkeypatch.setattr(srgo.integrate, "sample_momenta",
+                        lambda *args: np.concatenate([bad, seeds]))
+    got = find_fixed_points(s, 43, seed=2)
+    assert len(got) == len(alone) > 0
+    for p, q in zip(got, alone):
+        assert np.array_equal(p.coords, q.coords)
+
+
 def test_horizontal_lift(heisenberg):
     s = heisenberg.structure
     p0 = Momentum(np.array([1.0, 0, 1, 0]), s)
@@ -267,6 +357,66 @@ def test_horizontal_requires_representation(cartan):
     traj = integrate_vertical(p0, 0.1, 1e-3)
     with pytest.raises(ValueError):
         integrate_horizontal(traj)
+
+
+REPRESENTED = [name for name in srgo.list_models()
+               if srgo.load_model(name).structure.representation is not None]
+
+
+def _lift_sequential(traj):
+    """Oracle: the group points of the lift, with each RK4 propagator Phi_i
+    built one step at a time and G_{i+1} = G_i Phi_i multiplied in order."""
+    s = traj.structure
+    rho = np.stack(s.representation)
+    r = rho.shape[1]
+    gpts = np.empty((traj.n_samples, r, r))
+    gpts[0] = np.eye(r)
+    for i in range(traj.n_samples - 1):
+        h = traj.times[i + 1] - traj.times[i]
+        a1, a2, a3, a4 = (
+            np.einsum("a,aij->ij", s.dH(x[0]), rho)
+            for x in rk4_stage_points(s.vertical_terms,
+                                      traj.momenta[i:i + 1], h))
+        k2 = a2 + 0.5 * h * (a1 @ a2)
+        k3 = a3 + 0.5 * h * (k2 @ a3)
+        k4 = a4 + h * (k3 @ a4)
+        phi = np.eye(r) + h / 6.0 * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
+        gpts[i + 1] = gpts[i] @ phi
+    return gpts
+
+
+def _assert_lift_matches_oracle(traj):
+    got = integrate_horizontal(traj).group_points
+    want = _lift_sequential(traj)
+    assert got.shape == want.shape
+    assert np.array_equal(got[0], want[0])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# T = 2.537 crosses a block boundary and ends inside a chunk; T = 0.05 is
+# shorter than one chunk.
+@pytest.mark.parametrize("T", [10.0, 2.537, 0.05])
+@pytest.mark.parametrize("name", REPRESENTED)
+def test_lift_equals_the_sequential_product(models, name, T):
+    s = models[name].structure
+    p0 = Momentum(sample_momenta(s, 1, np.random.default_rng(11))[0], s)
+    traj = integrate_vertical(p0, T, 1e-3)
+    assert traj.n_samples == round(T / 1e-3) + 1
+    _assert_lift_matches_oracle(traj)
+
+
+def test_lift_of_one_sample_and_of_an_aborted_trajectory(models):
+    s = models["heisenberg"].structure
+    p0 = Momentum(sample_momenta(s, 1, np.random.default_rng(1))[0], s)
+    traj = integrate_vertical(p0, 1.0, 1e-3)
+    one = Trajectory(s, traj.times[:1], traj.momenta[:1],
+                     diagnostics={"H": traj.diagnostics["H"][:1]})
+    assert np.array_equal(integrate_horizontal(one).group_points,
+                          np.eye(4)[None])
+    # The momenta blow up after a few hundred steps, across several chunks.
+    aborted = integrate_vertical(Momentum(1e4 * p0.coords, s), 1.0, 1e-3)
+    assert aborted.aborted and 3 * LIFT_CHUNK < aborted.n_samples < 1001
+    _assert_lift_matches_oracle(aborted)
 
 
 def test_csv_format(heisenberg, tmp_path):
@@ -327,6 +477,16 @@ def test_field_jacobian_matches_central_differences(models, name):
             - field_rows(s.vertical_terms, steps[1])).T / (2 * h)
     assert np.allclose(field_jacobian(s.vertical_terms, p), diff,
                        rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", srgo.list_models())
+def test_field_jacobian_of_a_batch_is_each_row_s(models, name):
+    s = models[name].structure
+    p = np.random.default_rng(9).standard_normal((7, s.dim))
+    got = field_jacobian(s.vertical_terms, p)
+    assert got.shape == (7, s.dim, s.dim)
+    for row, jac in zip(p, got):
+        assert np.array_equal(jac, field_jacobian(s.vertical_terms, row))
 
 
 @pytest.mark.parametrize("name", srgo.list_models())
