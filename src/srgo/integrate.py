@@ -11,10 +11,12 @@ order. The fixed-point search runs Gauss-Newton on all its seeds at once,
 with one batched pseudo-inverse per iteration.
 
 CSV text is made per block of rows and its bytes are those of '%.17g' on
-every value. A column with one 64-bit pattern throughout the block is
-printed once and repeated; the other values get their 17 significant digits
-from a double-double product and their layout from numpy byte arithmetic,
-and '%.17g' itself prints those the product cannot certify.
+every value. Each run of adjacent columns that hold one 64-bit pattern
+throughout the block is printed once, as one segment of text, and repeated;
+the other values get their 17 significant digits from a double-double
+product and their layout from numpy byte arithmetic, and '%.17g' itself
+prints those the product cannot certify. A lift whose G overflows ends at
+its last finite G.
 """
 
 import functools
@@ -38,10 +40,12 @@ LIFT_CHUNK = 64
 # certify them. _layout writes the text of a certified value into a field
 # of four little-endian 64-bit words: word 0 holds the sign and the "0.000"
 # prefix of fixed notation below 1; words 1-3 hold the digits with the
-# point among them and then "e+XX". Bytes a value does not use hold the
-# filler byte 0, which one bytes.translate deletes from a block's text.
-# '%.17g' prints every other value into the same field; it never needs
-# more than 24 bytes. The last byte of a field is its separator.
+# point among them and then "e+XX". '%.17g' prints every other value into
+# the same field; it never needs more than 24 bytes. The last byte of a
+# field is its separator. A run of constant columns is instead one segment
+# of text, with its separators, padded to whole words (_csv_rows). Bytes
+# that no text uses hold the filler byte 0, which one bytes.translate
+# deletes from a block's text.
 _X_MIN, _X_MAX = -99, 99  # decimal exponents of the power table
 # The double-double |x| * 10^(16 - X) is within 5e-15 of the exact product
 # (about 3 * 2^-106 relative, plus one rounding of a sum below 32); a
@@ -205,30 +209,52 @@ def _value_fields(values):
 
 
 def _csv_rows(block, lead=""):
-    """CSV text of the rows of a 2-D float array: each row is ``lead``,
-    then its values as '%.17g' % value prints them, comma separated, then a
-    newline.
+    """CSV text of the rows of a non-empty 2-D float array: each row is
+    ``lead``, then its values as '%.17g' % value prints them, comma
+    separated, then a newline.
 
-    A column whose values have one 64-bit pattern is formatted once; the
-    others go through _digits17 and _layout. ``lead`` takes a field of its
-    own, so it may not be longer than 31 bytes.
+    A row is laid out once for the whole block as pieces of 64-bit words.
+    Each maximal run of columns whose values have one 64-bit pattern
+    becomes one segment of text, its values printed once with their
+    separators and ``lead`` in front of the row's first segment, zero-padded
+    to whole words and repeated down the rows. Each other column gets a
+    four-word field from _digits17 and _layout, its separator in the last
+    byte.
     """
     block = np.ascontiguousarray(block, dtype=float)
     nrow, ncol = block.shape
-    first = 1 if lead else 0
-    out = np.zeros((nrow, first + ncol, 4), np.uint64)
-    if lead:
-        out[:, 0] = _words([lead.encode("ascii")], 4)
-    cells = out[:, first:]
     bits = block.view(np.uint64)
     same = (bits == bits[0]).all(axis=0)
-    cells[:, same] = _printf_fields(block[0, same])
-    varied = block[:, ~same]
-    cells[:, ~same] = _value_fields(varied.ravel()).reshape(
-        nrow, varied.shape[1], 4)
-    sep = np.full(ncol, ord(","), np.uint64)
-    sep[-1] = ord("\n")
-    cells[:, :, 3] |= sep << 56
+    segments = []  # (word offset, words) of each segment
+    fields_at = []  # word offset of each varied column's field
+    width, text = 0, lead
+
+    def close_segment():
+        nonlocal width
+        if text:
+            words = _words([text.encode("ascii")], -(-len(text) // 8))[0]
+            segments.append((width, words))
+            width += len(words)
+
+    for c, value in enumerate(block[0].tolist()):
+        if same[c]:
+            text += "%.17g" % value + ("\n" if c == ncol - 1 else ",")
+            continue
+        close_segment()
+        text = ""
+        fields_at.append(width)
+        width += 4
+    close_segment()
+    out = np.zeros((nrow, width), np.uint64)
+    for at, words in segments:
+        out[:, at:at + len(words)] = words
+    if fields_at:
+        varied = np.flatnonzero(~same)
+        fields = _value_fields(block[:, varied].ravel()).reshape(
+            nrow, len(varied), 4)
+        fields[:, :, 3] |= np.where(varied == ncol - 1, ord("\n"),
+                                    ord(",")).astype(np.uint64) << 56
+        out[:, np.add.outer(fields_at, np.arange(4))] = fields
     return out.astype("<u8", copy=False).tobytes().translate(
         None, b"\0").decode("ascii")
 
@@ -411,7 +437,9 @@ def integrate_horizontal(traj: Trajectory) -> Trajectory:
     chunks of LIFT_CHUNK steps, chained one chunk end at a time. The
     products associate differently from the step-by-step ones, so G differs
     from them by rounding only (about 1e-13 relative to max |G| at 10 000
-    steps).
+    steps). Where G stops being finite (a trajectory that blows up), the
+    lift ends at the last sample with a finite G, without a warning, and
+    is flagged aborted.
     """
     s = traj.structure
     if s.representation is None:
@@ -423,23 +451,30 @@ def integrate_horizontal(traj: Trajectory) -> Trajectory:
     nsamp = traj.n_samples
     gpts = np.empty((nsamp, r, r))
     gpts[0] = np.eye(r)
+    keep = nsamp
     for start in range(0, nsamp - 1, LIFT_BLOCK_STEPS):
         stop = min(start + LIFT_BLOCK_STEPS, nsamp - 1)
         dt = np.diff(traj.times[start:stop + 1])[:, None]
-        a1, a2, a3, a4 = (
-            (x @ lift).reshape(-1, r, r)
-            for x in rk4_stage_points(terms, traj.momenta[start:stop], dt)
-        )
-        h = dt[:, :, None]
-        # G-stages k_i = G K_i: K1 = a1, K2 = a2 + h/2 K1 a2, ...
-        k2 = a2 + 0.5 * h * (a1 @ a2)
-        k3 = a3 + 0.5 * h * (k2 @ a3)
-        k4 = a4 + h * (k3 @ a4)
-        phi = np.eye(r) + h / 6.0 * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
-        gpts[start + 1:stop + 1] = _chained_products(gpts[start], phi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a1, a2, a3, a4 = (
+                (x @ lift).reshape(-1, r, r)
+                for x in rk4_stage_points(terms, traj.momenta[start:stop], dt)
+            )
+            h = dt[:, :, None]
+            # G-stages k_i = G K_i: K1 = a1, K2 = a2 + h/2 K1 a2, ...
+            k2 = a2 + 0.5 * h * (a1 @ a2)
+            k3 = a3 + 0.5 * h * (k2 @ a3)
+            k4 = a4 + h * (k3 @ a4)
+            phi = np.eye(r) + h / 6.0 * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
+            gpts[start + 1:stop + 1] = _chained_products(gpts[start], phi)
+        finite = np.isfinite(gpts[start + 1:stop + 1])
+        if not finite.all():
+            keep = start + 1 + int(np.argmin(finite.all(axis=(1, 2))))
+            break
     return Trajectory(
-        s, traj.times, traj.momenta, group_points=gpts,
-        diagnostics=traj.diagnostics, aborted=traj.aborted,
+        s, traj.times[:keep], traj.momenta[:keep], group_points=gpts[:keep],
+        diagnostics={k: v[:keep] for k, v in traj.diagnostics.items()},
+        aborted=traj.aborted or keep < nsamp,
     )
 
 
@@ -534,6 +569,13 @@ def find_fixed_points(structure, samples, seed=0):
     its k-pairings below 1e-9. The points are sorted by their coordinates
     rounded to 8 decimals, and a point is kept when it is more than 1e-6
     from every point kept before it.
+
+    Where the fixed points form continua (rolling_sphere and
+    free_step2_rank3 to rank6), the Jacobians are rank-deficient near the
+    pseudo-inverse's cutoff, so where a seed lands depends on the solver's
+    rounding. The count and the fixed-point conditions hold there, but the
+    coordinates are not a stable function of model and seed, and may differ
+    on another LAPACK build.
     """
     s = structure
     n = s.dim

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,29 @@ def test_integrate_overflowing_diagnostics_end_the_trajectory(tmp_path,
     assert "ABORTED" in err and "inf" not in err and "nan" not in err
     drift = float(err.split("H drift ")[1].split(",")[0])
     assert np.isfinite(drift)
+
+
+def test_integrate_horizontal_ends_where_the_lift_overflows(tmp_path,
+                                                          capsys):
+    # The lift overflows at t = 0.018 and the momenta at t = 0.34: the CSV
+    # ends at the last finite G, with no RuntimeWarning, and exits 3.
+    s = srgo.load_model("so3_kp").structure
+    p0 = 1e4 * srgo.sample_momenta(s, 1, np.random.default_rng(1))[0]
+    out = tmp_path / "g.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["integrate", "--model", "so3_kp", "--horizontal",
+                    "--p0=" + ",".join("%.17g" % x for x in p0),
+                    "--T", "1", "--step", "0.001", "--out", str(out)])
+    assert code == 3
+    header, *lines = out.read_text().splitlines()
+    assert header.split(",")[-25:] == [f"g_{i}{j}" for i in range(1, 6)
+                                       for j in range(1, 6)]
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines])
+    assert len(rows) == 18 and rows[-1, 0] == 0.017
+    assert np.isfinite(rows).all()
+    err = capsys.readouterr().err
+    assert "t reached 0.017" in err and "ABORTED" in err
 
 
 def test_integrate_start_with_overflowing_h_exits_2(capsys):

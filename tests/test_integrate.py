@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +420,37 @@ def test_lift_of_one_sample_and_of_an_aborted_trajectory(models):
     _assert_lift_matches_oracle(aborted)
 
 
+def test_lift_ends_at_the_last_finite_group_point(models):
+    # At |p| near 1e4 a step of 1e-3 puts the lift's RK4 far outside its
+    # stability region: G overflows at t = 0.018, long before the momenta
+    # do (t = 0.34). The lift ends at the last finite G, with no warning.
+    spec = models["so3_kp"]
+    s = spec.structure
+    p0 = 1e4 * sample_momenta(s, 1, np.random.default_rng(1))[0]
+    traj = integrate_vertical(Momentum(p0, s), 1.0, 1e-3,
+                              casimirs=spec.casimirs)
+    assert traj.aborted and traj.n_samples == 341
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lifted = integrate_horizontal(traj)
+    keep = lifted.n_samples
+    assert lifted.aborted and keep == 18
+    assert np.isfinite(lifted.group_points).all()
+    assert lifted.group_points.shape == (keep, 5, 5)
+    assert lifted.times.tobytes() == traj.times[:keep].tobytes()
+    assert lifted.momenta.tobytes() == traj.momenta[:keep].tobytes()
+    assert list(lifted.diagnostics) == list(traj.diagnostics)
+    for name, values in lifted.diagnostics.items():
+        assert values.tobytes() == traj.diagnostics[name][:keep].tobytes()
+    # The same trajectory cut before the overflow lifts to the same G.
+    cut = Trajectory(s, traj.times[:keep], traj.momenta[:keep],
+                     diagnostics={k: v[:keep]
+                                  for k, v in traj.diagnostics.items()})
+    again = integrate_horizontal(cut)
+    assert not again.aborted
+    assert again.group_points.tobytes() == lifted.group_points.tobytes()
+
+
 def test_csv_format(heisenberg, tmp_path):
     s = heisenberg.structure
     p0 = Momentum(np.array([1.0, 0, 1, 0]), s)
@@ -532,6 +564,133 @@ def test_kernel_overflowing_rows_abort_alone(models):
         assert np.array_equal(trajs[b].momenta, single)
 
 
+def _rk4_block_source_full_state(n, terms):
+    """The oracle's block: every term as coef * a * b with its coefficient
+    written out, and each step recorded as the full n-tuple."""
+    rows = {}
+    for j, a, k, coef in terms:
+        rows.setdefault(int(j), []).append((int(a), int(k), repr(float(coef))))
+    moving = sorted(rows)
+    state = ", ".join(f"p{j}" for j in range(n)) + ","
+
+    def field(slope, x):
+        for j in moving:
+            sums = " + ".join(
+                f"{coef} * {x(a)} * {x(k)}" for a, k, coef in rows[j])
+            yield f"        {slope}{j} = {sums}"
+
+    def stage(slope, scale):
+        for j in moving:
+            yield f"        x{j} = p{j} + {scale} * {slope}{j}"
+
+    def at_x(i):
+        return f"x{i}" if i in rows else f"p{i}"
+
+    lines = ["def block(p, h, count):",
+             f"    {state} = p",
+             "    h2 = 0.5 * h",
+             "    h6 = h / 6.0",
+             "    rows = []",
+             "    for _ in range(count):"]
+    lines += field("k1_", lambda i: f"p{i}")
+    lines += stage("k1_", "h2")
+    lines += field("k2_", at_x)
+    lines += stage("k2_", "h2")
+    lines += field("k3_", at_x)
+    lines += stage("k3_", "h")
+    lines += field("k4_", at_x)
+    lines += [f"        p{j} = p{j} + h6 * (k1_{j} + 2.0 * (k2_{j} + k3_{j})"
+              f" + k4_{j})" for j in moving]
+    lines += [f"        rows.append(({state}))", "    return rows", ""]
+    return "\n".join(lines)
+
+
+def _vertical_rk4_full_state(terms, p0, dt, nsteps):
+    """vertical_rk4 stepping, storing and checking all n components."""
+    namespace = {"__builtins__": {"range": range}}
+    exec(_rk4_block_source_full_state(len(p0), terms), namespace)
+    block = namespace["block"]
+    p = tuple(float(v) for v in p0)
+    out = np.zeros((nsteps + 1, len(p)))
+    out[0] = p
+    for start in range(0, nsteps, CHECK_EVERY):
+        stop = min(start + CHECK_EVERY, nsteps)
+        rows = block(p, float(dt), stop - start)
+        out[start + 1:stop + 1] = rows
+        bad = ~np.isfinite(out[start + 1:stop + 1]).all(axis=1)
+        if bad.any():
+            last = start + int(np.argmax(bad))
+            out[last + 1:stop + 1] = 0.0
+            return out, last
+        p = rows[-1]
+    return out, nsteps
+
+
+def _assert_kernel_matches_full_state(terms, p0, dt, nsteps):
+    got, last = vertical_rk4(terms, p0, dt, nsteps)
+    want, want_last = _vertical_rk4_full_state(terms, p0, dt, nsteps)
+    assert last == want_last
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return last
+
+
+@pytest.mark.parametrize("name", srgo.list_models())
+def test_kernel_equals_the_full_state_oracle(models, name):
+    # Sampled momenta, a start whose momenta overflow after a few hundred
+    # steps, one that overflows in the first step, and starts with a
+    # non-finite moving or fixed component; runs that end inside, at and
+    # just past a finiteness check.
+    s = models[name].structure
+    terms = s.vertical_terms
+    moving = sorted({j for j, _, _, _ in terms})
+    fixed = [i for i in range(s.dim) if i not in moving]
+    p0 = sample_momenta(s, 3, np.random.default_rng(12))
+    starts = list(p0) + [1e4 * p0[0], 1e200 * p0[1]]
+    for i, bad in [(moving[:1], np.inf), (fixed[-1:], np.nan),
+                   (fixed[:1], np.inf), (fixed[:1], -np.inf)]:
+        p = p0[2].copy()
+        p[i] = bad
+        starts.append(p)
+    for p in starts:
+        finite = bool(np.isfinite(p).all())
+        for nsteps in (0, 1, CHECK_EVERY - 1, CHECK_EVERY, CHECK_EVERY + 1,
+                       300):
+            last = _assert_kernel_matches_full_state(terms, p, 1e-2, nsteps)
+            if not finite:
+                assert last == 0
+    if fixed:
+        p = p0[0].copy()
+        p[fixed[0]] = np.nan
+        assert vertical_rk4(terms, p, 1e-2, 5)[1] == 0
+
+
+def test_kernel_overflowing_rows_equal_the_full_state_oracle(models):
+    terms = models["so3_generic"].structure.vertical_terms
+    for p0 in ([1.0, 0.3, 0.8], [1e308, 1e308, 1e308], [0.2, -1.0, 0.5],
+               [2724.9, 2 * 2724.9, 3 * 2724.9]):
+        _assert_kernel_matches_full_state(terms, np.array(p0), 1e-3, 200)
+
+
+def _random_terms(n):
+    """Field terms (j, a, k, coef) with a <= k on n components."""
+    term = st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, n - 1),
+        st.sampled_from([1.0, -1.0, 0.5, -2.5, 3.0]),
+    ).map(lambda t: (t[0], min(t[1], t[2]), max(t[1], t[2]), t[3]))
+    return st.lists(term, min_size=0, max_size=8).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    _random_terms(n),
+    st.lists(st.floats(-3, 3), min_size=n, max_size=n))))
+def test_kernel_equals_the_full_state_oracle_on_any_terms(case):
+    # Terms in any order, a negative coefficient first or later; large
+    # momenta blow up and must abort at the same sample.
+    terms, p0 = case
+    _assert_kernel_matches_full_state(terms, np.array(p0), 0.05, 70)
+
+
 def test_model_file_structure_integrates_like_the_reference(tmp_path):
     # A metric no bundled model has, so its field compiles a step of its own.
     data = srgo.load_model("so3_generic").to_dict()
@@ -627,9 +786,10 @@ def test_csv_bytes_match_per_value_formatter(models, tmp_path):
     assert b",-0,-0,nan\n" in path.read_bytes()
 
 
-def _csv_rows_reference(block):
-    """The rows of ``block`` with each value printed by '%.17g'."""
-    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+def _csv_rows_reference(block, lead=""):
+    """The rows of ``block`` with each value printed by '%.17g', each row
+    after ``lead``."""
+    row = lead + ",".join(["%.17g"] * block.shape[1]) + "\n"
     return (row * block.shape[0]) % tuple(block.ravel().tolist())
 
 
@@ -688,3 +848,59 @@ def test_csv_rows_do_not_trust_log10(monkeypatch, shift):
 def test_csv_rows_match_printf_on_any_floats(xs):
     # Two distinct values keep the column off the constant-column path.
     _assert_csv_rows_match(np.array(xs + [1.0, 2.0]), width=1)
+
+
+_LEADS = ["", "arrow,", "trajectory,", "a lead of more than thirty-two bytes,"]
+
+
+def _segment_block(pattern, nrow, rng):
+    """A block with one column per letter of ``pattern``: ``c`` a constant
+    column of random normal values, ``v`` a varied one."""
+    cols = [np.full(nrow, rng.standard_normal()) if kind == "c"
+            else rng.standard_normal(nrow) for kind in pattern]
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("lead", _LEADS)
+@pytest.mark.parametrize("pattern", [
+    "ccvvv", "vvcccvv", "vvvcc",  # a constant run at the start, middle, end
+    "cvcvc", "vcccccccv", "cccccc", "vvvvvv", "c", "v",
+])
+def test_csv_rows_lay_out_constant_runs_as_segments(pattern, lead):
+    rng = np.random.default_rng(len(pattern))
+    for nrow in (1, 2, 7):  # a 1-row block is all constant
+        block = _segment_block(pattern, nrow, rng)
+        assert _csv_rows(block, lead) == _csv_rows_reference(block, lead)
+
+
+@pytest.mark.parametrize("lead", _LEADS)
+def test_csv_rows_segments_of_special_values(lead):
+    # Constant nan, inf, -inf, -0.0, 0.0 and the least subnormal, runs far
+    # longer than 32 bytes of text, and a column holding both 0.0 and -0.0:
+    # equal values but different bits, so it is varied.
+    nrow = 9
+    signed_zeros = np.where(np.arange(nrow) % 2, 0.0, -0.0)
+    third = np.full(nrow, 1 / 3)
+    cols = [np.full(nrow, v) for v in (np.nan, np.inf, -np.inf, -0.0, 0.0,
+                                       5e-324, -5e-324)]
+    cols += [signed_zeros] + [third] * 6 + [np.arange(nrow) / 7, third]
+    block = np.stack(cols, axis=1)
+    text = _csv_rows(block, lead)
+    assert text == _csv_rows_reference(block, lead)
+    assert text.startswith(lead + "nan,inf,-inf,-0,0,4.9406564584124654e-324,"
+                           "-4.9406564584124654e-324,-0,")
+    assert text.splitlines()[1].startswith(lead + "nan,inf,-inf,-0,0,"
+                                           "4.9406564584124654e-324,"
+                                           "-4.9406564584124654e-324,0,")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.floats()), min_size=1,
+                max_size=12),
+       st.integers(1, 6), st.sampled_from(_LEADS))
+def test_csv_rows_match_printf_on_any_run_of_constant_columns(columns, nrow,
+                                                              lead):
+    # Each column is one value repeated, or that value and then 1.5.
+    block = np.array([[x if constant or i == 0 else 1.5 for constant, x
+                       in columns] for i in range(nrow)])
+    assert _csv_rows(block, lead) == _csv_rows_reference(block, lead)
