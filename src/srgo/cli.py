@@ -158,6 +158,7 @@ def cmd_integrate(args):
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    vertical = traj
     if args.horizontal and s.representation is not None:
         traj = integrate_horizontal(traj)
     if not _emit(traj.csv_chunks(), args.out):
@@ -165,11 +166,19 @@ def cmd_integrate(args):
     drifts = ", ".join(
         f"{k}={v:.3e}" for k, v in sorted(traj.casimir_drifts().items())
     )
+    if traj.n_samples < vertical.n_samples:
+        # The lift's RK4 step can overflow G where the momenta stay finite
+        # (an unstable step on a fast rotation), so say which one stopped.
+        abort = ", ABORTED (the horizontal lift overflowed; " + (
+            f"the vertical flow blows up at t {vertical.times[-1]:.6g})"
+            if vertical.aborted else "a smaller --step may carry it)")
+    else:
+        abort = ", ABORTED (blow-up)" if traj.aborted else ""
     print(
         f"{spec.name}: t reached {traj.times[-1]:.6g}, "
         f"H drift {traj.h_drift():.3e}"
         + (f", {drifts}" if drifts else "")
-        + (", ABORTED (blow-up)" if traj.aborted else ""),
+        + abort,
         file=sys.stderr,
     )
     return EXIT_BLOWUP if traj.aborted else EXIT_OK

@@ -23,7 +23,7 @@ and only the rest go through the batched SVD of
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -167,12 +167,22 @@ def _bracket_on_m(f, adot):
 
     ``adot`` is ``_m_vertical_field``; the result is the polynomial that
     bracketing F(m_basis^T p) with H on g* and setting p = m_dual a gives.
+    It is summed term by term into one dict, with no derivative
+    polynomials built: each term c1 a^m1 of F with exponent e > 0 at r
+    and each term c2 a^m2 of adot_r add c1 e c2 at a^(m1 - e_r + m2), in
+    int arithmetic wherever the coefficients are integral.
     """
-    out = defaultdict(Fraction)  # one dict: Polynomial.__add__ copies its terms
-    for r, a in enumerate(adot):
-        for m1, c1 in f.diff(r).terms.items():
-            for m2, c2 in a.terms.items():
-                out[tuple(x + y for x, y in zip(m1, m2))] += c1 * c2
+    adot_terms = [list(a.terms.items()) for a in adot]
+    out = defaultdict(int)
+    for m1, c1 in f.terms.items():
+        for r, e in enumerate(m1):
+            if not e or not adot_terms[r]:
+                continue
+            base = list(m1)
+            base[r] -= 1
+            ce = c1 * e
+            for m2, c2 in adot_terms[r]:
+                out[tuple(map(add, base, m2))] += ce * c2
     return Polynomial(f.nvars, out)
 
 

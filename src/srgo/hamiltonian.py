@@ -60,7 +60,8 @@ def hamiltonian_polynomial(structure) -> Polynomial:
     for i in range(n):
         for j in range(i, n):
             c = d[i, j] if i == j else d[i, j] + d[j, i]
-            c = Fraction(c) / 2
+            # c / 2 is integral only when c is an even int.
+            c = c // 2 if type(c) is int and not c % 2 else Fraction(c, 2)
             if c:
                 mono = [0] * n
                 mono[i] += 1

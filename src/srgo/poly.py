@@ -1,14 +1,19 @@
 """Multivariate polynomials on the dual of a Lie algebra.
 
-Coefficients are exact ``Fraction``s; exponent multi-indices are tuples of
-length ``nvars``. Used for Casimirs, invariant bases and the Lie-Poisson
-bracket, all of which need exact zero tests.
+Coefficients are exact and held as ``exactla`` holds its values: an int
+when integral, a ``Fraction`` otherwise, normalised when a polynomial is
+built, so that the common integral case runs in int arithmetic. Division
+is the one operation that goes through ``Fraction``. Exponent
+multi-indices are tuples of length ``nvars``. Used for Casimirs, invariant
+bases and the Lie-Poisson bracket, all of which need exact zero tests.
 """
 
 import ast
 from fractions import Fraction
 
 import numpy as np
+
+from .exactla import _int_or_fraction
 
 
 class Polynomial:
@@ -21,8 +26,8 @@ class Polynomial:
         self.terms = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                c = _int_or_fraction(c)
+                if c:
                     self.terms[tuple(mono)] = c
 
     @classmethod
@@ -49,7 +54,7 @@ class Polynomial:
         other = self._coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
+            s = out.get(m, 0) + c
             if s:
                 out[m] = s
             elif m in out:
@@ -70,13 +75,13 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            c = Fraction(other)
+            c = _int_or_fraction(other)
             return Polynomial(self.nvars, {m: v * c for m, v in self.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, Fraction(0)) + c1 * c2
+                s = out.get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 elif m in out:
@@ -149,14 +154,16 @@ class Polynomial:
         return float(total) if p.ndim == 1 else total
 
     def eval_exact(self, p):
-        total = Fraction(0)
+        """Exact value at p, normalised as the coefficients are."""
+        p = [_int_or_fraction(x) for x in p]
+        total = 0
         for m, c in self.terms.items():
             v = c
             for i, e in enumerate(m):
                 if e:
-                    v *= Fraction(p[i]) ** e
+                    v *= p[i] ** e
             total += v
-        return total
+        return _int_or_fraction(total)
 
     def __repr__(self):
         if not self.terms:
@@ -219,8 +226,9 @@ _ALLOWED_NODES = (
 def poly_from_string(text, nvars):
     """Parse expressions like ``"0.5*p3^2 + p1*p5 - p2*p4"``.
 
-    Variables are p1..pn; '^' is accepted for powers; numeric literals are
-    read exactly as fractions.
+    Variables are p1..pn; '^' is accepted for powers, with a non-negative
+    integer exponent; numeric literals are read exactly, as ints when
+    integral and as fractions otherwise.
     """
     tree = ast.parse(text.replace("^", "**"), mode="eval")
     for node in ast.walk(tree):
@@ -231,7 +239,9 @@ def poly_from_string(text, nvars):
         if isinstance(node, ast.Expression):
             return ev(node.body)
         if isinstance(node, ast.Constant):
-            return Polynomial.constant(nvars, Fraction(str(node.value)))
+            v = node.value
+            return Polynomial.constant(
+                nvars, v if type(v) is int else Fraction(str(v)))
         if isinstance(node, ast.Name):
             if not node.id.startswith("p"):
                 raise ValueError(f"unknown symbol {node.id!r}")
@@ -253,11 +263,17 @@ def poly_from_string(text, nvars):
             if isinstance(node.op, ast.Div):
                 if right.degree() > 0:
                     raise ValueError("division by non-constant")
-                return left * (Fraction(1) / right.terms[(0,) * nvars])
+                c = right.terms.get((0,) * nvars, 0)
+                if not c:
+                    raise ValueError("division by zero")
+                return left * (Fraction(1) / c)
             if isinstance(node.op, ast.Pow):
                 if right.degree() > 0:
                     raise ValueError("non-constant exponent")
-                return left ** int(right.terms.get((0,) * nvars, 0))
+                e = right.terms.get((0,) * nvars, 0)
+                if type(e) is not int:
+                    raise ValueError("non-integral exponent")
+                return left ** e
         raise ValueError("unsupported expression")
 
     return ev(tree)

@@ -156,6 +156,40 @@ def test_integrate_horizontal_ends_where_the_lift_overflows(tmp_path,
     assert np.isfinite(rows).all()
     err = capsys.readouterr().err
     assert "t reached 0.017" in err and "ABORTED" in err
+    # Both stop, the lift first: the line names the lift and the time at
+    # which the vertical flow itself blows up.
+    assert "horizontal lift overflowed" in err
+    assert "vertical flow blows up at t 0.34" in err
+
+
+@pytest.mark.parametrize("step, code", [("0.001", 3), ("0.0001", 0)])
+def test_integrate_says_when_only_the_lift_stopped(tmp_path, capsys, step,
+                                                   code):
+    # The momenta are constant (H drift 0) but at step 1e-3 the lift's RK4
+    # step is unstable, h |rho(dH(p))| ~ 7.07 > 2 sqrt 2, and G overflows
+    # at t = 0.155; at step 1e-4 the lift reaches T. Only stderr says
+    # which one stopped: the CSV is the vertical flow's, up to the cut.
+    s = srgo.load_model("biinvariant_compact").structure
+    p0 = 1e4 * srgo.sample_momenta(s, 1, np.random.default_rng(1))[0]
+    args = ["integrate", "--model", "biinvariant_compact",
+            "--p0=" + ",".join("%.17g" % x for x in p0), "--T", "1",
+            "--step", step]
+    out, plain = tmp_path / "g.csv", tmp_path / "p.csv"
+    assert run(args + ["--horizontal", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "H drift 0.000e+00" in err
+    assert run(args + ["--out", str(plain)]) == 0
+    lifted, vertical = (f.read_text().splitlines() for f in (out, plain))
+    width = len(vertical[0].split(","))
+    assert [line.split(",")[:width] for line in lifted] == \
+        [line.split(",") for line in vertical[:len(lifted)]]
+    if code:
+        assert "t reached 0.155" in err
+        assert ("ABORTED (the horizontal lift overflowed; a smaller --step "
+                "may carry it)") in err
+    else:
+        assert "t reached 1," in err and "ABORTED" not in err
+        assert len(lifted) == len(vertical)
 
 
 def test_integrate_start_with_overflowing_h_exits_2(capsys):

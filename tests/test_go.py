@@ -126,6 +126,12 @@ def test_sparse_invariant_basis_equals_rref_basis(invariant_basis, models,
         {d: [repr(p) for p in ps] for d, ps in want.items()}
 
 
+# The bundled models with n <= 6: every one but free_step2_rank3..rank6.
+SMALL_MODELS = ["biinvariant_compact", "cartan", "free_step2_rank2",
+                "heisenberg", "rolling_sphere", "sl2_axisym", "sl2_kp",
+                "so3_axisym", "so3_generic", "so3_kp"]
+
+
 def _bracket_through_g(s, f):
     """{H, F} the long way: F(m_basis^T p) bracketed with H on g*, then
     restricted to p = m_dual a."""
@@ -136,7 +142,7 @@ def _bracket_through_g(s, f):
 
 @pytest.mark.parametrize("name, cap", [
     (name, 4) for name in srgo.list_models()
-] + [("cartan", 6), ("rolling_sphere", 6)])
+] + [(name, 6) for name in SMALL_MODELS])
 def test_m_bracket_equals_g_coordinate_chain(invariant_basis, models, name,
                                              cap):
     s = models[name].structure

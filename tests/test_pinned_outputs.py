@@ -5,6 +5,9 @@ held as ints. They pin the bytes of ``validate``, ``exist`` and
 ``go --seed 0`` (JSON), of the file ``ModelSpec.save`` writes and of the
 reprs of the degree-4 invariant basis, so that an int where a Fraction used
 to be (``repr(Fraction(3))`` is not ``repr(3)``) cannot change any output.
+``go --degree-cap 6`` is pinned too on the models that take the enumeration
+route; those digests were taken before polynomial coefficients were held
+as ints.
 """
 
 import hashlib
@@ -117,6 +120,20 @@ DIGESTS = {
 }
 
 
+# model -> go --degree-cap 6 --seed 0, on the four models with no tangency
+# witness, where go enumerates invariants up to the cap and brackets each.
+GO6_DIGESTS = {
+    "biinvariant_compact":
+        "82eb35a0a2ac4db4f89843c8722e67f470edfac6286c7adb3c2294fd1776fe5a",
+    "cartan":
+        "6fbf39775cff041ae324343e98f766fee6957b26a20ef003ea67c7dd1d8ae2de",
+    "rolling_sphere":
+        "37d8f30a97e33ee7e39e5b3ffac8f9587295cd11bbbb4ae8573c7d6c00c46360",
+    "so3_generic":
+        "3072cb96846aadcb2c007127ac967acec303af6d7b694544496ccb166a1d7d30",
+}
+
+
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
@@ -139,3 +156,14 @@ def test_outputs_match_their_pinned_digests(name, models, invariant_basis,
     polys = invariant_basis(name, 4).polynomials
     got.append(_sha256(("\n".join(map(repr, polys)) + "\n").encode()))
     assert tuple(got) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GO6_DIGESTS))
+def test_enumeration_route_matches_its_pinned_digest_at_cap_6(name,
+                                                              witnesses,
+                                                              tmp_path):
+    assert witnesses[name] is None  # the enumeration route, not the witness
+    out = tmp_path / "go6.json"
+    cli.main(["go", "--degree-cap", "6", "--seed", "0", "--model", name,
+              "--out", str(out)])
+    assert _sha256(out.read_bytes()) == GO6_DIGESTS[name]

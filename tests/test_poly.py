@@ -6,16 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srgo import invariant_polynomials
+from srgo import hamiltonian_polynomial, invariant_polynomials
+from srgo.go import _bracket_on_m, _m_vertical_field
+from srgo.hamiltonian import lie_poisson_bracket
 from srgo.poly import Polynomial, monomials_of_degree, poly_from_string
 
 
 def small_polys(nvars=3, max_terms=4):
+    """Coefficients of every kind a caller may pass: ints, and Fractions
+    that are integral or not."""
     mono = st.tuples(*[st.integers(0, 3) for _ in range(nvars)])
-    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    coeff = st.one_of(
+        st.integers(-4, 4),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3))
     return st.dictionaries(mono, coeff, max_size=max_terms).map(
         lambda t: Polynomial(nvars, t)
     )
+
+
+def _all_normalised(normalised, *polys):
+    return all(normalised(c) for p in polys for c in p.terms.values())
 
 
 def test_basic_arithmetic():
@@ -49,6 +59,28 @@ def test_parser():
         poly_from_string("q1 + 1", 2)
 
 
+def test_parser_reads_integral_literals_as_ints(normalised):
+    p = poly_from_string("2.0*p1 + 4/2*p2 - 6/4*p3 + 0.25 + p1^2/3", 3)
+    assert p.terms == {(1, 0, 0): 2, (0, 1, 0): 2, (0, 0, 1): Fraction(-3, 2),
+                       (0, 0, 0): Fraction(1, 4), (2, 0, 0): Fraction(1, 3)}
+    assert _all_normalised(normalised, p)
+    assert type(p.terms[1, 0, 0]) is int and type(p.terms[0, 1, 0]) is int
+    assert p.eval_exact([3, 1, Fraction(1, 6)]) == 11
+    assert type(p.eval_exact([3, 1, Fraction(1, 6)])) is int
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p1^(1/2)", "non-integral exponent"),
+    ("p1^p2", "non-constant exponent"),
+    ("p1/0", "division by zero"),
+    ("p1/(p2 - p2)", "division by zero"),
+    ("p1/p2", "division by non-constant"),
+])
+def test_parser_rejects_what_is_not_a_polynomial(text, message):
+    with pytest.raises(ValueError, match=message):
+        poly_from_string(text, 2)
+
+
 def test_monomials_of_degree():
     monos = monomials_of_degree(3, 2)
     assert len(monos) == 6
@@ -64,6 +96,22 @@ def test_ring_axioms(p, q, r):
     assert (p * q) == (q * p)
     assert (p * (q + r)) == (p * q + p * r)
     assert ((p + q) + r) == (p + (q + r))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys(), small_polys(),
+       st.one_of(st.integers(-3, 3),
+                 st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+       st.integers(0, 3))
+def test_coefficients_stay_normalised(normalised, p, q, c, k):
+    # An int when integral, a Fraction otherwise: never a float, never an
+    # integral Fraction, whatever mix of the two went in.
+    outs = [p, q, p + q, p - q, -p, p * q, p ** k, p * c, c * p, p + c,
+            c - p, *(p.diff(i) for i in range(p.nvars))]
+    if c:
+        outs += [p / c, p / Fraction(c)]
+    assert _all_normalised(normalised, *outs)
+    assert all(0 not in f.terms.values() for f in outs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -120,3 +168,24 @@ def test_evaluation_leaves_no_garbage_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_bundled_polynomials_hold_normalised_coefficients(models,
+                                                          invariant_basis,
+                                                          normalised):
+    # Every polynomial the library builds on the bundled models: Casimirs as
+    # parsed, H on g*, the degree-4 invariants on m*, their m*-brackets and
+    # the Lie-Poisson brackets of H with the Casimirs and coordinates.
+    for name, spec in models.items():
+        s = spec.structure
+        n = s.dim
+        h = hamiltonian_polynomial(s)
+        invariants = invariant_basis(name, 4).polynomials
+        adot = _m_vertical_field(s)
+        polys = [h, *spec.casimirs.values(), *invariants, *adot]
+        polys += [_bracket_on_m(f, adot) for f in invariants]
+        polys += [lie_poisson_bracket(h, f, s.algebra)
+                  for f in spec.casimirs.values()]
+        polys += [lie_poisson_bracket(Polynomial.coordinate(n, i), h,
+                                      s.algebra) for i in range(min(n, 6))]
+        assert _all_normalised(normalised, *polys), name
