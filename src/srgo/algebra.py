@@ -2,16 +2,16 @@
 
 The structure constants are stored once, as their nonzero entries: a COO
 list (i, j, k, c) of exact rationals (ints where integral, as everywhere in
-the exact layer; see ``exactla``), grouped by i. The float tensor the
-kernels use and the dense exact view are both derived from it, and every
-exact loop (brackets, ad and coad matrices, the Killing form, the
-antisymmetry and Jacobi checks) runs over the nonzeros only. All
-structural checks (antisymmetry, Jacobi, reductivity, bracket generation)
-run in exact arithmetic. Every exact bracket is one contraction of two
-bases, ``LieAlgebra.brackets``; a homogeneous structure contracts dH's
-matrix and the k basis with the identity, once, into the vertical field and
-the k action, which every other module reads. A ``Subspace`` reads
-membership off its canonical form, with no solve.
+the exact layer; see ``exactla``), grouped by i. Their float mirror (the
+same nonzeros as index and value arrays) and the dense exact view are both
+derived from it, and every exact loop (brackets, ad and coad matrices,
+the Killing form, the antisymmetry and Jacobi checks) runs over the
+nonzeros only. All structural checks (antisymmetry, Jacobi, reductivity,
+bracket generation) run in exact arithmetic. Every exact bracket is one
+contraction of two bases, ``LieAlgebra.brackets``; a homogeneous structure
+contracts dH's matrix and the k basis with the identity, once, into the
+vertical field and the k action, which every other module reads. A
+``Subspace`` reads membership off its canonical form, with no solve.
 """
 
 from collections import defaultdict
@@ -65,6 +65,11 @@ def _float_matrix(a, what):
         raise ValueError(f"{what} has entries beyond the float range") from None
 
 
+def _scatter(index, values, size):
+    """out[index[t]] += values[t] over a float zero vector of length size."""
+    return np.bincount(index, values, size).astype(float, copy=False)
+
+
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by its structure constants.
 
@@ -74,7 +79,9 @@ class LieAlgebra:
     of (j, k, c) sorted by (j, k), with c exact: an int when it is
     integral, else a Fraction. Integral constants are the common case, and
     every exact loop over them then runs in int arithmetic, which is
-    several times cheaper than Fraction's.
+    several times cheaper than Fraction's. ``coo_index`` (3, nnz) and
+    ``coo_float`` (nnz,) are the same nonzeros in float, for the float
+    ``bracket``, ``ad_matrix`` and ``coad_apply``.
     """
 
     def __init__(self, dim, constants, labels=None):
@@ -98,9 +105,10 @@ class LieAlgebra:
             if v:
                 rows[i].append((j, k, v))
         self.by_i = tuple(tuple(sorted(row)) for row in rows)
-        self.c_float = np.zeros((dim, dim, dim))
-        for i, j, k, v in _float_terms(self.coo, "the bracket"):
-            self.c_float[i, j, k] = v
+        terms = _float_terms(self.coo, "the bracket")
+        self.coo_index = np.array([t[:3] for t in terms],
+                                  dtype=np.intp).reshape(-1, 3).T
+        self.coo_float = np.array([t[3] for t in terms])
 
     @classmethod
     def from_brackets(cls, dim, brackets, labels=None):
@@ -140,7 +148,8 @@ class LieAlgebra:
         b = np.asarray(b, dtype=float)
         if a.shape != (self.dim,) or b.shape != (self.dim,):
             raise ValueError("dimension mismatch")
-        return np.einsum("i,j,ijk->k", a, b, self.c_float)
+        i, j, k = self.coo_index
+        return _scatter(k, a[i] * b[j] * self.coo_float, self.dim)
 
     def brackets(self, a, b=None):
         """Every bracket [A_r, B_s] of a column of ``a`` with one of ``b``.
@@ -183,7 +192,9 @@ class LieAlgebra:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError("dimension mismatch")
-        return np.einsum("i,ijk->kj", x, self.c_float)
+        n = self.dim
+        i, j, k = self.coo_index
+        return _scatter(k * n + j, x[i] * self.coo_float, n * n).reshape(n, n)
 
     def ad_matrix_exact(self, x):
         """Exact ad x, column j [x, e_j]: ``brackets`` of x with the
@@ -201,7 +212,8 @@ class LieAlgebra:
         p = np.asarray(p, dtype=float)
         if x.shape != (self.dim,) or p.shape != (self.dim,):
             raise ValueError("dimension mismatch")
-        return np.einsum("i,ijk,k->j", x, self.c_float, p)
+        i, j, k = self.coo_index
+        return _scatter(j, x[i] * self.coo_float * p[k], self.dim)
 
     def coad_apply_exact(self, x, p):
         p = dict(_nonzero_items(p, self.dim))
@@ -287,11 +299,6 @@ class ValidationReport:
     @property
     def ok(self):
         return not self.violations
-
-    def merged(self, other):
-        out = ValidationReport()
-        out.violations = self.violations + other.violations
-        return out
 
     def __repr__(self):
         return "valid" if self.ok else "; ".join(self.violations)
@@ -438,11 +445,11 @@ class HomogeneousSRStructure:
         self.delta = delta
         self.metric = fmat(metric)
         self.grading = grading
-        self.representation = (
-            [np.asarray(r, dtype=float) for r in representation]
-            if representation is not None
-            else None
-        )
+        try:
+            self.representation = None if representation is None else [
+                np.asarray(r, dtype=float) for r in representation]
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("representation must be a list of matrices") from None
         self.isotropy_exact = isotropy_exact
         self.isotropy_connected = isotropy_connected
         self.kappa = kappa
@@ -574,9 +581,9 @@ class HomogeneousSRStructure:
             report.add("delta (with k) is not bracket generating")
 
         if self.grading is not None:
-            report = report.merged(self._validate_grading())
+            report.violations += self._validate_grading().violations
         if self.representation is not None:
-            report = report.merged(self._validate_representation())
+            report.violations += self._validate_representation().violations
         return report
 
     def _validate_grading(self):
@@ -609,12 +616,19 @@ class HomogeneousSRStructure:
         if len(rho) != g.dim:
             report.add("representation must provide one matrix per basis vector")
             return report
-        for i, row in enumerate(g.by_i):
-            for j in range(i + 1, g.dim):
-                comm = rho[i] @ rho[j] - rho[j] @ rho[i]
-                target = sum(float(c) * rho[k] for jj, k, c in row if jj == j)
-                if np.max(np.abs(comm - target)) > 1e-10:
-                    report.add(f"representation not bracket-compatible at ({i + 1},{j + 1})")
+        r = rho[0].shape[0] if rho[0].ndim else 0
+        if any(m.shape != (r, r) for m in rho) or not np.isfinite(rho).all():
+            report.add("representation matrices must be finite, square and "
+                       "of one shape")
+            return report
+        # A product of finite entries can overflow: the NaN fails the test.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, row in enumerate(g.by_i):
+                for j in range(i + 1, g.dim):
+                    comm = rho[i] @ rho[j] - rho[j] @ rho[i]
+                    target = sum(float(c) * rho[k] for jj, k, c in row if jj == j)
+                    if not np.max(np.abs(comm - target)) <= 1e-10:
+                        report.add(f"representation not bracket-compatible at ({i + 1},{j + 1})")
         return report
 
     def dH(self, p):

@@ -4,6 +4,12 @@ Subcommands: validate, integrate, check, go, exist. Machine-readable
 output (JSON or CSV) goes to --out or standard output; human summaries go
 to standard error. Identical configuration and seed produce byte-identical
 output files.
+
+Each ``cmd_<name>(spec, args)`` does only its own work and returns
+(output, summary, exit code): the JSON text or CSV chunks, and the stderr
+text after "<model>: ". ``main`` loads the model, runs the command,
+writes the output and prints the summary, and turns bad input into
+``error: ...`` with exit 2.
 """
 
 import argparse
@@ -16,12 +22,7 @@ import numpy as np
 from .existence import construct_homogeneous_geodesic, verify_eigenconstruction
 from .go import go_verdict
 from .hamiltonian import Momentum
-from .homogeneity import (
-    HOMOGENEOUS,
-    INCONCLUSIVE,
-    NOT_HOMOGENEOUS,
-    check_homogeneous,
-)
+from .homogeneity import HOMOGENEOUS, NOT_HOMOGENEOUS, check_homogeneous
 from .integrate import (
     CSV_BLOCK_ROWS,
     _csv_rows,
@@ -66,54 +67,31 @@ def _parse_p0(text, structure):
 def _emit(text, out):
     """Write a string, or an iterable of string chunks, to out or stdout.
 
-    Returns False, after printing the error, when the write fails (an
-    --out path that cannot be written); the caller then exits 2.
+    An --out path that cannot be written raises OSError, which ``main``
+    reports with exit 2.
     """
     chunks = [text] if isinstance(text, str) else text
-    try:
-        if out:
-            with open(out, "w") as fh:
-                fh.writelines(chunks)
-        else:
-            sys.stdout.writelines(chunks)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
+    if out:
+        with open(out, "w") as fh:
+            fh.writelines(chunks)
+    else:
+        sys.stdout.writelines(chunks)
 
 
 def _json(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_validate(args):
-    try:
-        spec = _load(args.model)
-    except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+def cmd_validate(spec, args):
     # The structural checks passed when the structure was built: a
     # HomogeneousSRStructure that fails them cannot exist. What is left are
     # antisymmetry and Jacobi, which bundled models skip at build time.
     report = spec.structure.algebra.validate()
-    if not _emit(
-        _json(
-            {
-                "model": spec.name,
-                "dim": spec.structure.dim,
-                "valid": report.ok,
-                "violations": report.violations,
-            }
-        ),
-        args.out,
-    ):
-        return EXIT_BAD_INPUT
-    print(
-        f"{spec.name}: {'valid' if report.ok else 'INVALID'}"
-        + (f" ({len(report.violations)} violations)" if not report.ok else ""),
-        file=sys.stderr,
-    )
-    return EXIT_OK if report.ok else EXIT_FAIL
+    output = _json({"model": spec.name, "dim": spec.structure.dim,
+                    "valid": report.ok, "violations": report.violations})
+    if report.ok:
+        return output, "valid", EXIT_OK
+    return output, f"INVALID ({len(report.violations)} violations)", EXIT_FAIL
 
 
 def _phase_portrait_csv(spec, args):
@@ -139,33 +117,20 @@ def _phase_portrait_csv(spec, args):
     return "".join(chunks)
 
 
-def cmd_integrate(args):
-    try:
-        spec = _load(args.model)
-        s = spec.structure
-        if args.phase_portrait:
-            if not _emit(_phase_portrait_csv(spec, args), args.out):
-                return EXIT_BAD_INPUT
-            print(
-                f"{spec.name}: phase portrait with {args.samples} arrows",
-                file=sys.stderr,
-            )
-            return EXIT_OK
-        p0 = Momentum(_parse_p0(args.p0, s), s)
-        traj = integrate_vertical(p0, args.T, args.step, casimirs=spec.casimirs)
-        if not all(np.isfinite(v[0]) for v in traj.diagnostics.values()):
-            raise ValueError("H or a Casimir of p0 is beyond the float range")
-    except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    vertical = traj
+def cmd_integrate(spec, args):
+    s = spec.structure
+    if args.phase_portrait:
+        return (_phase_portrait_csv(spec, args),
+                f"phase portrait with {args.samples} arrows", EXIT_OK)
+    p0 = Momentum(_parse_p0(args.p0, s), s)
+    traj = vertical = integrate_vertical(p0, args.T, args.step,
+                                         casimirs=spec.casimirs)
+    if not all(np.isfinite(v[0]) for v in traj.diagnostics.values()):
+        raise ValueError("H or a Casimir of p0 is beyond the float range")
     if args.horizontal and s.representation is not None:
         traj = integrate_horizontal(traj)
-    if not _emit(traj.csv_chunks(), args.out):
-        return EXIT_BAD_INPUT
-    drifts = ", ".join(
-        f"{k}={v:.3e}" for k, v in sorted(traj.casimir_drifts().items())
-    )
+    drifts = ", ".join(f"{k}={v:.3e}"
+                       for k, v in sorted(traj.casimir_drifts().items()))
     if traj.n_samples < vertical.n_samples:
         # The lift's RK4 step can overflow G where the momenta stay finite
         # (an unstable step on a fast rotation), so say which one stopped.
@@ -174,76 +139,39 @@ def cmd_integrate(args):
             if vertical.aborted else "a smaller --step may carry it)")
     else:
         abort = ", ABORTED (blow-up)" if traj.aborted else ""
-    print(
-        f"{spec.name}: t reached {traj.times[-1]:.6g}, "
-        f"H drift {traj.h_drift():.3e}"
-        + (f", {drifts}" if drifts else "")
-        + abort,
-        file=sys.stderr,
-    )
-    return EXIT_BLOWUP if traj.aborted else EXIT_OK
+    summary = (f"t reached {traj.times[-1]:.6g}, H drift {traj.h_drift():.3e}"
+               + (f", {drifts}" if drifts else "") + abort)
+    return traj.csv_chunks(), summary, EXIT_BLOWUP if traj.aborted else EXIT_OK
 
 
-def cmd_check(args):
-    try:
-        spec = _load(args.model)
-        p0 = Momentum(_parse_p0(args.p0, spec.structure), spec.structure)
-        cert = check_homogeneous(p0, threshold=args.tol)
-    except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+def cmd_check(spec, args):
+    p0 = Momentum(_parse_p0(args.p0, spec.structure), spec.structure)
+    cert = check_homogeneous(p0, threshold=args.tol)
     payload = cert.to_dict()
     payload["model"] = spec.name
     payload["p0"] = [float(x) for x in p0.coords]
-    if not _emit(_json(payload), args.out):
-        return EXIT_BAD_INPUT
-    print(f"{spec.name}: {cert.verdict} (residual {cert.residual:.3e})",
-          file=sys.stderr)
-    if cert.verdict == HOMOGENEOUS:
-        return EXIT_OK
-    if cert.verdict == NOT_HOMOGENEOUS:
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
+    code = {HOMOGENEOUS: EXIT_OK, NOT_HOMOGENEOUS: EXIT_FAIL}.get(
+        cert.verdict, EXIT_INCONCLUSIVE)
+    return (_json(payload), f"{cert.verdict} (residual {cert.residual:.3e})",
+            code)
 
 
-def cmd_go(args):
-    try:
-        spec = _load(args.model)
-        verdict = go_verdict(
-            spec.structure,
-            degree_cap=args.degree_cap,
-            samples=args.samples,
-            seed=args.seed,
-        )
-    except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+def cmd_go(spec, args):
+    verdict = go_verdict(spec.structure, degree_cap=args.degree_cap,
+                         samples=args.samples, seed=args.seed)
     payload = verdict.to_dict()
     payload["model"] = spec.name
-    if not _emit(_json(payload), args.out):
-        return EXIT_BAD_INPUT
-    print(f"{spec.name}: {verdict.verdict}", file=sys.stderr)
-    return EXIT_OK
+    return _json(payload), verdict.verdict, EXIT_OK
 
 
-def cmd_exist(args):
-    try:
-        spec = _load(args.model)
-    except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+def cmd_exist(spec, args):
     result = construct_homogeneous_geodesic(spec.structure)
     payload = result.to_dict()
     payload["model"] = spec.name
-    if result.success:
-        payload["audit"] = verify_eigenconstruction(spec.structure, result)
-    if not _emit(_json(payload), args.out):
-        return EXIT_BAD_INPUT
-    print(
-        f"{spec.name}: {'constructed (' + result.route + ' route)' if result.success else 'FAILED'}",
-        file=sys.stderr,
-    )
-    return EXIT_OK if result.success else EXIT_FAIL
+    if not result.success:
+        return _json(payload), "FAILED", EXIT_FAIL
+    payload["audit"] = verify_eigenconstruction(spec.structure, result)
+    return (_json(payload), f"constructed ({result.route} route)", EXIT_OK)
 
 
 def build_parser():
@@ -296,12 +224,23 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand: load the model, run, write the output, then one
+    summary line on stderr. Bad input, an unwritable --out included, prints
+    ``error: ...`` instead and exits 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "p0", None) is None and args.command in ("integrate", "check") \
             and not getattr(args, "phase_portrait", False):
         parser.error(f"{args.command} requires --p0")
-    return args.func(args)
+    try:
+        spec = _load(args.model)
+        output, summary, code = args.func(spec, args)
+        _emit(output, args.out)
+    except (KeyError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    print(f"{spec.name}: {summary}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ facts that the analysis commands can replay.
 """
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,6 +23,15 @@ MODEL_FILE_KEYS = frozenset({
     "delta_basis", "metric", "grading", "representation", "casimirs",
     "facts", "notes", "isotropy_exact", "isotropy_connected", "kappa",
 })
+MODEL_FILE_REQUIRED = ("dim", "constants", "k_basis", "m_basis",
+                       "delta_basis", "metric")
+# Optional keys: each is absent, null or of its JSON type.
+MODEL_FILE_TYPES = {
+    "name": (str, "a string"), "labels": (list, "a list of strings"),
+    "notes": (list, "a list of strings"), "facts": (dict, "an object"),
+    "casimirs": (dict, "an object of name: expression"),
+    "grading": (list, "a list of layers"),
+}
 
 
 @dataclass
@@ -84,15 +94,11 @@ class ModelSpec:
 
 
 def _structure(algebra, k_rows, m_rows, delta_rows, metric, **kw):
-    n = algebra.dim
-    return HomogeneousSRStructure(
-        algebra,
-        Subspace.from_vectors(n, [[Fraction(x) for x in r] for r in k_rows]),
-        Subspace.from_vectors(n, [[Fraction(x) for x in r] for r in m_rows]),
-        Subspace.from_vectors(n, [[Fraction(x) for x in r] for r in delta_rows]),
-        [[Fraction(x) for x in row] for row in metric],
-        **kw,
-    )
+    """The structure on the spans of the rows; every entry is read exactly
+    (see ``exactla.fmat``)."""
+    spaces = (Subspace.from_vectors(algebra.dim, rows)
+              for rows in (k_rows, m_rows, delta_rows))
+    return HomogeneousSRStructure(algebra, *spaces, metric, **kw)
 
 
 _SO3_L = [
@@ -110,10 +116,6 @@ def _block_diag(a, b):
     out[: a.shape[0], : a.shape[1]] = a
     out[a.shape[0]:, a.shape[1]:] = b
     return out
-
-
-def _span(n, rows):
-    return Subspace.from_vectors(n, [[Fraction(x) for x in r] for r in rows])
 
 
 def _heisenberg():
@@ -137,8 +139,8 @@ def _heisenberg():
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
         [[1, 0, 0, 0], [0, 1, 0, 0]],
         [[1, 0], [0, 1]],
-        grading=[_span(4, [[1, 0, 0, 0], [0, 1, 0, 0]]),
-                 _span(4, [[0, 0, 1, 0]])],
+        grading=[Subspace.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]]),
+                 Subspace.from_vectors(4, [[0, 0, 1, 0]])],
         representation=rep,
     )
     exprs = {"C1": "p3", "C2": "p1^2 + p2^2 + 2*p3*p4"}
@@ -173,8 +175,8 @@ def _cartan():
         ident[:5],
         ident[:2],
         [[1, 0], [0, 1]],
-        grading=[_span(6, ident[:2]), _span(6, [ident[2]]),
-                 _span(6, ident[3:5])],
+        grading=[Subspace.from_vectors(6, rows)
+                 for rows in (ident[:2], [ident[2]], ident[3:5])],
     )
     exprs = {"C1": "1/2*p3^2 + p1*p5 - p2*p4", "C2": "p4", "C3": "p5"}
     facts = {
@@ -255,7 +257,8 @@ def generate_free_step2(rank):
         ident[: r + nw],
         ident[:r],
         np.eye(r, dtype=int).tolist(),
-        grading=[_span(n, ident[:r]), _span(n, ident[r: r + nw])],
+        grading=[Subspace.from_vectors(n, ident[:r]),
+                 Subspace.from_vectors(n, ident[r: r + nw])],
     )
     wedge_sq = " + ".join(f"p{r + i + 1}^2" for i in range(nw))
     exprs = {"C1": wedge_sq}
@@ -473,12 +476,25 @@ def load_model(name) -> ModelSpec:
                      dict(spec.known_facts), list(spec.notes))
 
 
+def _exact_rows(rows, width, what):
+    """``rows`` as a list of lists of ``width`` exact numbers each; a number
+    is a JSON number or a string such as "-1/2", and must be finite."""
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == width for row in rows):
+        raise ValueError(f"{what} must be a list of rows of {width} numbers")
+    try:
+        return [[Fraction(str(x)) for x in row] for row in rows]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what} holds an entry that is not a finite "
+                         "number") from None
+
+
 def load_model_file(path) -> ModelSpec:
     """Read a model from the JSON schema used by to_dict/save.
 
-    Raises ValueError on a key outside the schema, on malformed isotropy
-    flags, kappa or Casimir expressions, and on structure data that fails
-    the exact checks.
+    Raises ValueError on every malformed file: a missing or unknown key, a
+    value of another shape than the README lists, and structure data that
+    fails the exact checks.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -487,19 +503,37 @@ def load_model_file(path) -> ModelSpec:
     unknown = sorted(set(data) - MODEL_FILE_KEYS)
     if unknown:
         raise ValueError(f"unknown model-file keys: {', '.join(unknown)}")
+    missing = [key for key in MODEL_FILE_REQUIRED if key not in data]
+    if missing:
+        raise ValueError(f"missing model-file keys: {', '.join(missing)}")
+    for key, (kind, what) in MODEL_FILE_TYPES.items():
+        if data.get(key) is not None and not isinstance(data[key], kind):
+            raise ValueError(f"{key} must be {what}")
+    if not all(isinstance(x, str) for key in ("labels", "notes")
+               for x in data.get(key) or ()):
+        raise ValueError("labels and notes must be lists of strings")
     flags = {key: data.get(key, True)
              for key in ("isotropy_exact", "isotropy_connected")}
     if not all(isinstance(v, bool) for v in flags.values()):
         raise ValueError("isotropy_exact and isotropy_connected must be "
                          "true or false")
     kappa = data.get("kappa")
-    if kappa is not None and (isinstance(kappa, bool)
-                              or not isinstance(kappa, (int, float))):
-        raise ValueError("kappa must be a number or null")
-    n = int(data["dim"])
+    if kappa is not None and (type(kappa) not in (int, float)
+                              or not abs(kappa) <= sys.float_info.max):
+        raise ValueError("kappa must be a finite number or null")
+    n = data["dim"]
+    if type(n) is not int or n < 1:
+        raise ValueError("dim must be a positive integer")
+    constants = data["constants"]
+    if not isinstance(constants, list) or not all(
+            isinstance(row, list) and len(row) == 5
+            and all(type(x) is int for x in row) and row[4]
+            for row in constants):
+        raise ValueError("constants must be a list of [i, j, k, numerator, "
+                         "denominator] integer rows, the denominator nonzero")
     entries = {}
-    for i, j, k, num, den in data["constants"]:
-        val = Fraction(int(num), int(den))
+    for i, j, k, num, den in constants:
+        val = Fraction(num, den)
         entries[(i - 1, j - 1, k - 1)] = val
         entries[(j - 1, i - 1, k - 1)] = -val
     g = LieAlgebra(n, entries, data.get("labels"))
@@ -507,30 +541,29 @@ def load_model_file(path) -> ModelSpec:
     if not rep.ok:
         raise ValueError(f"invalid structure constants: {rep}")
 
-    def space(rows):
-        return Subspace.from_vectors(
-            n, [[Fraction(str(x)) for x in r] for r in rows]
-        )
+    def space(rows, what):
+        return Subspace.from_vectors(n, _exact_rows(rows, n, what))
 
     grading = None
     if data.get("grading"):
-        grading = [space(layer) for layer in data["grading"]]
-    representation = data.get("representation")
+        grading = [space(rows, "a grading layer") for rows in data["grading"]]
+    delta = space(data["delta_basis"], "delta_basis")
     s = HomogeneousSRStructure(
         g,
-        space(data["k_basis"]),
-        space(data["m_basis"]),
-        space(data["delta_basis"]),
-        [[Fraction(str(x)) for x in row] for row in data["metric"]],
+        space(data["k_basis"], "k_basis"),
+        space(data["m_basis"], "m_basis"),
+        delta,
+        _exact_rows(data["metric"], delta.dim, "metric"),
         grading=grading,
-        representation=representation,
+        representation=data.get("representation"),
         kappa=kappa,
         **flags,
     )
-    exprs = data.get("casimirs", {})
+    exprs = data.get("casimirs") or {}
     for expr in exprs.values():
         poly_from_string(expr, n)  # a malformed expression fails here
     return ModelSpec(
-        data.get("name", "user_model"), s, exprs,
-        known_facts=data.get("facts", {}), notes=list(data.get("notes", [])),
+        data.get("name") or "user_model", s, exprs,
+        known_facts=data.get("facts") or {},
+        notes=list(data.get("notes") or ()),
     )

@@ -228,9 +228,15 @@ def poly_from_string(text, nvars):
 
     Variables are p1..pn; '^' is accepted for powers, with a non-negative
     integer exponent; numeric literals are read exactly, as ints when
-    integral and as fractions otherwise.
+    integral and as fractions otherwise. Anything else, a text that is not
+    a string or does not parse included, is a ValueError.
     """
-    tree = ast.parse(text.replace("^", "**"), mode="eval")
+    if not isinstance(text, str):
+        raise ValueError(f"a polynomial is a string, not {text!r}")
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"malformed polynomial {text!r}: {exc.msg}") from None
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise ValueError(f"unsupported syntax in polynomial: {text!r}")

@@ -554,3 +554,40 @@ def test_constants_overflowing_a_float_exit_2(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err == ("error: the bracket has non-finite "
                             "coefficients\n")
+
+
+def _heisenberg_file(tmp_path, edit):
+    """heisenberg as a model file, ``edit`` applied to its dict first."""
+    import srgo
+
+    data = srgo.load_model("heisenberg").to_dict()
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@_EVERY_SUBCOMMAND
+def test_malformed_model_file_exits_2(tmp_path, capsys, argv):
+    # A Casimir expression that does not parse raised SyntaxError.
+    path = _heisenberg_file(
+        tmp_path, lambda data: data.update(casimirs={"C": "p1 +"}))
+    assert run(argv + ["--model", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed polynomial 'p1 +': ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["integrate", "--p0=1,0,1", "--T", "0.01", "--horizontal"],
+], ids=lambda argv: argv[0])
+def test_nan_representation_exits_2(tmp_path, capsys, argv):
+    # It validated, and the lift reported an overflow with exit 3.
+    def poison(data):
+        data["representation"][0][0][0] = float("nan")
+
+    assert run(argv + ["--model", _heisenberg_file(tmp_path, poison)]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid structure: representation matrices must be finite, "
+        "square and of one shape\n")

@@ -524,7 +524,7 @@ def test_field_jacobian_of_a_batch_is_each_row_s(models, name):
 @pytest.mark.parametrize("name", srgo.list_models())
 def test_kernel_batch_rows_match_single_runs_and_reference(models, name):
     s = models[name].structure
-    c, d, terms = s.algebra.c_float, s.dmat, s.vertical_terms
+    c, d, terms = s.algebra.constants.astype(float), s.dmat, s.vertical_terms
     p0 = sample_momenta(s, 5, np.random.default_rng(1))
     trajs = integrate_vertical_batch(s, p0, 0.3, 1e-3)
     assert len(trajs) == 5
@@ -700,8 +700,8 @@ def test_model_file_structure_integrates_like_the_reference(tmp_path):
     s = srgo.load_model_file(path).structure
     p0 = _seed_momentum(s, 5)
     traj = integrate_vertical(p0, 0.3, 1e-3)
-    ref = _rk4_einsum_reference(s.algebra.c_float, s.dmat, p0.coords, 1e-3,
-                                300)
+    ref = _rk4_einsum_reference(s.algebra.constants.astype(float), s.dmat,
+                                p0.coords, 1e-3, 300)
     assert not traj.aborted
     assert np.max(np.abs(traj.momenta - ref)) < 1e-12
 

@@ -51,9 +51,9 @@ def test_shared_structure_is_read_only():
     s = load_model("cartan").structure
     with pytest.raises(ValueError, match="read-only"):
         s.dmat[0, 0] = 1.0
-    for a in (s.algebra.c_float, s.metric, s.k.basis, s.m.canonical,
-              s.delta.basis, s.grading[1].basis, s.m_dual, s.m_dual_exact,
-              s.k_action):
+    for a in (s.algebra.coo_index, s.algebra.coo_float, s.metric, s.k.basis,
+              s.m.canonical, s.delta.basis, s.grading[1].basis, s.m_dual,
+              s.m_dual_exact, s.k_action):
         assert not a.flags.writeable
     rep = load_model("heisenberg").structure.representation
     assert not any(r.flags.writeable for r in rep)
@@ -184,6 +184,23 @@ def test_model_file_must_be_an_object(tmp_path):
     ("kappa", "1/2", "kappa"),
     ("labels", ["e1"], "label count"),
     ("casimirs", {"C1": "p9"}, "p9"),
+    # Each of these escaped as another exception, a traceback in the CLI.
+    ("constants", 5, "constants must be a list"),
+    ("constants", [[1, 2, 3, 1, 0]], "denominator nonzero"),
+    ("dim", None, "dim must be a positive integer"),
+    ("k_basis", 3, "k_basis must be a list of rows of 4 numbers"),
+    ("metric", [[1], [0, 1]], "metric must be a list of rows of 2 numbers"),
+    ("labels", 4, "labels must be a list of strings"),
+    ("casimirs", ["p1"], "casimirs must be an object"),
+    ("casimirs", {"C": "p1 +"}, "malformed polynomial 'p1 \\+'"),
+    ("casimirs", {"C": 3}, "a polynomial is a string"),
+    ("notes", 5, "notes must be a list of strings"),
+    ("kappa", float("nan"), "kappa must be a finite number"),
+    # A NaN validated; an inf warned before a misleading violation.
+    ("representation", [[[float("nan")]]] * 4, "must be finite, square"),
+    ("representation", [[[float("inf")]]] * 4, "must be finite, square"),
+    ("representation", [[[0]], [[0]], [[0]], [[0, 1], [1, 0]]],
+     "must be finite, square and of one shape"),
 ])
 def test_model_file_rejects_bad_metadata(tmp_path, heisenberg, key, value,
                                          match):

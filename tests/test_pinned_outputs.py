@@ -8,6 +8,11 @@ to be (``repr(Fraction(3))`` is not ``repr(3)``) cannot change any output.
 ``go --degree-cap 6`` is pinned too on the models that take the enumeration
 route; those digests were taken before polynomial coefficients were held
 as ints.
+
+The CLI contract around those bytes is pinned as well: the exit code and
+the standard-error line of ``validate``, ``exist``, ``go --seed 0`` and
+``check`` on every model, and of the bad-input paths. Those values were
+taken before every subcommand shared one exit path in ``cli.main``.
 """
 
 import hashlib
@@ -139,7 +144,7 @@ def _sha256(data):
 
 
 def test_every_model_is_pinned():
-    assert sorted(DIGESTS) == srgo.list_models()
+    assert sorted(DIGESTS) == sorted(CONTRACT) == srgo.list_models()
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -167,3 +172,65 @@ def test_enumeration_route_matches_its_pinned_digest_at_cap_6(name,
     cli.main(["go", "--degree-cap", "6", "--seed", "0", "--model", name,
               "--out", str(out)])
     assert _sha256(out.read_bytes()) == GO6_DIGESTS[name]
+
+
+# model -> (exist's route, go --seed 0 verdict, check's verdict at the
+# m*-coordinates (0.5, ..., 0.5)); validate prints "valid" on every model.
+CONTRACT = {
+    "biinvariant_compact": ("eigenvector", "GO_affirmed_up_to_degree",
+                            "homogeneous"),
+    "cartan": ("solvable", "GO_refuted_with_witness", "not_homogeneous"),
+    "free_step2_rank2": ("solvable", "GO_affirmed_up_to_degree",
+                         "homogeneous"),
+    "free_step2_rank3": ("solvable", "GO_affirmed_up_to_degree",
+                         "homogeneous"),
+    "free_step2_rank4": ("solvable", "GO_affirmed_up_to_degree",
+                         "homogeneous"),
+    "free_step2_rank5": ("solvable", "GO_affirmed_up_to_degree",
+                         "homogeneous"),
+    "free_step2_rank6": ("solvable", "GO_affirmed_up_to_degree",
+                         "homogeneous"),
+    "heisenberg": ("solvable", "GO_affirmed_up_to_degree", "homogeneous"),
+    "rolling_sphere": ("eigenvector", "evidence_only", "not_homogeneous"),
+    "sl2_axisym": ("eigenvector", "GO_affirmed_up_to_degree", "homogeneous"),
+    "sl2_kp": ("eigenvector", "GO_affirmed_up_to_degree", "homogeneous"),
+    "so3_axisym": ("eigenvector", "GO_affirmed_up_to_degree", "homogeneous"),
+    "so3_generic": ("eigenvector", "evidence_only", "not_homogeneous"),
+    "so3_kp": ("eigenvector", "GO_affirmed_up_to_degree", "homogeneous"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_exit_codes_and_summaries_match_their_pinned_values(name, models,
+                                                            tmp_path, capsys):
+    route, go, check = CONTRACT[name]
+    out = str(tmp_path / "out.json")
+    for argv, summary in ((["validate"], "valid"),
+                          (["exist"], f"constructed ({route} route)"),
+                          (["go", "--seed", "0"], go)):
+        assert cli.main(argv + ["--model", name, "--out", out]) == 0
+        assert capsys.readouterr().err == f"{name}: {summary}\n"
+    # The residual's digits depend on LAPACK, so only the verdict is pinned.
+    half = ",".join(["0.5"] * models[name].structure.m.dim)
+    code = cli.main(["check", "--model", name, f"--p0={half}", "--out", out])
+    assert code == {"homogeneous": 0, "not_homogeneous": 1}[check]
+    assert capsys.readouterr().err.startswith(f"{name}: {check} (residual ")
+
+
+@pytest.mark.parametrize("argv, line", [
+    pytest.param(["validate", "--model", "no_such_model"],
+                 "error: \"unknown model 'no_such_model' and no such file\"",
+                 id="unknown_model"),
+    pytest.param(["go", "--model", "heisenberg", "--samples", "0"],
+                 "error: samples must be positive", id="go_no_samples"),
+    pytest.param(["integrate", "--model", "heisenberg", "--p0=0.5,0.5,0.5",
+                  "--T", "-1"],
+                 "error: need T > 0 and 0 < step <= T", id="negative_T"),
+    pytest.param(["check", "--model", "heisenberg", "--p0=nan,0.5,0.5"],
+                 "error: momentum coordinates must be finite", id="nan_p0"),
+])
+def test_bad_input_paths_match_their_pinned_lines(argv, line, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"

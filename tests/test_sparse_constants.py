@@ -138,10 +138,26 @@ def test_c_float_bitwise_equals_dense_build(name, models):
     n = g.dim
     ref = np.array([[[float(dense[i, j, k]) for k in range(n)]
                      for j in range(n)] for i in range(n)], dtype=float)
-    assert g.c_float.dtype == ref.dtype and g.c_float.shape == ref.shape
-    assert g.c_float.tobytes() == ref.tobytes()
+    # The float mirror of the constants, scattered into a dense tensor.
+    c_float = np.zeros((n, n, n))
+    c_float[tuple(g.coo_index)] = g.coo_float
+    assert g.coo_float.dtype == ref.dtype
+    assert c_float.tobytes() == ref.tobytes()
     assert (g.constants == dense).all()
     assert len(g.coo) == int(np.count_nonzero(dense))
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_float_loops_match_dense_einsum(name, models):
+    g = models[name].structure.algebra
+    c = g.constants.astype(float)
+    x, y, p = np.random.default_rng(len(name)).standard_normal((3, g.dim))
+    assert np.allclose(g.bracket(x, y), np.einsum("i,j,ijk->k", x, y, c),
+                       rtol=0, atol=1e-13)
+    assert np.allclose(g.ad_matrix(x), np.einsum("i,ijk->kj", x, c),
+                       rtol=0, atol=1e-13)
+    assert np.allclose(g.coad_apply(x, p), np.einsum("i,ijk,k->j", x, c, p),
+                       rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
