@@ -73,15 +73,14 @@ def _scatter(index, values, size):
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by its structure constants.
 
-    ``constants`` is either a dense (n, n, n) array or a mapping
-    {(i, j, k): value}; entry (i, j, k) is the coefficient of e_k in
-    [e_i, e_j]. Only the nonzero entries are kept: ``by_i[i]`` is the tuple
-    of (j, k, c) sorted by (j, k), with c exact: an int when it is
-    integral, else a Fraction. Integral constants are the common case, and
-    every exact loop over them then runs in int arithmetic, which is
-    several times cheaper than Fraction's. ``coo_index`` (3, nnz) and
-    ``coo_float`` (nnz,) are the same nonzeros in float, for the float
-    ``bracket``, ``ad_matrix`` and ``coad_apply``.
+    ``constants`` is a mapping {(i, j, k): value}; entry (i, j, k) is the
+    coefficient of e_k in [e_i, e_j]. Only the nonzero entries are kept:
+    ``by_i[i]`` is the tuple of (j, k, c) sorted by (j, k), with c exact: an
+    int when it is integral, else a Fraction. Integral constants are the
+    common case, and every exact loop over them then runs in int
+    arithmetic, which is several times cheaper than Fraction's.
+    ``coo_index`` (3, nnz) and ``coo_float`` (nnz,) are the same nonzeros
+    in float, for the float ``bracket``, ``ad_matrix`` and ``coad_apply``.
     """
 
     def __init__(self, dim, constants, labels=None):
@@ -89,15 +88,8 @@ class LieAlgebra:
         self.labels = list(labels) if labels else [f"e{i + 1}" for i in range(dim)]
         if len(self.labels) != dim:
             raise ValueError("label count mismatch")
-        if isinstance(constants, dict):
-            items = constants.items()
-        else:
-            dense = np.asarray(constants, dtype=object)
-            if dense.shape != (dim, dim, dim):
-                raise ValueError("structure tensor must have shape (n, n, n)")
-            items = ((idx, dense[idx]) for idx in zip(*np.nonzero(dense)))
         rows = [[] for _ in range(dim)]
-        for (i, j, k), v in items:
+        for (i, j, k), v in constants.items():
             i, j, k = int(i), int(j), int(k)
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError(f"structure constant index {(i, j, k)} out of range")
@@ -424,8 +416,9 @@ class HomogeneousSRStructure:
     ``isotropy_exact`` is False when k is not known to be the full isotropy
     algebra, ``isotropy_connected`` False when the isotropy group has
     components the infinitesimal invariants cannot see; either keeps the GO
-    verdict at the evidence level. ``kappa`` is the rotation rate of the
-    closed-form vertical flow, set only on the axisymmetric models.
+    verdict at the evidence level. ``grading`` (the Carnot layers of m)
+    and ``kappa`` (the rate of a rotating vertical flow) are derived from
+    the bracket, each None where it does not exist.
 
     The vertical field f_j(p) = p([dH(p), e_j]) = sum coef p_a p_k is
     ``vertical_terms_exact``, its nonzero (j, a, k, coef) with a <= k, sorted;
@@ -436,15 +429,13 @@ class HomogeneousSRStructure:
     ValueError.
     """
 
-    def __init__(self, algebra, k, m, delta, metric, grading=None,
-                 representation=None, isotropy_exact=True,
-                 isotropy_connected=True, kappa=None):
+    def __init__(self, algebra, k, m, delta, metric, representation=None,
+                 isotropy_exact=True, isotropy_connected=True):
         self.algebra = algebra
         self.k = k
         self.m = m
         self.delta = delta
         self.metric = fmat(metric)
-        self.grading = grading
         try:
             self.representation = None if representation is None else [
                 np.asarray(r, dtype=float) for r in representation]
@@ -452,7 +443,6 @@ class HomogeneousSRStructure:
             raise ValueError("representation must be a list of matrices") from None
         self.isotropy_exact = isotropy_exact
         self.isotropy_connected = isotropy_connected
-        self.kappa = kappa
 
         if self.metric.shape != (delta.dim, delta.dim):
             raise ValueError("metric shape must match delta dimension")
@@ -481,6 +471,7 @@ class HomogeneousSRStructure:
         rep = self.validate()
         if not rep.ok:
             raise ValueError(f"invalid structure: {rep}")
+        self.grading = self._carnot_layers()
 
         # [X_a, e_j]_k (X_a column a) is the coefficient of p_k in p([X_a, e_j])
         eye = exactla.feye(algebra.dim)
@@ -533,6 +524,35 @@ class HomogeneousSRStructure:
                             for key, v in merged.items() if v))
 
     @cached_property
+    def m_field_exact(self):
+        """The motion of the m*-coordinates a_r = p(m_r) on k-circ:
+        adot_r = sum_j m_basis[j, r] f_j(m_dual a), as the nonzero
+        (r, u, t, c) with u <= t, sorted, c the coefficient of a_u a_t."""
+        mb_rows = exactla.row_nonzeros(self.m.basis)  # j -> [(r, m_basis[j, r])]
+        merged = defaultdict(int)  # (r, u, t) -> coefficient
+        for j, u, t, c in self.m_vertical_terms_exact:
+            for r, x in mb_rows[j]:
+                merged[r, u, t] += c * x
+        return tuple(sorted((*key, _int_or_fraction(v))
+                            for key, v in merged.items() if v))
+
+    @cached_property
+    def kappa(self):
+        """The exact rate kappa of the closed-form flow, or None.
+
+        kappa when the field is adot_0 = -kappa a_1 a_2, adot_1 =
+        kappa a_0 a_2, every other a_r constant: (a_0, a_1) rotates by the
+        angle kappa a_2 t. 0 when the field is zero; None otherwise.
+        """
+        field = self.m_field_exact
+        if not field:
+            return 0
+        if [t[:3] for t in field] == [(0, 1, 2), (1, 0, 2)] \
+                and field[0][3] == -field[1][3]:
+            return field[1][3]
+        return None
+
+    @cached_property
     def m_k_action_exact(self):
         """The k action in m*-coordinates a: the nonzero (b, j, t, c),
         sorted, c the coefficient of a_t in p([Z_b, e_j]) at p = m_dual a."""
@@ -580,34 +600,23 @@ class HomogeneousSRStructure:
         if lie_closure(g, seed).dim != n:
             report.add("delta (with k) is not bracket generating")
 
-        if self.grading is not None:
-            report.violations += self._validate_grading().violations
         if self.representation is not None:
             report.violations += self._validate_representation().violations
         return report
 
-    def _validate_grading(self):
-        report = ValidationReport()
-        g = self.algebra
-        n = g.dim
-        layers = self.grading
-        if subspace_sum(n, layers) != subspace_sum(n, [self.m]):
-            report.add("grading layers do not span m")
-        if layers[0] != self.delta:
-            report.add("first grading layer must equal delta")
-        s = len(layers)
-        for i, layer in enumerate(layers):
-            span = Subspace.span(
-                n, g.brackets(layers[0].basis, layer.basis).values())
-            if i + 1 < s:
-                if span != layers[i + 1]:
-                    report.add(f"[g_1, g_{i + 1}] != g_{i + 2}")
-            else:
-                if span.dim != 0:
-                    report.add("[g_1, g_s] != 0")
-        if lie_closure(g, layers[0]).dim != sum(l.dim for l in layers):
-            report.add("g_1 does not generate the graded part")
-        return report
+    def _carnot_layers(self):
+        """V_1 = delta, V_{i+1} = [V_1, V_i] up to the first layer that is 0,
+        when the layers lie in m and m is their direct sum; else None. The
+        loop ends once a layer leaves m or the dims pass dim m (so(3))."""
+        n, dm = self.dim, self.m.dim
+        layers = [self.delta]
+        while sum(v.dim for v in layers) <= dm and self.m.contains_subspace(layers[-1]):
+            nxt = Subspace.span(n, self.algebra.brackets(
+                self.delta.basis, layers[-1].basis).values())
+            if nxt.dim == 0:
+                return layers if subspace_sum(n, layers).dim == dm else None
+            layers.append(nxt)
+        return None
 
     def _validate_representation(self):
         report = ValidationReport()

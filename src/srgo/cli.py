@@ -198,6 +198,8 @@ def build_parser():
 
     p = sub.add_parser("integrate", help="vertical flow to CSV")
     common(p, p0=True, sampled=True)
+    # Unset until main has checked that only --phase-portrait got them.
+    p.set_defaults(seed=None, samples=None)
     p.add_argument("--T", type=float, default=10.0)
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--phase-portrait", action="store_true",
@@ -229,9 +231,18 @@ def main(argv=None):
     ``error: ...`` instead and exits 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "p0", None) is None and args.command in ("integrate", "check") \
-            and not getattr(args, "phase_portrait", False):
+    portrait = getattr(args, "phase_portrait", False)
+    if args.command in ("integrate", "check") and args.p0 is None and not portrait:
         parser.error(f"{args.command} requires --p0")
+    if args.command == "integrate":
+        given = ({"--p0": args.p0 is not None, "--horizontal": args.horizontal}
+                 if portrait else {"--samples": args.samples is not None,
+                                   "--seed": args.seed is not None})
+        for option in (o for o, used in given.items() if used):
+            parser.error(f"integrate {'with' if portrait else 'without'} "
+                         f"--phase-portrait does not use {option}")
+        args.seed = 0 if args.seed is None else args.seed
+        args.samples = 1000 if args.samples is None else args.samples
     try:
         spec = _load(args.model)
         output, summary, code = args.func(spec, args)

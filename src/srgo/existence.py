@@ -259,7 +259,7 @@ def _khat_extension(structure, steps):
     return exactla.to_float(bhat), exactla.to_float(gamma)
 
 
-def _eigen_route(structure, steps):
+def _eigen_route(structure, steps, killing_kernel):
     s = structure
     g = s.algebra
     rad = radical(g)
@@ -277,6 +277,10 @@ def _eigen_route(structure, steps):
                 return None
             steps.append("lifting the quotient momentum")
             return fact.lift(inner.momentum)
+    if killing_kernel.dim:
+        steps.append(f"the Killing form is degenerate (kernel of dimension "
+                     f"{killing_kernel.dim}): K^(-1) B-hat does not exist")
+        return None
     bhat, gamma = _khat_extension(s, steps)
     if bhat is None:
         return None
@@ -315,7 +319,8 @@ def construct_homogeneous_geodesic(structure) -> ExistenceResult:
 
     The solvable construction applies when the Killing kernel is exactly
     the complement m; otherwise the eigenvector construction runs, passing
-    through the quotient by the radical when there is one.
+    through the quotient by the radical when there is one. It fails, with a
+    step that says so, where the Killing form is still degenerate.
     """
     s = structure
     steps = []
@@ -327,7 +332,7 @@ def construct_homogeneous_geodesic(structure) -> ExistenceResult:
     else:
         steps.append("Killing form alive on delta: eigenvector construction")
         route = ROUTE_EIGENVECTOR
-        p = _eigen_route(s, steps)
+        p = _eigen_route(s, steps, ker)
     if p is None:
         return ExistenceResult(False, route, None, None, steps)
     cert = check_homogeneous(Momentum(p, s))

@@ -142,23 +142,15 @@ def _m_dual_exact(structure):
 
 
 def _m_vertical_field(structure):
-    """The vertical field on k-circ in m*-coordinates, as exact quadratics.
-
-    With p = m_dual a, the coordinate a_r = p(m_r) moves as
-    adot_r = sum_j m_basis[j, r] f_j(m_dual a), with f_j(m_dual a) read off
-    the structure's ``m_vertical_terms_exact``; returns the dim m
-    polynomials adot_r in a.
-    """
-    s = structure
-    dm = s.m.dim
-    mb_rows = exactla.row_nonzeros(s.m.basis)  # j -> [(r, m_basis[j, r])]
-    adot = [defaultdict(int) for _ in range(dm)]
-    for j, u, t, c in s.m_vertical_terms_exact:
+    """The vertical field on k-circ in m*-coordinates, as exact quadratics:
+    the dim m polynomials adot_r in a of the structure's ``m_field_exact``."""
+    dm = structure.m.dim
+    adot = [{} for _ in range(dm)]
+    for r, u, t, c in structure.m_field_exact:
         mono = [0] * dm
         mono[u] += 1
         mono[t] += 1
-        for r, x in mb_rows[j]:
-            adot[r][tuple(mono)] += c * x
+        adot[r][tuple(mono)] = c
     return [Polynomial(dm, terms) for terms in adot]
 
 
@@ -394,9 +386,7 @@ def go_verdict(structure, degree_cap=4, samples=1000, seed=0) -> GoVerdict:
     if samples <= 0:
         raise ValueError("samples must be positive")
     bracket = go_test_bracket(structure, degree_cap)
-    skew = None
-    if structure.grading is not None:
-        skew = carnot_skew_test(structure)
+    skew = None if structure.grading is None else carnot_skew_test(structure)
     scan = scan_homogeneous(structure, samples, seed, witness=bracket.witness)
     notes = []
     exact_isotropy = structure.isotropy_exact

@@ -380,22 +380,22 @@ def integrate_vertical_batch(structure, momenta, T, step, casimirs=None):
 
 
 def closed_form_axisymmetric(p0: Momentum, t) -> Momentum:
-    """Exact vertical solution for the axisymmetric models.
+    """Exact vertical solution where the structure's flow is a rotation.
 
-    Rotates the (p1, p2) pair by the angle kappa * p3 * t and keeps the
-    remaining coordinates; kappa is the structure's ``kappa``, the
-    per-model constant calibrated against the integrator.
+    In m*-coordinates a = p0(m_basis), rotates (a_0, a_1) by the angle
+    kappa * a_2 * t, with the structure's derived ``kappa``, and keeps the
+    other a_r; the result lies on k-circ. ValueError where kappa is None.
     """
     s = p0.structure
     if s.kappa is None:
-        raise ValueError("closed form only applies to the axisymmetric models")
-    p = p0.coords.copy()
-    theta = s.kappa * p[2] * t
-    c, sn = np.cos(theta), np.sin(theta)
-    p1, p2 = p[0], p[1]
-    p[0] = c * p1 - sn * p2
-    p[1] = sn * p1 + c * p2
-    return Momentum(p, s)
+        raise ValueError("the vertical flow of this structure is not a "
+                         "rotation: no closed form")
+    a = p0.coords @ s.m_basis_float
+    if s.kappa:
+        theta = float(s.kappa) * a[2] * t
+        c, sn = np.cos(theta), np.sin(theta)
+        a[0], a[1] = c * a[0] - sn * a[1], sn * a[0] + c * a[1]
+    return Momentum(s.m_dual @ a, s)
 
 
 def _chained_products(g0, phi):

@@ -1,13 +1,14 @@
 """Bundled model registry and the JSON model-file format.
 
 Each model packages a Lie algebra with an isotropy/complement splitting,
-a distribution with its metric, optional grading and matrix
-representation, conserved polynomials for drift diagnostics, and known
-facts that the analysis commands can replay.
+a distribution with its metric, an optional matrix representation,
+conserved polynomials for drift diagnostics, and known facts that the
+analysis commands can replay. The Carnot grading and the closed-form rate
+kappa are derived from the bracket by the structure, so neither a builder
+nor a model file declares them.
 """
 
 import json
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ from .poly import poly_from_string
 
 
 # Top-level keys of a model file; load_model_file rejects any other key.
+# "grading" and "kappa" are derived from the bracket; older saved files hold
+# them, so they are accepted and their values are not read.
 MODEL_FILE_KEYS = frozenset({
     "name", "dim", "labels", "constants", "k_basis", "m_basis",
     "delta_basis", "metric", "grading", "representation", "casimirs",
@@ -30,7 +33,6 @@ MODEL_FILE_TYPES = {
     "name": (str, "a string"), "labels": (list, "a list of strings"),
     "notes": (list, "a list of strings"), "facts": (dict, "an object"),
     "casimirs": (dict, "an object of name: expression"),
-    "grading": (list, "a list of layers"),
 }
 
 
@@ -74,11 +76,8 @@ class ModelSpec:
             "metric": [[str(x) for x in row] for row in s.metric],
             "isotropy_exact": s.isotropy_exact,
             "isotropy_connected": s.isotropy_connected,
-            "kappa": s.kappa,
             "notes": list(self.notes),
         }
-        if s.grading is not None:
-            out["grading"] = [rows(layer) for layer in s.grading]
         if s.representation is not None:
             out["representation"] = [m.tolist() for m in s.representation]
         if self.casimir_exprs:
@@ -139,8 +138,6 @@ def _heisenberg():
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
         [[1, 0, 0, 0], [0, 1, 0, 0]],
         [[1, 0], [0, 1]],
-        grading=[Subspace.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]]),
-                 Subspace.from_vectors(4, [[0, 0, 1, 0]])],
         representation=rep,
     )
     exprs = {"C1": "p3", "C2": "p1^2 + p2^2 + 2*p3*p4"}
@@ -175,8 +172,6 @@ def _cartan():
         ident[:5],
         ident[:2],
         [[1, 0], [0, 1]],
-        grading=[Subspace.from_vectors(6, rows)
-                 for rows in (ident[:2], [ident[2]], ident[3:5])],
     )
     exprs = {"C1": "1/2*p3^2 + p1*p5 - p2*p4", "C2": "p4", "C3": "p5"}
     facts = {
@@ -257,8 +252,6 @@ def generate_free_step2(rank):
         ident[: r + nw],
         ident[:r],
         np.eye(r, dtype=int).tolist(),
-        grading=[Subspace.from_vectors(n, ident[:r]),
-                 Subspace.from_vectors(n, ident[r: r + nw])],
     )
     wedge_sq = " + ".join(f"p{r + i + 1}^2" for i in range(nw))
     exprs = {"C1": wedge_sq}
@@ -301,7 +294,7 @@ def _axisym_rep(sign):
     ]
 
 
-def _axisym_model(name, sign, inertia):
+def _axisym_model(name, sign, inertia, **extra_facts):
     g = LieAlgebra.from_brackets(
         4, _axisym_brackets(sign), labels=["f1", "f2", "u", "f4"]
     )
@@ -312,7 +305,6 @@ def _axisym_model(name, sign, inertia):
         [[1, 0, 0, 0], [0, 1, 0, 0]],
         [[inertia, 0], [0, inertia]],
         representation=_axisym_rep(sign),
-        kappa=sign / inertia,
     )
     quad = "p1^2 + p2^2 + p3^2 + 2*p3*p4 + p4^2" if sign > 0 \
         else "p1^2 + p2^2 - p3^2 - 2*p3*p4 - p4^2"
@@ -320,6 +312,7 @@ def _axisym_model(name, sign, inertia):
         "go": "affirmed",
         "every_geodesic_homogeneous": True,
         "closed_form": "rotation of (p1, p2) by angle kappa * p3 * t",
+        **extra_facts,
     }
     return ModelSpec(name, s, {"C1": "p3", "C2": quad}, known_facts=facts)
 
@@ -333,15 +326,11 @@ def _sl2_axisym():
 
 
 def _so3_kp():
-    spec = _axisym_model("so3_kp", 1, 1)
-    spec.known_facts["existence_route"] = "eigenvector"
-    return spec
+    return _axisym_model("so3_kp", 1, 1, existence_route="eigenvector")
 
 
 def _sl2_kp():
-    spec = _axisym_model("sl2_kp", -1, 1)
-    spec.known_facts["existence_route"] = "eigenvector"
-    return spec
+    return _axisym_model("sl2_kp", -1, 1, existence_route="eigenvector")
 
 
 def _so3_generic():
@@ -517,10 +506,6 @@ def load_model_file(path) -> ModelSpec:
     if not all(isinstance(v, bool) for v in flags.values()):
         raise ValueError("isotropy_exact and isotropy_connected must be "
                          "true or false")
-    kappa = data.get("kappa")
-    if kappa is not None and (type(kappa) not in (int, float)
-                              or not abs(kappa) <= sys.float_info.max):
-        raise ValueError("kappa must be a finite number or null")
     n = data["dim"]
     if type(n) is not int or n < 1:
         raise ValueError("dim must be a positive integer")
@@ -544,9 +529,6 @@ def load_model_file(path) -> ModelSpec:
     def space(rows, what):
         return Subspace.from_vectors(n, _exact_rows(rows, n, what))
 
-    grading = None
-    if data.get("grading"):
-        grading = [space(rows, "a grading layer") for rows in data["grading"]]
     delta = space(data["delta_basis"], "delta_basis")
     s = HomogeneousSRStructure(
         g,
@@ -554,9 +536,7 @@ def load_model_file(path) -> ModelSpec:
         space(data["m_basis"], "m_basis"),
         delta,
         _exact_rows(data["metric"], delta.dim, "metric"),
-        grading=grading,
         representation=data.get("representation"),
-        kappa=kappa,
         **flags,
     )
     exprs = data.get("casimirs") or {}

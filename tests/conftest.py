@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import srgo
@@ -54,3 +55,19 @@ def witnesses(models):
     """go._tangency_witness of every model: its L, or None."""
     return {name: srgo.go._tangency_witness(spec.structure)
             for name, spec in models.items()}
+
+
+@pytest.fixture(scope="session")
+def so3_plus_center():
+    """g = so(3) + R Z with Z central, k = span(Z), m = so(3), delta =
+    span(X1, X2), metric diag(1, 2): the Killing kernel span(Z) lies in k,
+    so it is neither m nor the radical part of m that exist divides out."""
+    g = srgo.LieAlgebra.from_brackets(
+        4, {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}},
+        labels=["X1", "X2", "X3", "Z"])
+    e = np.eye(4, dtype=int).tolist()
+    s = srgo.HomogeneousSRStructure(
+        g, srgo.Subspace.from_vectors(4, [e[3]]),
+        srgo.Subspace.from_vectors(4, e[:3]),
+        srgo.Subspace.from_vectors(4, e[:2]), [[1, 0], [0, 2]])
+    return srgo.ModelSpec("so3_plus_center", s)

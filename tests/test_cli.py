@@ -350,6 +350,16 @@ def test_exist_command(tmp_path):
     assert payload["audit"]["homogeneous"] is True
 
 
+def test_exist_on_a_degenerate_killing_form_fails_cleanly(tmp_path, capsys,
+                                                         so3_plus_center):
+    model_file = tmp_path / "model.json"
+    so3_plus_center.save(model_file)
+    assert run(["exist", "--model", str(model_file)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["success"] is False
+    assert captured.err == "so3_plus_center: FAILED\n"
+
+
 def test_model_file_through_cli(tmp_path):
     import srgo
 
@@ -406,6 +416,20 @@ def test_check_lifts_m_coords_into_annihilator(tmp_path, name, m_coords):
 def test_requires_p0(capsys):
     with pytest.raises(SystemExit):
         run(["check", "--model", "heisenberg"])
+
+
+@pytest.mark.parametrize("extra, option", [
+    (["--phase-portrait", "--p0=1,0,1"], "--p0"),
+    (["--phase-portrait", "--horizontal"], "--horizontal"),
+    (["--p0=1,0,1", "--samples", "5"], "--samples"),
+    (["--p0=1,0,1", "--seed", "0"], "--seed"),
+])
+def test_integrate_rejects_options_its_mode_does_not_use(capsys, extra,
+                                                          option):
+    with pytest.raises(SystemExit) as exc:
+        run(["integrate", "--model", "heisenberg", "--T", "0.01"] + extra)
+    assert exc.value.code == 2
+    assert f"does not use {option}" in capsys.readouterr().err
 
 
 def test_check_rejects_non_finite_p0(capsys):

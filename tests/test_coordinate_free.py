@@ -77,7 +77,6 @@ def rewrite(structure, p):
                                         np.stack(s.representation)))
     return HomogeneousSRStructure(
         algebra, space(s.k), space(s.m), space(s.delta), s.metric,
-        grading=None if s.grading is None else [space(x) for x in s.grading],
         representation=representation,
         isotropy_exact=s.isotropy_exact,
         isotropy_connected=s.isotropy_connected)

@@ -182,3 +182,14 @@ def test_result_serialization(heisenberg):
     assert d["route"] == ROUTE_SOLVABLE
     assert len(d["momentum"]) == 4
     assert d["steps"]
+
+
+def test_degenerate_killing_form_fails_the_construction(so3_plus_center):
+    # A valid structure with a homogeneous geodesic at p = X1*, whose
+    # Killing form no float solve may be asked to invert.
+    s = so3_plus_center.structure
+    assert check_homogeneous(Momentum([1, 0, 0, 0], s)).verdict == HOMOGENEOUS
+    result = construct_homogeneous_geodesic(s)
+    assert not result.success and result.momentum is None
+    assert result.route == ROUTE_EIGENVECTOR
+    assert "Killing form is degenerate" in result.steps[-1]

@@ -259,10 +259,10 @@ def test_skew_decided_exactly():
     ident = np.eye(5, dtype=int).tolist()
     s = HomogeneousSRStructure(
         g, Subspace.from_vectors(5, []), Subspace.from_vectors(5, ident),
-        Subspace.from_vectors(5, ident[:2]), [[1, 0], [0, 1]],
-        grading=[Subspace.from_vectors(5, ident[:2]),
-                 Subspace.from_vectors(5, [ident[2]]),
-                 Subspace.from_vectors(5, ident[3:])])
+        Subspace.from_vectors(5, ident[:2]), [[1, 0], [0, 1]])
+    # No grading is declared: the layers are derived from the bracket.
+    assert [v.dim for v in s.grading] == [2, 1, 2]
+    assert s.grading[2] == Subspace.from_vectors(5, ident[3:])
     report = carnot_skew_test(s)
     assert 0 < report.max_asymmetry < 1e-12
     assert not report.is_skew

@@ -106,10 +106,12 @@ def test_drifts_of_a_non_finite_start_are_nan(models):
 
 
 def test_closed_form_axisymmetric_models(models):
-    for name in ["so3_axisym", "sl2_axisym", "so3_kp", "sl2_kp"]:
-        spec = models[name]
-        s = spec.structure
-        p0 = Momentum(np.array([1.0, 0.4, 0.8, 0.0]), s)
+    # Every model whose derived kappa exists: the rotating flows and the
+    # zero field of biinvariant_compact.
+    for name in ["so3_axisym", "sl2_axisym", "so3_kp", "sl2_kp",
+                 "heisenberg", "free_step2_rank2", "biinvariant_compact"]:
+        s = models[name].structure
+        p0 = Momentum(s.m_dual @ [1.0, 0.4, 0.8], s)
         traj = integrate_vertical(p0, 10.0, 1e-3)
         for i in range(0, traj.n_samples, 250):
             cf = closed_form_axisymmetric(p0, traj.times[i])

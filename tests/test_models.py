@@ -1,12 +1,15 @@
 import inspect
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import srgo
+import srgo.cli as cli
 import srgo.models as models_mod
-from srgo import generate_free_step2, list_models, load_model, load_model_file
+from srgo import (Subspace, generate_free_step2, list_models, load_model,
+                  load_model_file)
 
 
 EXPECTED = {
@@ -131,11 +134,37 @@ def test_cartan_known_casimir_exprs(cartan):
 
 
 def test_kappa_values(models):
-    assert models["so3_axisym"].structure.kappa == 0.5
-    assert models["sl2_axisym"].structure.kappa == -0.5
-    assert models["so3_kp"].structure.kappa == 1.0
-    assert models["sl2_kp"].structure.kappa == -1.0
-    assert models["heisenberg"].structure.kappa is None
+    # Derived exactly from the vertical field: the axisymmetric models'
+    # sign / inertia, the step-2 rank-2 rotation, and 0 where the field
+    # vanishes.
+    want = dict.fromkeys(EXPECTED)
+    want.update(so3_axisym=Fraction(1, 2), sl2_axisym=Fraction(-1, 2),
+                so3_kp=1, sl2_kp=-1, heisenberg=1, free_step2_rank2=1,
+                biinvariant_compact=0)
+    for name, kappa in want.items():
+        got = models[name].structure.kappa
+        assert got == kappa and type(got) is type(kappa), name
+
+
+def _layers(n, *rows):
+    return [Subspace.from_vectors(n, r) for r in rows]
+
+
+def test_grading_is_derived_from_the_bracket(models):
+    e4, e6 = np.eye(4, dtype=int).tolist(), np.eye(6, dtype=int).tolist()
+    want = dict.fromkeys(EXPECTED)
+    want["heisenberg"] = _layers(4, e4[:2], [e4[2]])
+    want["cartan"] = _layers(6, e6[:2], [e6[2]], e6[3:5])
+    for r in range(2, 7):
+        n, nw = r * r, r * (r - 1) // 2  # n = r + 2 * nw
+        ident = np.eye(n, dtype=int).tolist()
+        want[f"free_step2_rank{r}"] = _layers(n, ident[:r], ident[r:r + nw])
+    for name, layers in want.items():
+        s = models[name].structure
+        assert s.grading == layers, name
+    s = load_model("cartan").structure
+    assert s.grading[0] is s.delta
+    assert not any(v.basis.flags.writeable for v in s.grading)
 
 
 def _roundtrip(tmp_path, spec):
@@ -181,7 +210,7 @@ def test_model_file_must_be_an_object(tmp_path):
 @pytest.mark.parametrize("key, value, match", [
     ("colour", "blue", "unknown model-file keys: colour"),
     ("isotropy_exact", "false", "isotropy_exact"),
-    ("kappa", "1/2", "kappa"),
+    ("isotropy_connected", 1, "isotropy_connected"),
     ("labels", ["e1"], "label count"),
     ("casimirs", {"C1": "p9"}, "p9"),
     # Each of these escaped as another exception, a traceback in the CLI.
@@ -195,7 +224,7 @@ def test_model_file_must_be_an_object(tmp_path):
     ("casimirs", {"C": "p1 +"}, "malformed polynomial 'p1 \\+'"),
     ("casimirs", {"C": 3}, "a polynomial is a string"),
     ("notes", 5, "notes must be a list of strings"),
-    ("kappa", float("nan"), "kappa must be a finite number"),
+    ("name", 5, "name must be a string"),
     # A NaN validated; an inf warned before a misleading violation.
     ("representation", [[[float("nan")]]] * 4, "must be finite, square"),
     ("representation", [[[float("inf")]]] * 4, "must be finite, square"),
@@ -210,6 +239,34 @@ def test_model_file_rejects_bad_metadata(tmp_path, heisenberg, key, value,
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=match):
         load_model_file(path)
+
+
+def test_saved_file_holds_no_derived_key(tmp_path, models):
+    for spec in models.values():
+        path = tmp_path / f"{spec.name}.json"
+        spec.save(path)
+        data = json.loads(path.read_text())
+        assert "grading" not in data and "kappa" not in data, spec.name
+
+
+@pytest.mark.parametrize("name, extra", [
+    ("heisenberg", {"kappa": None, "grading": [
+        [["1", "0", "0", "0"], ["0", "1", "0", "0"]], [["0", "0", "1", "0"]]]}),
+    ("so3_axisym", {"kappa": 0.5}),
+    ("so3_axisym", {"kappa": "1/2"}),
+])
+def test_files_with_the_old_derived_keys_still_load(tmp_path, name, extra):
+    # Every file saved before grading and kappa were derived holds "kappa",
+    # and the graded ones "grading": they load, and their values are unread.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**load_model(name).to_dict(), **extra}))
+    outs = []
+    for model in (name, str(path)):
+        out = tmp_path / "go.json"
+        assert cli.main(["go", "--model", model, "--samples", "50",
+                         "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_model_save_deterministic(tmp_path, heisenberg):

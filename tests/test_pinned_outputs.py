@@ -5,6 +5,8 @@ held as ints. They pin the bytes of ``validate``, ``exist`` and
 ``go --seed 0`` (JSON), of the file ``ModelSpec.save`` writes and of the
 reprs of the degree-4 invariant basis, so that an int where a Fraction used
 to be (``repr(Fraction(3))`` is not ``repr(3)``) cannot change any output.
+The saved-file digests were retaken when the file stopped holding the
+derived ``grading`` and ``kappa``; the file is otherwise unchanged.
 ``go --degree-cap 6`` is pinned too on the models that take the enumeration
 route; those digests were taken before polynomial coefficients were held
 as ints.
@@ -28,98 +30,98 @@ DIGESTS = {
         "56a1d08bb8d94acf9c0f9f4c717740c5ceddbdf3f0da79d529f8b38b0c30bb9b",
         "5239f181c7032d8968cd73587a476a09b5f3fe2fe499834a44a80385197c4eee",
         "cb4aa25e97e16a3fcfe854e00742d7090149dbe8acc6f238dbb93bb31371a464",
-        "6f8bf86bef9d8ff5c665c13f26bf0cf7a640505c6955c56a769aaa99db197c22",
+        "27f52d417ffe2cc5a834f9c50bdc515252d4eb2b1d1e62a55cd853a7b37c2501",
         "bb4798db21c7d063c3a599069106c11eb313333da272ee1d35f17a5e57c06f69",
     ),
     "cartan": (
         "bb24d757d352011ae9bba8ea66d6a10add50e04f4626f30b801cb179cecfc798",
         "be14ccba2b42591172b1714b19d67883cf7b50042c89594060212c1d873253e2",
         "cd863567ce1e29d602eba178106951555ee5c5301ec8fe9057be429d8b75f025",
-        "9c8b04e7396c03cf64c2167117042f7ae220155f9c67c8cb857260b8e330c9e9",
+        "a54f58e20a427fe7aaf81f29e6e8bd43b47f7872e418e2ba5736ecce7a97ecba",
         "1bb694c37059e43a0f7983269cc8548d868a6a673b6c1868c4dbda111ba729b6",
     ),
     "free_step2_rank2": (
         "4a5710814d76b241d48d51cce9e9f61bc65ecf540068f7a6c6f0b373bed72cbf",
         "eb74fc70edcb593dab6a199619f82ee3e06746e70be4baf1f6612841df648f0f",
         "0ffd5106b011bf93a5f86512d5e7acc3dfd9047cc0a3c11c0ddfe6f88e7e18c1",
-        "16b426d59c5c7b9903ce628f510f081ad42510d47b84c5ecaa447c62f74bfa00",
+        "6cfdd65e162d90a7a2768cefa00f23f63394e1193de7ae897666fe729e2c3fd6",
         "d13bc32c1cec6c45ac84e89aaf7414d3532c5aca29952e1e957cfa7be8b8547e",
     ),
     "free_step2_rank3": (
         "ce6c6bdf68769933bea55c0d8072f47573eb7a4aa9e81b34100697e73f31774a",
         "09e406ce6d1964a31aedc170d83d132468d9c9634ebb517c25c1702d3927e0c5",
         "24244b120f54d3a4ff52ead51a4f00a1baae527b3dac0da9dbf6eb20f1ff61c2",
-        "ccdb2eacfcb3fe854fe8199d2bab662276571a276c3ad277b238204121a0378c",
+        "dc0770ce383471e47f49f151d6144ac09428cb16738ccb744e0259e70d67b29b",
         "e377765120597cd9f39a4b75edc1dac9724ef8ecb93500e816335e864b6d4804",
     ),
     "free_step2_rank4": (
         "814755bd266cc29c1c74dae1b593b20ca708b469d3479a1f6a3f2a6b9c9a111c",
         "c0d80ad92152b5d63490f4ad91bf2652a8c2d1f62e4193c877be2aaae9f8892a",
         "bb883e9a040f5ea91b1a9fa74a277e26cf1ab6a9d6f51c3d768dab4dd345fe50",
-        "094e0cd6cd36d9ead93d83dac6261504f01868d032ebe668bf668ac76132851e",
+        "824ff1d6c8f8c1e5f4745dca308a1824bd994a1a1e31a248a0dc6068c95b2602",
         "b97efb48906c52689df92c94e58f8849870cb4f0f06406265ea8a0050fac7e41",
     ),
     "free_step2_rank5": (
         "ac1dd69811bd483b0d929d8c3ce3bbe9a4aaa5a053514f8408bb96c2e2a8bda9",
         "aa40147719f8b887dd2dab825060c10a433b2f9a336168ef9356f6746b4eba27",
         "2ca4ce201e3cfbc2aa0802fdea4f43a1cbee6438eaefe9a8eece5846c98d7e9d",
-        "18da58e3a1c39ba299d8cb66c08f2fb27696c12de6119c1974858dcc5327ac2a",
+        "6177ff3cc2db69dbe3814d02348dfdc3e9d020ddcf172c7810c864d81deb3dfb",
         "649c8eca91e8f5dc8138827d9dabef9311abc1c121618bcd71fc96516ac8644d",
     ),
     "free_step2_rank6": (
         "04afae6fbf74cf56b043cea8c9eb9d00381bd8911ae2513a16487bd2f2ff6128",
         "feb55ae4b3b68abf2916f1cbcccecd20de276bb18f6719d2a583a8a15477c55f",
         "2456a7b7e5cd8f9d3fbcc643ad8aba3d8c08fb70212af57cc48f3cfa9b9fc156",
-        "04d33639eeeaa9a6eb16c89db58819702d6d5ce94278130f284318e5b4e6c2b9",
+        "05dd758b89f695b2306f4b42638d641df2f3720ee36d4ea20f1b34d121522aec",
         "520b4e2c824f07d606b3e419af63e1424240749b0126dbcde2546df95dca7b92",
     ),
     "heisenberg": (
         "d7f44ba128e1e57c97e0a1699fb557801cef1903b5fc60e85abcbb322d1ae973",
         "4ae0c74a4686719885564f9c46423d5be0715217ba1d4afd541c418dd6cf688f",
         "c1267872bf6d78a4d6e24d817c066de64996d2c8eb34505d3d618426fc342439",
-        "0f3f5ea1b24659e55d3ba10a7a7ffcf61b60732e84b2f91b60264aaa63f4af32",
+        "7c654b2aeaf5feaf75a93958e7f594d7d5a3e6d6a6fdac4c23d179a832c686bb",
         "d13bc32c1cec6c45ac84e89aaf7414d3532c5aca29952e1e957cfa7be8b8547e",
     ),
     "rolling_sphere": (
         "3665811bfa0d75c4d5ef2265e9285e5904058e580033dd78ceb7e322f1e28df5",
         "c949bfcfb976fc0f11f5454119fe2bb9b5f9476849a186d417afec0adc95b2a5",
         "10d9128cc5a1f3c49684442e4ade5cbd7242a059cde1a9a59eb4cc229f760f66",
-        "ffc3dd01b0d04c4e5c5d299f83a8ae118ef41eb23aa42472ee10c7ec7b570851",
+        "c1ed89950e6a8c9c04a2fdc602cae647f70945936227a8f12ea0bb0aeb2c4618",
         "d34438ec08c4dba6e6376fdfff8f4928002e62951f5631f18dc19381a70ccfbf",
     ),
     "sl2_axisym": (
         "8147bb9227d0837dec2e3d605546239a4a308e08835c5aeaacfd5f9d842de3ed",
         "b30850cd4f9eb1b249728306e11d0cb2e210ddd2a2be09f422947ff51e6e0dd9",
         "57d558377e9636941308dd6c71aaa5946cdf5cb2473da55f4b5112672dca14e2",
-        "7056e21c0c531e740d078eb5820c45b1d0a1e0107b4c0adaa410f02857e1bd14",
+        "a39051ecb5150b38902fec2884e056a5cf2a8b08eb4816fe04a637e566ee2e45",
         "d13bc32c1cec6c45ac84e89aaf7414d3532c5aca29952e1e957cfa7be8b8547e",
     ),
     "sl2_kp": (
         "a50697e2a05ab97a4904bea1491479731791900963551aa441da623188d5c945",
         "fdefcf294932da958a9b1ea2d6c10c1ccff8a0adef4e1855b2d584585ab3f0da",
         "31248c511eeb56c637630b9e19f0d93b796b6a110585f8c4349fcfedfeaf9c06",
-        "5c4f706e4af1e9aa877375ac4a25b23c354a920246a519dca0423692e2bb6437",
+        "aa586ee5602df3f8bc54b2d971583d1ae6e5cc2a73b9bf3da9c823c66e257f70",
         "d13bc32c1cec6c45ac84e89aaf7414d3532c5aca29952e1e957cfa7be8b8547e",
     ),
     "so3_axisym": (
         "b44f2ac18fa1227f75c9fa10fb1747fd2d1c55a65307648f81dbde5427ae02a1",
         "031deede14b4f94b1bb05bee72b1c110f971f242dab4244e08de3a2a53d0211b",
         "e792dc445e2f15a37950a6021e0267e69f6915f3fada4af7c416e3a4016c93b0",
-        "bc634e4ea55e16589685fe4233e56fed5fc8a87161ec9c1faf7c6d1ba8f4af51",
+        "2593f72f0812e0d11a204864bddf850ae0b02ca94943b6083af0330606585301",
         "d13bc32c1cec6c45ac84e89aaf7414d3532c5aca29952e1e957cfa7be8b8547e",
     ),
     "so3_generic": (
         "24809df45d00190c05560f046980a82205daf79b9e85e56c46b49a98691182cb",
         "cf9adf04cd41a9ef96dac32d0ed42d22ee2d730b2ec7938133aa22fb42666b9b",
         "dfef2ecdff0cf43926d7401bc791b13cf07a9d1447ac6d5d06a6e4d401860b34",
-        "254a3c10374587ca0c6b97c3124af9455af4105ebe55b0cdadc27b1aba7f8dd9",
+        "526df582766313593f75e3de9f449781cef1f8b982c33415190f0c1651faa44e",
         "bb4798db21c7d063c3a599069106c11eb313333da272ee1d35f17a5e57c06f69",
     ),
     "so3_kp": (
         "30c38fcc5b484df20ac27a297b1ba34b03a744a0a98f61bb767d378eea0943cb",
         "4e7e113466d27f66451d04873e4618474aded55541f293bcfdfd1df17a54c149",
         "aa3fec9f5fa2c22b9a570354d721e3f90ec8b22e7652fb63341dac9485e0873a",
-        "2b249cbaf7f15a8c177627e74a69a69a7e560911d5fcdbf35d3fb51ee517bab3",
+        "83402f289c1c52c30be31fa0e34fab8b54670d8543f6f78ef5639dd9acb4a17b",
         "d13bc32c1cec6c45ac84e89aaf7414d3532c5aca29952e1e957cfa7be8b8547e",
     ),
 }
