@@ -34,11 +34,8 @@ from .go import (
 )
 from .hamiltonian import (
     Momentum,
-    casimir_check,
     dH,
-    hamiltonian_polynomial,
     hamiltonian_value,
-    lie_poisson_bracket,
     vertical_field,
 )
 from .homogeneity import (
@@ -94,7 +91,6 @@ __all__ = [
     "Trajectory",
     "ValidationReport",
     "carnot_skew_test",
-    "casimir_check",
     "check_homogeneous",
     "closed_form_axisymmetric",
     "construct_homogeneous_geodesic",
@@ -104,7 +100,6 @@ __all__ = [
     "generate_free_step2",
     "go_test_bracket",
     "go_verdict",
-    "hamiltonian_polynomial",
     "hamiltonian_value",
     "integrate_horizontal",
     "integrate_vertical",
@@ -112,7 +107,6 @@ __all__ = [
     "invariant_polynomials",
     "is_solvable",
     "lie_closure",
-    "lie_poisson_bracket",
     "list_models",
     "load_model",
     "load_model_file",

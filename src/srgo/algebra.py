@@ -1,17 +1,20 @@
 """Lie algebra arithmetic from structure constants.
 
-The structure constants are stored once, as their nonzero entries: a COO
-list (i, j, k, c) of exact rationals (ints where integral, as everywhere in
-the exact layer; see ``exactla``), grouped by i. Their float mirror (the
-same nonzeros as index and value arrays) and the dense exact view are both
-derived from it, and every exact loop (brackets, ad and coad matrices,
-the Killing form, the antisymmetry and Jacobi checks) runs over the
-nonzeros only. All structural checks (antisymmetry, Jacobi, reductivity,
-bracket generation) run in exact arithmetic. Every exact bracket is one
-contraction of two bases, ``LieAlgebra.brackets``; a homogeneous structure
-contracts dH's matrix and the k basis with the identity, once, into the
-vertical field and the k action, which every other module reads. A
-``Subspace`` reads membership off its canonical form, with no solve.
+The structure constants are stored once, as their nonzero entries grouped
+by i (``LieAlgebra.by_i``), exact rationals: ints where integral, as
+everywhere in the exact layer (see ``exactla``). The COO list and the dense
+exact view are derived from it, and every exact loop (brackets, the Killing
+form, the antisymmetry and Jacobi checks) runs over the nonzeros only. All
+structural checks (antisymmetry, Jacobi, reductivity, bracket generation,
+the k-invariance of the metric) run in exact arithmetic. Every exact
+bracket is one contraction of two bases, ``LieAlgebra.brackets``. A
+homogeneous structure contracts dH's matrix and the k basis with the
+identity, once, into the vertical field and the k action on momenta, which
+the float layers and the exact feasibility solve read. Paired with the map
+m_dual from m*-coordinates, the same contraction gives the motion of the
+m*-coordinates and the k action on m, each once, which the tangency
+witness and the invariant enumeration read. A ``Subspace`` reads
+membership off its canonical form, with no solve.
 """
 
 from collections import defaultdict
@@ -65,11 +68,6 @@ def _float_matrix(a, what):
         raise ValueError(f"{what} has entries beyond the float range") from None
 
 
-def _scatter(index, values, size):
-    """out[index[t]] += values[t] over a float zero vector of length size."""
-    return np.bincount(index, values, size).astype(float, copy=False)
-
-
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by its structure constants.
 
@@ -78,9 +76,9 @@ class LieAlgebra:
     ``by_i[i]`` is the tuple of (j, k, c) sorted by (j, k), with c exact: an
     int when it is integral, else a Fraction. Integral constants are the
     common case, and every exact loop over them then runs in int
-    arithmetic, which is several times cheaper than Fraction's.
-    ``coo_index`` (3, nnz) and ``coo_float`` (nnz,) are the same nonzeros
-    in float, for the float ``bracket``, ``ad_matrix`` and ``coad_apply``.
+    arithmetic, which is several times cheaper than Fraction's. A constant
+    beyond the float range is a ValueError: the float layers (the Killing
+    form of the existence route, the vertical field) could not hold it.
     """
 
     def __init__(self, dim, constants, labels=None):
@@ -97,10 +95,7 @@ class LieAlgebra:
             if v:
                 rows[i].append((j, k, v))
         self.by_i = tuple(tuple(sorted(row)) for row in rows)
-        terms = _float_terms(self.coo, "the bracket")
-        self.coo_index = np.array([t[:3] for t in terms],
-                                  dtype=np.intp).reshape(-1, 3).T
-        self.coo_float = np.array([t[3] for t in terms])
+        _float_terms(self.coo, "the bracket")  # only for its range check
 
     @classmethod
     def from_brackets(cls, dim, brackets, labels=None):
@@ -133,15 +128,6 @@ class LieAlgebra:
         for i, j, k, v in self.coo:
             c[i, j, k] = v
         return c
-
-    def bracket(self, a, b):
-        """[a, b] for float coordinate vectors."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.shape != (self.dim,) or b.shape != (self.dim,):
-            raise ValueError("dimension mismatch")
-        i, j, k = self.coo_index
-        return _scatter(k, a[i] * b[j] * self.coo_float, self.dim)
 
     def brackets(self, a, b=None):
         """Every bracket [A_r, B_s] of a column of ``a`` with one of ``b``.
@@ -178,44 +164,6 @@ class LieAlgebra:
         """[a, b] exactly, as ``brackets`` of the two vectors."""
         vec = self.brackets(self._column(a), self._column(b)).get((0, 0), {})
         return _object_vec([vec.get(k, 0) for k in range(self.dim)])
-
-    def ad_matrix(self, x):
-        """Matrix of ad x; column j is [x, e_j]."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError("dimension mismatch")
-        n = self.dim
-        i, j, k = self.coo_index
-        return _scatter(k * n + j, x[i] * self.coo_float, n * n).reshape(n, n)
-
-    def ad_matrix_exact(self, x):
-        """Exact ad x, column j [x, e_j]: ``brackets`` of x with the
-        identity."""
-        out = fzeros(self.dim, self.dim)
-        for (_, j), vec in self.brackets(self._column(x),
-                                         exactla.feye(self.dim)).items():
-            for k, v in vec.items():
-                out[k, j] = v
-        return out
-
-    def coad_apply(self, x, p):
-        """Coadjoint pairing: returns the covector xi -> p([x, xi])."""
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
-        if x.shape != (self.dim,) or p.shape != (self.dim,):
-            raise ValueError("dimension mismatch")
-        i, j, k = self.coo_index
-        return _scatter(j, x[i] * self.coo_float * p[k], self.dim)
-
-    def coad_apply_exact(self, x, p):
-        p = dict(_nonzero_items(p, self.dim))
-        out = [0] * self.dim
-        for i, xi in _nonzero_items(x, self.dim):
-            for j, k, c in self.by_i[i]:
-                pk = p.get(k)
-                if pk is not None:
-                    out[j] += xi * c * pk
-        return _object_vec(out)
 
     def killing_form(self):
         """K[i, j] = tr(ad e_i ad e_j) = sum_{a,b} c[i, b, a] c[j, a, b], exact."""
@@ -371,9 +319,6 @@ class Subspace:
                 return False
         return True
 
-    def contains(self, v):
-        return self.contains_all([dict(_nonzero_items(v, self.ambient_dim))])
-
     def contains_subspace(self, other):
         return self.contains_all(col for _, col in other._pivot_columns)
 
@@ -426,7 +371,9 @@ class HomogeneousSRStructure:
     the nonzero (a, j, k, T[a, j, k]). Float mirrors: ``vertical_terms``
     (float coefficients) and the dense ``k_action`` T; a coefficient, or an
     entry of the metric, its inverse or Dmat, that overflows a float is a
-    ValueError.
+    ValueError. On k-circ, in m*-coordinates a (p = m_dual a), the same
+    brackets give ``m_field_exact`` (the motion of a) and ``m_action_exact``
+    (the k action on m), each read straight off ``_paired``.
     """
 
     def __init__(self, algebra, k, m, delta, metric, representation=None,
@@ -510,31 +457,40 @@ class HomogeneousSRStructure:
         """Float mirror of ``m_dual_exact``."""
         return _read_only(to_float(self.m_dual_exact))
 
-    @cached_property
-    def m_vertical_terms_exact(self):
-        """The vertical field in m*-coordinates a: the nonzero (j, u, t, c)
-        with u <= t, sorted, c the coefficient of a_u a_t in f_j(m_dual a)."""
-        dual_rows = exactla.row_nonzeros(self.m_dual_exact)  # q -> [(r, m_dual[q, r])]
-        merged = defaultdict(int)  # (j, u, t) -> coefficient, u <= t
-        for j, q, k, c in self.vertical_terms_exact:
-            for u, x in dual_rows[q]:
+    def _paired(self, left, right):
+        """``algebra.brackets(left, right)`` paired with p = m_dual a:
+        {(u, r): {t: the coefficient of a_t in p([L_u, R_r])}}, nonzeros
+        only. That coefficient is the m_t-coordinate of [L_u, R_r] along k."""
+        # k -> [(t, m_dual[k, t])]
+        dual_rows = exactla.row_nonzeros(self.m_dual_exact)
+        out = {}
+        for key, vec in self.algebra.brackets(left, right).items():
+            acc = defaultdict(int)
+            for k, v in vec.items():
                 for t, y in dual_rows[k]:
-                    merged[j, min(u, t), max(u, t)] += c * x * y
-        return tuple(sorted((*key, _int_or_fraction(v))
-                            for key, v in merged.items() if v))
+                    acc[t] += v * y
+            if nz := {t: _int_or_fraction(c) for t, c in acc.items() if c}:
+                out[key] = nz
+        return out
+
+    def _dh_pairings(self, right):
+        """p([dH(p), R_r]) at p = m_dual a, a quadratic form in a per column
+        r of ``right``: {(r, u, t): the coefficient of a_u a_t}, u <= t,
+        nonzeros only. dH(m_dual a) = sum_u a_u X_u with X = Dmat m_dual."""
+        x = exactla.matmul(self.dmat_exact, self.m_dual_exact)
+        merged = defaultdict(int)  # (r, u, t) -> coefficient, u <= t
+        for (u, r), vec in self._paired(x, right).items():
+            for t, c in vec.items():
+                merged[r, min(u, t), max(u, t)] += c
+        return {key: _int_or_fraction(v) for key, v in merged.items() if v}
 
     @cached_property
     def m_field_exact(self):
         """The motion of the m*-coordinates a_r = p(m_r) on k-circ:
-        adot_r = sum_j m_basis[j, r] f_j(m_dual a), as the nonzero
-        (r, u, t, c) with u <= t, sorted, c the coefficient of a_u a_t."""
-        mb_rows = exactla.row_nonzeros(self.m.basis)  # j -> [(r, m_basis[j, r])]
-        merged = defaultdict(int)  # (r, u, t) -> coefficient
-        for j, u, t, c in self.m_vertical_terms_exact:
-            for r, x in mb_rows[j]:
-                merged[r, u, t] += c * x
-        return tuple(sorted((*key, _int_or_fraction(v))
-                            for key, v in merged.items() if v))
+        adot_r = p([dH(p), m_r]) at p = m_dual a, as the nonzero (r, u, t, c)
+        with u <= t, sorted, c the coefficient of a_u a_t."""
+        return tuple(sorted((*key, c) for key, c in
+                            self._dh_pairings(self.m.basis).items()))
 
     @cached_property
     def kappa(self):
@@ -553,16 +509,13 @@ class HomogeneousSRStructure:
         return None
 
     @cached_property
-    def m_k_action_exact(self):
-        """The k action in m*-coordinates a: the nonzero (b, j, t, c),
-        sorted, c the coefficient of a_t in p([Z_b, e_j]) at p = m_dual a."""
-        dual_rows = exactla.row_nonzeros(self.m_dual_exact)
-        merged = defaultdict(int)  # (b, j, t) -> coefficient
-        for b, j, q, c in self.k_action_exact:
-            for t, y in dual_rows[q]:
-                merged[b, j, t] += c * y
-        return tuple(sorted((*key, _int_or_fraction(v))
-                            for key, v in merged.items() if v))
+    def m_action_exact(self):
+        """The k action on m: the nonzero (b, r, t, c), sorted, c the
+        coefficient of a_t in p([Z_b, m_r]) at p = m_dual a, which is the
+        m_t-coordinate of [Z_b, m_r] (the structure is reductive)."""
+        return tuple(sorted((b, r, t, c) for (b, r), vec in
+                            self._paired(self.k.basis, self.m.basis).items()
+                            for t, c in vec.items()))
 
     def freeze(self):
         """Mark every array of this structure read-only.
@@ -596,6 +549,10 @@ class HomogeneousSRStructure:
             report.add("decomposition is not reductive: [k, m] not in m")
         if not m.contains_subspace(delta):
             report.add("delta is not contained in m")
+        # A G-invariant structure on G/K is an Ad(K)-invariant one on m:
+        # H is k-invariant on k-circ, p([dH(p), Z_c]) = 0 for each Z_c.
+        if report.ok and self._dh_pairings(k.basis):
+            report.add("the metric on delta is not invariant under k")
         seed = subspace_sum(n, [delta, k])
         if lie_closure(g, seed).dim != n:
             report.add("delta (with k) is not bracket generating")
@@ -644,9 +601,6 @@ class HomogeneousSRStructure:
         """B^{-1}(p|_delta) in g-coordinates, supported on delta."""
         p = np.asarray(p, dtype=float)
         return self.dmat @ p
-
-    def dH_exact(self, p):
-        return exactla.matvec(self.dmat_exact, self.algebra._column(p)[:, 0])
 
     def hamiltonian_value(self, p):
         p = np.asarray(p, dtype=float)

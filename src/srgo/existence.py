@@ -161,8 +161,13 @@ def factorize_by_ideal(structure, ideal: Subspace) -> Factorization:
         )
     else:
         w_coords = exactla.feye(s.delta.dim)
-    surviving = exactla.matmul(s.delta.basis, w_coords)
-    delta_hat = Subspace.span_of_columns(n_hat, exactla.matmul(proj, surviving))
+    projected = exactla.matmul(proj, exactla.matmul(s.delta.basis, w_coords))
+    delta_hat = Subspace.span_of_columns(n_hat, projected)
+    # delta_hat's basis is the canonical form of the projected columns, not
+    # those columns: the metric is carried into it by the t with
+    # projected t = delta_hat.basis.
+    w_coords = exactla.matmul(w_coords,
+                              exactla.solve(projected, delta_hat.basis))
     metric_hat = exactla.matmul(exactla.matmul(w_coords.T, s.metric), w_coords)
 
     s_hat = HomogeneousSRStructure(g_hat, k_hat, m_hat, delta_hat, metric_hat)

@@ -8,14 +8,14 @@ coad(dH(p) + Z(p))p = 0 on the annihilator of k: one sparse rational
 system whose solution certifies vanishing brackets at every degree, and
 whose inconsistency proves that no such linear Z exists. Enumeration of
 invariants up to the degree cap then decides. It works in m*-coordinates
-a (p = m_dual a) throughout, on the structure's field and k action pulled
-back to a: the witness rows are read off those terms, and the k action on
-m and adot, the vertical field as dim m exact quadratics in a, are their
-projections by the m basis. The invariants of each degree are the kernel
-of sparse derivation rows, taken by ``exactla.nullspace_sparse``, and on
+a (p = m_dual a) throughout, on the structure's two forms there: adot, the
+vertical field as dim m exact quadratics in a (``m_field_exact``), and the
+k action on m (``m_action_exact``). The witness rows are read off both.
+The invariants of each degree are the kernel of sparse derivation rows
+built from the k action, taken by ``exactla.nullspace_sparse``, and on
 the annihilator of k the bracket is {H, F} = sum_r dF/da_r * adot_r. The
-g-coordinate route through ``hamiltonian.lie_poisson_bracket`` gives the
-same polynomials and is kept as the tests' oracle. The scan of ``go_verdict``
+tests keep the g-coordinate route, a Lie-Poisson bracket on g*, as the
+oracle that gives the same polynomials. The scan of ``go_verdict``
 gets the witness too: Z(p) = L p decides each sampled momentum it closes,
 and only the rest go through the batched SVD of
 ``homogeneity.feasibility_residuals``.
@@ -38,21 +38,13 @@ GO_EVIDENCE = "evidence_only"
 
 
 def _m_action_matrices(structure):
-    """Exact matrices of ad z restricted to m, in the m-basis, per k-basis z.
-
-    [Z_b, m_i] lies in m (the structure is reductive), and its m_t
-    coordinate is p([Z_b, m_i]) at p = m_dual e_t. So R_b[t, i] =
-    sum_j m_basis[j, i] P[b, j, t], over the structure's
-    ``m_k_action_exact`` terms (b, j, t, P[b, j, t]).
-    """
-    s = structure
-    dm = s.m.dim
-    mb_rows = exactla.row_nonzeros(s.m.basis)  # j -> [(i, m_basis[j, i])]
-    out = [exactla.fzeros(dm, dm) for _ in range(s.k.dim)]
-    for b, j, t, c in s.m_k_action_exact:
-        for i, x in mb_rows[j]:
-            out[b][t, i] += x * c
-    return [exactla.fmat(r_b) for r_b in out]  # entries normalised
+    """Exact matrices of ad z restricted to m, in the m-basis, per k-basis z:
+    R_b[t, r] = c for each term (b, r, t, c) of ``m_action_exact``."""
+    dm = structure.m.dim
+    out = [exactla.fzeros(dm, dm) for _ in range(structure.k.dim)]
+    for b, r, t, c in structure.m_action_exact:
+        out[b][t, r] = c
+    return out
 
 
 @dataclass
@@ -181,27 +173,32 @@ def _bracket_on_m(f, adot):
 def _tangency_witness(structure):
     """Exact linear witness L with coad(dH(p))p = -coad(Lp)p on k-circ.
 
-    On k-circ write p = m_dual a and L p = W a. Component j of the identity
-    is a quadratic form in a whose coefficients are linear in W; matching
-    the coefficient of each a_r a_s (r <= s) to zero gives one sparse
-    rational system in the dk * dm entries of W, built from the structure's
-    ``m_vertical_terms_exact`` and ``m_k_action_exact`` and solved exactly by
-    ``exactla.solve_sparse``. Returns L = W m_basis^T, or None when the
-    system is inconsistent: then no Z(p) in k linear in p closes the
-    identity. With trivial k it returns None without solving.
+    On k-circ write p = m_dual a and L p = W a. Paired with m_r, the
+    identity is adot_r + sum_b (W a)_b p([Z_b, m_r]) = 0, a quadratic form
+    in a whose coefficients are linear in W; matching the coefficient of
+    each a_u a_t (u <= t) to zero gives one sparse rational system in the
+    dk * dm entries of W, read off the structure's ``m_field_exact`` and
+    ``m_action_exact`` and solved exactly by ``exactla.solve_sparse``.
+    Paired with Z_c the identity holds for every W: p([Z(p), Z_c]) = 0 as
+    [k, k] lies in k, and p([dH(p), Z_c]) = 0 as H is k-invariant (the
+    structure checks it). So these rows span the rows of every pairing with
+    a basis of g, and their canonical solution is that system's. Returns
+    L = W m_basis^T, or None when the system is inconsistent: then no Z(p)
+    in k linear in p closes the identity. With trivial k it returns None
+    without solving.
     """
     s = structure
     dk, dm = s.k.dim, s.m.dim
     if dk == 0:
         return None
-    # Row (j, u, t), u <= t, sets the coefficient of a_u a_t in
-    # f_j(m_dual a) + sum_b (W a)_b p([Z_b, e_j]) to zero.
+    # Row (r, u, t), u <= t, sets the coefficient of a_u a_t in
+    # adot_r + sum_b (W a)_b p([Z_b, m_r]) to zero.
     rows = defaultdict(lambda: [defaultdict(int), 0])  # key -> [{col: .}, rhs]
-    for j, u, t, c in s.m_vertical_terms_exact:
-        rows[j, u, t][1] = -c
-    for b, j, t, g in s.m_k_action_exact:  # g a_t in p([Z_b, e_j])
-        for r in range(dm):  # W[b, r] a_r * g a_t
-            rows[j, min(r, t), max(r, t)][0][b * dm + r] += g
+    for r, u, t, c in s.m_field_exact:
+        rows[r, u, t][1] = -c
+    for b, r, t, g in s.m_action_exact:  # g a_t in p([Z_b, m_r])
+        for q in range(dm):  # W[b, q] a_q * g a_t
+            rows[r, min(q, t), max(q, t)][0][b * dm + q] += g
     sol = exactla.solve_sparse((rows[key] for key in sorted(rows)), dk * dm)
     if sol is None:
         return None
@@ -211,8 +208,9 @@ def _tangency_witness(structure):
 def _verify_witness(structure, l_exact):
     """Exact check of the quadratic identity behind the tangency witness.
 
-    An exact solution of _tangency_witness's system is the identity, so
-    this is not run there; it is the independent oracle the tests use.
+    It contracts the constants in g-coordinates, paired with every e_j, so
+    it checks the witness's m-rows independently of them; it is not run on
+    the ``go`` path, and is the oracle the tests use.
     """
     s = structure
     g = s.algebra

@@ -322,10 +322,6 @@ class Trajectory:
     def to_csv_text(self):
         return "".join(self.csv_chunks())
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.writelines(self.csv_chunks())
-
 
 def _nsteps(T, step):
     if not (T > 0 and 0 < step <= T):

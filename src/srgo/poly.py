@@ -5,7 +5,7 @@ when integral, a ``Fraction`` otherwise, normalised when a polynomial is
 built, so that the common integral case runs in int arithmetic. Division
 is the one operation that goes through ``Fraction``. Exponent
 multi-indices are tuples of length ``nvars``. Used for Casimirs, invariant
-bases and the Lie-Poisson bracket, all of which need exact zero tests.
+bases and their brackets with H, all of which need exact zero tests.
 """
 
 import ast
@@ -152,18 +152,6 @@ class Polynomial:
                     v = v * powers[i, e]
             total += v
         return float(total) if p.ndim == 1 else total
-
-    def eval_exact(self, p):
-        """Exact value at p, normalised as the coefficients are."""
-        p = [_int_or_fraction(x) for x in p]
-        total = 0
-        for m, c in self.terms.items():
-            v = c
-            for i, e in enumerate(m):
-                if e:
-                    v *= p[i] ** e
-            total += v
-        return _int_or_fraction(total)
 
     def __repr__(self):
         if not self.terms:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import srgo
+from srgo import exactla
 
 
 @pytest.fixture(scope="session")
@@ -71,3 +72,22 @@ def so3_plus_center():
         srgo.Subspace.from_vectors(4, e[:3]),
         srgo.Subspace.from_vectors(4, e[:2]), [[1, 0], [0, 2]])
     return srgo.ModelSpec("so3_plus_center", s)
+
+
+@pytest.fixture(scope="session")
+def mixed(models):
+    """name -> the model's structure with its m basis mixed by an invertible
+    rational matrix (upper triangular, i + 2 on the diagonal, 1/2 above).
+    Every bundled m_dual holds only 0 and 1; these do not, so a lost m_dual
+    factor shows on them."""
+    out = {}
+    for name, spec in models.items():
+        s = spec.structure
+        dm = s.m.dim
+        half = Fraction(1, 2)
+        mix = exactla.fmat([[i + 2 if i == j else (half if j > i else 0)
+                             for j in range(dm)] for i in range(dm)])
+        m = srgo.Subspace(s.dim, exactla.matmul(s.m.basis, mix))
+        out[name] = srgo.HomogeneousSRStructure(s.algebra, s.k, m, s.delta,
+                                                s.metric)
+    return out

@@ -602,6 +602,22 @@ def test_malformed_model_file_exits_2(tmp_path, capsys, argv):
     assert captured.err.startswith("error: malformed polynomial 'p1 +': ")
 
 
+@_EVERY_SUBCOMMAND
+@pytest.mark.parametrize("edit", [
+    lambda data: data.update(metric=[[1, 0], [0, 2]]),
+    lambda data: data.update(delta_basis=[[1, 0, 0, 0], [0, 1, 1, 0]]),
+], ids=["metric", "delta"])
+def test_metric_not_invariant_under_k_exits_2(tmp_path, capsys, argv, edit):
+    # The rotation J moves the metric diag(1, 2), and moves span(e1,
+    # e2 + e3) off itself: neither defines a G-invariant structure on G/K.
+    # Both printed valid, and go gave a definite verdict.
+    assert run(argv + ["--model", _heisenberg_file(tmp_path, edit)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: invalid structure: the metric on delta "
+                            "is not invariant under k\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["validate"],
     ["integrate", "--p0=1,0,1", "--T", "0.01", "--horizontal"],

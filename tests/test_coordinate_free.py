@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 import srgo
 from srgo import (
     HomogeneousSRStructure,
@@ -28,12 +29,14 @@ from srgo import (
     Subspace,
     check_homogeneous,
     construct_homogeneous_geodesic,
+    factorize_by_ideal,
     go_verdict,
-    hamiltonian_polynomial,
     invariant_polynomials,
+    radical,
     sample_momenta,
 )
 from srgo import exactla
+from srgo.existence import _intersection
 from srgo.go import _bracket_on_m, _m_vertical_field, _verify_witness
 
 HALVES = [Fraction(1, 2), Fraction(-1, 2)]
@@ -108,6 +111,28 @@ def test_the_new_bases_are_rational_and_well_conditioned(rewritten):
         assert any(v not in (0, 1) for v in s.m_dual_exact.flat), name
 
 
+# The bundled models whose existence route divides out the radical part of m.
+QUOTIENT_MODELS = ["rolling_sphere", "sl2_axisym", "sl2_kp", "so3_axisym",
+                   "so3_kp"]
+
+
+@pytest.mark.parametrize("basis", ["bundled", "rewritten"])
+@pytest.mark.parametrize("name", QUOTIENT_MODELS)
+def test_the_quotient_hamiltonian_is_h_of_the_lift(name, basis, models,
+                                                   rewritten):
+    # H-hat(p-hat) = H(proj^T p-hat) for every p-hat, that is Dmat-hat =
+    # proj Dmat proj^T, exactly. Delta-hat's basis is the canonical form of
+    # the projected delta columns, which differs from them in the rewritten
+    # bases.
+    s = models[name].structure if basis == "bundled" else rewritten[name][1]
+    assert any(step.startswith("factoring out the")
+               for step in construct_homogeneous_geodesic(s).steps)
+    fact = factorize_by_ideal(s, _intersection(radical(s.algebra), s.m))
+    proj = fact.projection
+    lifted = exactla.matmul(exactla.matmul(proj, s.dmat_exact), proj.T)
+    assert (fact.structure.dmat_exact == lifted).all()
+
+
 @pytest.mark.parametrize("name", srgo.list_models())
 def test_verdicts_do_not_depend_on_the_basis(name, models, rewritten,
                                              invariant_basis, normalised):
@@ -141,7 +166,7 @@ def test_verdicts_do_not_depend_on_the_basis(name, models, rewritten,
         adot, adot2 = _m_vertical_field(s), _m_vertical_field(s2)
         brackets2 = [_bracket_on_m(f, adot2) for f in basis2.polynomials]
         assert _bracket_ranks(basis2, adot2) == _bracket_ranks(basis, adot)
-        assert all(normalised(c) for f in [hamiltonian_polynomial(s2),
+        assert all(normalised(c) for f in [oracles.hamiltonian_polynomial(s2),
                                            *basis2.polynomials, *brackets2]
                    for c in f.terms.values())
 

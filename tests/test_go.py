@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 import srgo
 from srgo import (
     HomogeneousSRStructure,
@@ -26,7 +27,6 @@ from srgo.go import (
     _tangency_witness,
     _verify_witness,
 )
-from srgo.hamiltonian import hamiltonian_polynomial, lie_poisson_bracket
 from srgo.poly import Polynomial, monomials_of_degree, poly_from_string
 
 
@@ -136,7 +136,8 @@ def _bracket_through_g(s, f):
     """{H, F} the long way: F(m_basis^T p) bracketed with H on g*, then
     restricted to p = m_dual a."""
     f_on_g = _compose_linear_exact(f, s.m.basis)
-    br = lie_poisson_bracket(hamiltonian_polynomial(s), f_on_g, s.algebra)
+    br = oracles.lie_poisson_bracket(oracles.hamiltonian_polynomial(s),
+                                     f_on_g, s.algebra)
     return _compose_linear_exact(br, s.m_dual_exact.T)
 
 
@@ -194,6 +195,19 @@ def test_every_witness_passes_the_exact_identity(models, witnesses,
     for name, w in witnesses.items():
         if w is not None:
             s = models[name].structure
+            assert w.shape == (s.k.dim, s.dim), name
+            assert all(normalised(v) for v in w.flat), name
+            assert _verify_witness(s, w), name
+
+
+def test_witness_on_mixed_m_bases_passes_the_exact_identity(mixed, witnesses,
+                                                            normalised):
+    # The witness rows pair with the m basis; mixing it moves m_dual and
+    # both m-forms off 0 and 1, and the g-coordinate oracle still holds.
+    for name, s in mixed.items():
+        w = _tangency_witness(s)
+        assert (w is None) == (witnesses[name] is None), name
+        if w is not None:
             assert w.shape == (s.k.dim, s.dim), name
             assert all(normalised(v) for v in w.flat), name
             assert _verify_witness(s, w), name
@@ -380,7 +394,7 @@ def test_free_step2_vertical_splitting(models):
     s = spec.structure
     rng = np.random.default_rng(8)
     for p in srgo.sample_momenta(s, 5, rng):
-        v = s.algebra.coad_apply(s.dH(p), p)
+        v = oracles.coad_apply(s.algebra, s.dH(p), p)
         assert np.max(np.abs(v[3:])) < 1e-12  # wedge + isotropy frozen
         # dp_a = sum_b q_ab p_b with q the wedge part as a skew matrix
         q = np.zeros((3, 3))

@@ -3,13 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 import srgo
 from srgo import (
     Momentum,
-    casimir_check,
-    hamiltonian_polynomial,
     hamiltonian_value,
-    lie_poisson_bracket,
     vertical_field,
 )
 from srgo.poly import Polynomial, poly_from_string
@@ -57,7 +55,7 @@ def test_vertical_field_rolling_sphere(models):
     rng = np.random.default_rng(0)
     for _ in range(5):
         p = rng.standard_normal(5)
-        v = s.algebra.coad_apply(s.dH(p), p)
+        v = oracles.coad_apply(s.algebra, s.dH(p), p)
         assert v[3] == pytest.approx(0.0, abs=1e-12)
         assert v[4] == pytest.approx(0.0, abs=1e-12)
 
@@ -71,14 +69,14 @@ def test_vertical_field_annihilates_k(models):
         rng = np.random.default_rng(11)
         p = srgo.sample_momenta(s, 3, rng)
         for row in p:
-            v = s.algebra.coad_apply(s.dH(row), row)
+            v = oracles.coad_apply(s.algebra, s.dH(row), row)
             assert np.max(np.abs(s.k_basis_float.T @ v)) < 1e-10, spec.name
 
 
 def test_hamiltonian_polynomial_matches_value(models):
     for spec in models.values():
         s = spec.structure
-        h = hamiltonian_polynomial(s)
+        h = oracles.hamiltonian_polynomial(s)
         rng = np.random.default_rng(2)
         for row in srgo.sample_momenta(s, 3, rng):
             assert h(row) == pytest.approx(s.hamiltonian_value(row), abs=1e-10)
@@ -88,7 +86,8 @@ def test_poisson_bracket_coordinates(heisenberg):
     g = heisenberg.structure.algebra
     p1 = Polynomial.coordinate(4, 0)
     p2 = Polynomial.coordinate(4, 1)
-    assert lie_poisson_bracket(p1, p2, g) == Polynomial.coordinate(4, 2)
+    assert (oracles.lie_poisson_bracket(p1, p2, g)
+            == Polynomial.coordinate(4, 2))
 
 
 def test_poisson_bracket_axioms(cartan):
@@ -97,7 +96,7 @@ def test_poisson_bracket_axioms(cartan):
     f = poly_from_string("p1*p2 + p3^2", n)
     gg = poly_from_string("p4*p5 - p1", n)
     h = poly_from_string("p2 + p6*p3", n)
-    br = lambda a, b: lie_poisson_bracket(a, b, g)
+    br = lambda a, b: oracles.lie_poisson_bracket(a, b, g)
     assert (br(f, gg) + br(gg, f)).is_zero()
     leibniz = br(f, gg * h) - (br(f, gg) * h + gg * br(f, h))
     assert leibniz.is_zero()
@@ -108,7 +107,7 @@ def test_poisson_bracket_axioms(cartan):
 def test_poisson_variable_mismatch(heisenberg):
     g = heisenberg.structure.algebra
     with pytest.raises(ValueError):
-        lie_poisson_bracket(
+        oracles.lie_poisson_bracket(
             Polynomial.coordinate(3, 0), Polynomial.coordinate(3, 0), g
         )
 
@@ -121,12 +120,12 @@ def test_casimir_check_full_algebra(models):
         spec = models[name]
         g = spec.structure.algebra
         for cname, poly in spec.casimirs.items():
-            assert casimir_check(poly, g), f"{name}:{cname}"
+            assert oracles.casimir_check(poly, g), f"{name}:{cname}"
 
 
 def test_cartan_conserved_are_not_full_casimirs(cartan):
     # The rotation direction breaks two of the three nilpotent-part
     # Casimirs, which is exactly why the model is not geodesic orbit.
     g = cartan.structure.algebra
-    assert not casimir_check(cartan.casimirs["C2"], g)
-    assert not casimir_check(cartan.casimirs["C3"], g)
+    assert not oracles.casimir_check(cartan.casimirs["C2"], g)
+    assert not oracles.casimir_check(cartan.casimirs["C3"], g)

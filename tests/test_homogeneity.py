@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 import srgo
 from srgo import (
     HOMOGENEOUS,
@@ -31,7 +32,7 @@ def test_heisenberg_momenta_homogeneous(heisenberg):
         assert cert.verdict == HOMOGENEOUS
         # The witness satisfies p([X, e_j]) = 0 for the whole basis.
         p = np.array(coords)
-        residual = s.algebra.coad_apply(cert.witness, p)
+        residual = oracles.coad_apply(s.algebra, cert.witness, p)
         assert np.max(np.abs(residual)) < 1e-8
 
 
@@ -117,11 +118,11 @@ def test_certificate_serialization(heisenberg):
 def _lstsq_reference(s, p):
     """Relative residual and z of one feasibility system by np.linalg.lstsq."""
     g = s.algebra
-    b = -g.coad_apply(s.dH(p), p)
+    b = -oracles.coad_apply(g, s.dH(p), p)
     bnorm = float(np.linalg.norm(b))
     if not s.k.dim:
         return bnorm / (1.0 + bnorm), np.zeros(0)
-    a = np.stack([g.coad_apply(s.k_basis_float[:, j], p)
+    a = np.stack([oracles.coad_apply(g, s.k_basis_float[:, j], p)
                   for j in range(s.k.dim)], axis=1)
     z, *_ = np.linalg.lstsq(a, b, rcond=None)
     return float(np.linalg.norm(a @ z - b)) / (1.0 + bnorm), z

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 import srgo
 import srgo.cli as cli
 import srgo.models as models_mod
@@ -54,9 +55,8 @@ def test_shared_structure_is_read_only():
     s = load_model("cartan").structure
     with pytest.raises(ValueError, match="read-only"):
         s.dmat[0, 0] = 1.0
-    for a in (s.algebra.coo_index, s.algebra.coo_float, s.metric, s.k.basis,
-              s.m.canonical, s.delta.basis, s.grading[1].basis, s.m_dual,
-              s.m_dual_exact, s.k_action):
+    for a in (s.metric, s.k.basis, s.m.canonical, s.delta.basis,
+              s.grading[1].basis, s.m_dual, s.m_dual_exact, s.k_action):
         assert not a.flags.writeable
     rep = load_model("heisenberg").structure.representation
     assert not any(r.flags.writeable for r in rep)
@@ -95,11 +95,11 @@ def test_free_step2_shape():
     g = s.algebra
     e = np.eye(16)
     # [v1, v2] = w12 (first wedge coordinate)
-    assert np.allclose(g.bracket(e[0], e[1]), e[4])
+    assert np.allclose(oracles.bracket(g, e[0], e[1]), e[4])
     # isotropy acts inside m
     for a in range(10, 16):
         for b in range(10):
-            w = g.bracket(e[a], e[b])
+            w = oracles.bracket(g, e[a], e[b])
             assert np.max(np.abs(w[10:])) == 0
 
 
@@ -115,7 +115,7 @@ def test_biinvariant_vertical_field_trivial(models):
     s = models["biinvariant_compact"].structure
     rng = np.random.default_rng(0)
     for p in srgo.sample_momenta(s, 10, rng):
-        v = s.algebra.coad_apply(s.dH(p), p)
+        v = oracles.coad_apply(s.algebra, s.dH(p), p)
         assert np.max(np.abs(v)) < 1e-14
 
 
