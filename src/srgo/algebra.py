@@ -8,13 +8,13 @@ form, the antisymmetry and Jacobi checks) runs over the nonzeros only. All
 structural checks (antisymmetry, Jacobi, reductivity, bracket generation,
 the k-invariance of the metric) run in exact arithmetic. Every exact
 bracket is one contraction of two bases, ``LieAlgebra.brackets``. A
-homogeneous structure contracts dH's matrix and the k basis with the
-identity, once, into the vertical field and the k action on momenta, which
-the float layers and the exact feasibility solve read. Paired with the map
-m_dual from m*-coordinates, the same contraction gives the motion of the
-m*-coordinates and the k action on m, each once, which the tangency
-witness and the invariant enumeration read. A ``Subspace`` reads
-membership off its canonical form, with no solve.
+homogeneous structure contracts dH's matrix with the identity, once, into
+the vertical field on g*, which the integrator, the lift and the
+fixed-point search read. Paired with the map m_dual from m*-coordinates,
+the same contraction gives the motion of the m*-coordinates and the k
+action on m, each once, which the homogeneity test, its exact escalation,
+the tangency witness and the invariant enumeration read. A ``Subspace``
+reads membership off its canonical form, with no solve.
 """
 
 from collections import defaultdict
@@ -366,14 +366,14 @@ class HomogeneousSRStructure:
     the bracket, each None where it does not exist.
 
     The vertical field f_j(p) = p([dH(p), e_j]) = sum coef p_a p_k is
-    ``vertical_terms_exact``, its nonzero (j, a, k, coef) with a <= k, sorted;
-    the k action p([Z_a, e_j]) = sum_k T[a, j, k] p_k is ``k_action_exact``,
-    the nonzero (a, j, k, T[a, j, k]). Float mirrors: ``vertical_terms``
-    (float coefficients) and the dense ``k_action`` T; a coefficient, or an
-    entry of the metric, its inverse or Dmat, that overflows a float is a
-    ValueError. On k-circ, in m*-coordinates a (p = m_dual a), the same
-    brackets give ``m_field_exact`` (the motion of a) and ``m_action_exact``
-    (the k action on m), each read straight off ``_paired``.
+    ``vertical_terms_exact``, its nonzero (j, a, k, coef) with a <= k,
+    sorted. On k-circ, in m*-coordinates a (p = m_dual a), the same brackets
+    give ``m_field_exact`` (the motion of a) and ``m_action_exact`` (the k
+    action on m), each read straight off ``_paired``. Float mirrors, built
+    here: ``vertical_terms`` and ``m_field`` (float coefficients) and the
+    dense read-only ``m_action`` R of shape (dk, dm, dm), R[b, r, t] = c; a
+    coefficient, or an entry of the metric, its inverse or Dmat, that
+    overflows a float is a ValueError.
     """
 
     def __init__(self, algebra, k, m, delta, metric, representation=None,
@@ -421,21 +421,21 @@ class HomogeneousSRStructure:
         self.grading = self._carnot_layers()
 
         # [X_a, e_j]_k (X_a column a) is the coefficient of p_k in p([X_a, e_j])
-        eye = exactla.feye(algebra.dim)
         merged = defaultdict(int)  # (j, a, k) -> coefficient, a <= k
-        for (a, j), vec in algebra.brackets(self.dmat_exact, eye).items():
+        for (a, j), vec in algebra.brackets(
+                self.dmat_exact, exactla.feye(algebra.dim)).items():
             for kk, v in vec.items():
                 merged[j, min(a, kk), max(a, kk)] += v
         self.vertical_terms_exact = tuple(sorted(
             (*key, _int_or_fraction(v)) for key, v in merged.items() if v))
-        self.k_action_exact = tuple(sorted(
-            (a, j, kk, v) for (a, j), vec in algebra.brackets(k.basis, eye).items()
-            for kk, v in vec.items()))
         self.vertical_terms = _float_terms(self.vertical_terms_exact,
                                            "the vertical field")
-        self.k_action = np.zeros((k.dim, algebra.dim, algebra.dim))
-        for a, j, kk, v in _float_terms(self.k_action_exact, "the k action"):
-            self.k_action[a, j, kk] = v
+        self.m_field = _float_terms(self.m_field_exact,
+                                    "the motion of the m*-coordinates")
+        self.m_action = np.zeros((k.dim, m.dim, m.dim))
+        for b, r, t, v in _float_terms(self.m_action_exact, "the k action on m"):
+            self.m_action[b, r, t] = v
+        _read_only(self.m_action)
 
     @property
     def dim(self):

@@ -122,12 +122,15 @@ def cmd_integrate(spec, args):
     if args.phase_portrait:
         return (_phase_portrait_csv(spec, args),
                 f"phase portrait with {args.samples} arrows", EXIT_OK)
+    if args.horizontal and s.representation is None:
+        raise ValueError("--horizontal needs a model with a representation, "
+                         f"and {spec.name} has none")
     p0 = Momentum(_parse_p0(args.p0, s), s)
     traj = vertical = integrate_vertical(p0, args.T, args.step,
                                          casimirs=spec.casimirs)
     if not all(np.isfinite(v[0]) for v in traj.diagnostics.values()):
         raise ValueError("H or a Casimir of p0 is beyond the float range")
-    if args.horizontal and s.representation is not None:
+    if args.horizontal:
         traj = integrate_horizontal(traj)
     drifts = ", ".join(f"{k}={v:.3e}"
                        for k, v in sorted(traj.casimir_drifts().items()))
@@ -205,7 +208,7 @@ def build_parser():
     p.add_argument("--phase-portrait", action="store_true",
                    help="emit field arrows and trajectories on H = 1/2")
     p.add_argument("--horizontal", action="store_true",
-                   help="include group points when a representation exists")
+                   help="include group points (the model needs a representation)")
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("check", help="homogeneity of one momentum")

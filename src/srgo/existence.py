@@ -350,14 +350,15 @@ def construct_homogeneous_geodesic(structure) -> ExistenceResult:
 
 
 def verify_eigenconstruction(structure, result: ExistenceResult):
-    """Independent numeric audit of a constructed momentum."""
+    """Numeric audit of a constructed momentum: whether it annihilates k,
+    its H and its vertical residual, next to the verdict and residual of
+    the certificate the construction already made (``check_homogeneous``
+    is deterministic, so a second check would repeat it)."""
     p = Momentum(result.momentum, structure)
-    out = {
+    return {
         "annihilates_k": bool(structure.annihilates_k(p.coords)),
         "hamiltonian": float(structure.hamiltonian_value(p.coords)),
         "vertical_residual": float(np.max(np.abs(vertical_field(p)))),
+        "homogeneous": result.certificate.verdict == HOMOGENEOUS,
+        "residual": result.certificate.residual,
     }
-    cert = check_homogeneous(p)
-    out["homogeneous"] = cert.verdict == HOMOGENEOUS
-    out["residual"] = cert.residual
-    return out

@@ -8,9 +8,10 @@ coad(dH(p) + Z(p))p = 0 on the annihilator of k: one sparse rational
 system whose solution certifies vanishing brackets at every degree, and
 whose inconsistency proves that no such linear Z exists. Enumeration of
 invariants up to the degree cap then decides. It works in m*-coordinates
-a (p = m_dual a) throughout, on the structure's two forms there: adot, the
-vertical field as dim m exact quadratics in a (``m_field_exact``), and the
-k action on m (``m_action_exact``). The witness rows are read off both.
+a (p = m_dual a) throughout, on the structure's two forms there, which the
+homogeneity test reads too: adot, the vertical field as dim m exact
+quadratics in a (``m_field_exact``), and the k action on m
+(``m_action_exact``). The witness rows are read off both.
 The invariants of each degree are the kernel of sparse derivation rows
 built from the k action, taken by ``exactla.nullspace_sparse``, and on
 the annihilator of k the bracket is {H, F} = sum_r dF/da_r * adot_r. The

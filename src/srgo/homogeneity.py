@@ -1,8 +1,14 @@
 """Homogeneity of geodesics from initial momenta.
 
 A geodesic with momentum p is homogeneous iff some X = dH(p) + z with
-z in the isotropy algebra satisfies p([X, g]) = 0, a linear system in z
-read off the structure's k action and vertical field. A scan decides its
+z in the isotropy algebra satisfies p([X, g]) = 0, a linear system in z.
+On the annihilator of k its rows paired with k vanish: [k, k] lies in k,
+and H is k-invariant (the structure checks it). So the system is read in
+the m*-coordinates a = m_basis^T p that ``go`` uses, dim m rows off the
+structure's k action on m and the motion adot of a. A momentum whose
+k-pairings are not exactly 0 (``Momentum`` accepts them up to
+1e-9 (1 + max|p|)) is decided at m_dual a, the momentum on the
+annihilator with the same m-pairings. A scan decides its
 rows in up to three steps. Given a linear witness L (``go`` passes the one
 its bracket test solves), the candidate z = L p decides every row whose
 residual is below the threshold: the least-squares residual is at most that
@@ -50,13 +56,16 @@ class HomogeneityCertificate:
 
 
 def feasibility_systems(structure, momenta):
-    """A (B, n, dk) and b (B, n) of the systems A z = b of a (B, n) stack:
-    A[:, j, a] = p([Z_a, e_j]) and b = -p([dH(p), .])."""
-    t = structure.k_action
-    dk, n, _ = t.shape
-    a = momenta @ t.transpose(1, 0, 2).reshape(n * dk, n).T
-    return (a.reshape(len(momenta), n, dk),
-            -field_rows(structure.vertical_terms, momenta))
+    """A (B, dm, dk) and b (B, dm) of the systems A z = b of a (B, n) stack,
+    at the m*-coordinates a = m_basis^T p of each row: A[:, r, b] =
+    p([Z_b, m_r]) from ``m_action`` and b = -adot(a) from ``m_field``, both
+    at p = m_dual a, the momentum on k-circ with the same m-pairings."""
+    r = structure.m_action
+    dk, dm, _ = r.shape
+    a = momenta @ structure.m_basis_float
+    return ((a @ r.transpose(1, 0, 2).reshape(dm * dk, dm).T)
+            .reshape(len(momenta), dm, dk),
+            -field_rows(structure.m_field, a))
 
 
 def feasibility_residuals(structure, momenta, witness=None):
@@ -105,17 +114,19 @@ def feasibility_residuals(structure, momenta, witness=None):
 
 def _exact_feasible(p: Momentum):
     """An exact solution z (free variables 0) of the feasibility system at
-    the rational float coordinates of p, or None: row j is
-    sum_a T[a, j, k] p_k z_a = -f_j(p), from the exact forms."""
+    the rational float coordinates of p, or None. At a = m_basis^T p,
+    exactly, row r is sum_b p([Z_b, m_r]) z_b = -adot_r(a), read off
+    ``m_action_exact`` and ``m_field_exact``."""
     s = p.structure
-    coords = [exactla._int_or_fraction(x) for x in p.coords.tolist()]
-    a = [defaultdict(int) for _ in range(s.dim)]  # j -> {a: A[j, a]}
-    for col, j, k, c in s.k_action_exact:
-        a[j][col] += c * coords[k]
-    b = [0] * s.dim
-    for j, u, k, c in s.vertical_terms_exact:
-        b[j] -= c * coords[u] * coords[k]
-    return exactla.solve_sparse(zip(a, b), s.k.dim)
+    a = exactla.matvec(s.m.basis.T, [exactla._int_or_fraction(x)
+                                     for x in p.coords.tolist()])
+    rows = [defaultdict(int) for _ in range(s.m.dim)]  # r -> {b: A[r, b]}
+    for b, r, t, c in s.m_action_exact:
+        rows[r][b] += c * a[t]
+    rhs = [0] * s.m.dim
+    for r, u, t, c in s.m_field_exact:
+        rhs[r] -= c * a[u] * a[t]
+    return exactla.solve_sparse(zip(rows, rhs), s.k.dim)
 
 
 def _check_threshold(threshold):

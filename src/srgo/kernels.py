@@ -1,11 +1,13 @@
 """Float evaluation and RK4 integration of the vertical field.
 
-Everything here reads the field as the structure's ``vertical_terms``: its
-few nonzero terms (j, a, k, coef) of f_j(p) = sum coef p_a p_k (at most 4 at
-n ≤ 6, 30 on free_step2_rank6). ``field_rows`` evaluates them on a (B, n)
-batch as (P[:, a] * P[:, k]) @ S, with the index arrays and the scatter
-matrix S built once per term tuple; ``field_jacobian`` reads the Jacobian
-of one momentum or of a batch off the same arrays.
+Everything here reads a quadratic field as its few nonzero terms
+(j, a, k, coef) of f_j(p) = sum coef p_a p_k: the structure's
+``vertical_terms`` (at most 4 at n ≤ 6, 30 on free_step2_rank6), and, for
+``field_rows`` alone, its ``m_field``, the motion of the m*-coordinates, with
+n = dim m. ``field_rows`` evaluates them on a (B, n) batch as
+(P[:, a] * P[:, k]) @ S, with the index arrays and the scatter matrix S
+built once per term tuple; ``field_jacobian`` reads the Jacobian of one
+momentum or of a batch off the same arrays.
 
 ``vertical_rk4`` integrates one momentum. The terms become straight-line
 Python-float code for a block of RK4 steps, compiled once per distinct term

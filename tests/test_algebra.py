@@ -257,7 +257,8 @@ def test_exact_stores_hold_ints_or_proper_fractions(models, normalised):
         stores = {
             "by_i": [c for row in s.algebra.by_i for _, _, c in row],
             "vertical_terms_exact": [t[-1] for t in s.vertical_terms_exact],
-            "k_action_exact": [t[-1] for t in s.k_action_exact],
+            "m_field_exact": [t[-1] for t in s.m_field_exact],
+            "m_action_exact": [t[-1] for t in s.m_action_exact],
             "dmat_exact": list(s.dmat_exact.flat),
             "metric": list(s.metric.flat),
             "metric_inv": list(s.metric_inv.flat),

@@ -580,6 +580,23 @@ def test_constants_overflowing_a_float_exit_2(tmp_path, capsys, argv):
                             "coefficients\n")
 
 
+@pytest.mark.parametrize("name", ["cartan", "free_step2_rank3"])
+def test_integrate_horizontal_needs_a_representation(tmp_path, capsys, name):
+    # No representation, no group points: the option cannot be honoured,
+    # and a CSV without g_ij columns would not say so.
+    s = srgo.load_model(name).structure
+    assert s.representation is None
+    out = tmp_path / "h.csv"
+    p0 = ",".join(["1"] + ["0"] * (s.dim - 1))
+    assert run(["integrate", "--model", name, "--p0=" + p0, "--T", "0.01",
+                "--horizontal", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --horizontal needs a model with a "
+                            f"representation, and {name} has none\n")
+    assert not out.exists()
+
+
 def _heisenberg_file(tmp_path, edit):
     """heisenberg as a model file, ``edit`` applied to its dict first."""
     import srgo
@@ -589,6 +606,21 @@ def _heisenberg_file(tmp_path, edit):
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+@_EVERY_SUBCOMMAND
+def test_m_forms_overflowing_a_float_exit_2(tmp_path, capsys, argv):
+    # The m basis scaled by 10^-400 leaves the vertical field as it is, but
+    # the motion of the m*-coordinates gets coefficients of about 10^400.
+    def shrink(data):
+        data["m_basis"] = [[x if x == "0" else f"{x}/1{'0' * 400}"
+                            for x in row] for row in data["m_basis"]]
+
+    assert run(argv + ["--model", _heisenberg_file(tmp_path, shrink)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the motion of the m*-coordinates has "
+                            "non-finite coefficients\n")
 
 
 @_EVERY_SUBCOMMAND

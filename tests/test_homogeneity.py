@@ -21,6 +21,7 @@ from srgo import exactla
 from srgo.homogeneity import (
     _float_verdicts,
     feasibility_residuals,
+    feasibility_systems,
     homogeneity_verdicts,
 )
 
@@ -133,20 +134,27 @@ def _band(relres, threshold=1e-8):
 
 
 @pytest.mark.parametrize("name", srgo.list_models())
-def test_batched_residuals_match_per_row_lstsq(name, models):
-    s = models[name].structure
-    momenta = sample_momenta(s, 1000, np.random.default_rng(17))
-    if name == "cartan":  # half of them on the homogeneous set p4 = p5 = 0
-        momenta[::2, 3:5] = 0.0
-    relres, z = feasibility_residuals(s, momenta)
-    assert relres.shape == (1000,) and z.shape == (1000, s.k.dim)
-    for row, r, zr in zip(momenta, relres, z):
-        ref, zref = _lstsq_reference(s, row)
-        assert _band(r) == _band(ref)
-        assert abs(r - ref) <= 1e-12
-        if r < 1e-8:  # a certificate's witness: same z
-            assert np.max(np.abs(zr - zref), initial=0.0) <= 1e-12 * (
-                1.0 + np.max(np.abs(zref), initial=0.0))
+def test_batched_residuals_match_per_row_lstsq(name, models, mixed):
+    # The systems hold the dim m rows paired with the m basis. On a bundled
+    # (standard) m basis they are the nonzero rows of the reference's, so
+    # the residuals agree; on the mixed basis the rows are mixed too, and
+    # only the band and the z of a solvable row are basis-free.
+    for s in (models[name].structure, mixed[name]):
+        momenta = sample_momenta(s, 1000, np.random.default_rng(17))
+        if name == "cartan":  # half of them on the homogeneous set p4 = p5 = 0
+            momenta[::2, 3:5] = 0.0
+        a, b = feasibility_systems(s, momenta)
+        assert a.shape == (1000, s.m.dim, s.k.dim) and b.shape == (1000, s.m.dim)
+        relres, z = feasibility_residuals(s, momenta)
+        assert relres.shape == (1000,) and z.shape == (1000, s.k.dim)
+        for row, r, zr in zip(momenta, relres, z):
+            ref, zref = _lstsq_reference(s, row)
+            assert _band(r) == _band(ref)
+            if s is models[name].structure:
+                assert abs(r - ref) <= 1e-12
+            if r < 1e-8:  # a certificate's witness: same z
+                assert np.max(np.abs(zr - zref), initial=0.0) <= 1e-12 * (
+                    1.0 + np.max(np.abs(zref), initial=0.0))
 
 
 def test_scan_matches_per_row_checks(models):
