@@ -367,13 +367,19 @@ class HomogeneousSRStructure:
 
     The vertical field f_j(p) = p([dH(p), e_j]) = sum coef p_a p_k is
     ``vertical_terms_exact``, its nonzero (j, a, k, coef) with a <= k,
-    sorted. On k-circ, in m*-coordinates a (p = m_dual a), the same brackets
-    give ``m_field_exact`` (the motion of a) and ``m_action_exact`` (the k
-    action on m), each read straight off ``_paired``. Float mirrors, built
-    here: ``vertical_terms`` and ``m_field`` (float coefficients) and the
-    dense read-only ``m_action`` R of shape (dk, dm, dm), R[b, r, t] = c; a
-    coefficient, or an entry of the metric, its inverse or Dmat, that
-    overflows a float is a ValueError.
+    sorted. On k-circ, in m*-coordinates a (p = m_dual a, a_r = p(m_r)),
+    the same brackets give ``m_field_exact``, the motion adot_r =
+    p([dH(p), m_r]) as the nonzero (r, u, t, c) with u <= t, sorted, c the
+    coefficient of a_u a_t; and ``m_action_exact``, the k action on m as
+    the nonzero (b, r, t, c), sorted, c the coefficient of a_t in
+    p([Z_b, m_r]). Float mirrors, all built here: ``m_dual``,
+    ``vertical_terms`` and ``m_field`` (float coefficients) and the dense
+    read-only ``m_action`` R of shape (dk, dm, dm), R[b, r, t] = c; a
+    coefficient, or an entry of the metric, its inverse, Dmat or m_dual,
+    that overflows a float is a ValueError. ``m_dual_r`` is the
+    upper-triangular R of m_dual = QR with a positive diagonal, so that
+    |R w| = |m_dual w|: the g-coordinate norm of a covector on k-circ read
+    off its m*-coordinates w, whatever the scale of the m basis.
     """
 
     def __init__(self, algebra, k, m, delta, metric, representation=None,
@@ -428,6 +434,12 @@ class HomogeneousSRStructure:
                 merged[j, min(a, kk), max(a, kk)] += v
         self.vertical_terms_exact = tuple(sorted(
             (*key, _int_or_fraction(v)) for key, v in merged.items() if v))
+        self.m_field_exact = tuple(sorted(
+            (*key, c) for key, c in self._dh_pairings(m.basis).items()))
+        # c of (b, r, t, c) is the m_t-coordinate of [Z_b, m_r] (reductive).
+        self.m_action_exact = tuple(sorted(
+            (b, r, t, c) for (b, r), vec in self._paired(k.basis, m.basis).items()
+            for t, c in vec.items()))
         self.vertical_terms = _float_terms(self.vertical_terms_exact,
                                            "the vertical field")
         self.m_field = _float_terms(self.m_field_exact,
@@ -436,6 +448,11 @@ class HomogeneousSRStructure:
         for b, r, t, v in _float_terms(self.m_action_exact, "the k action on m"):
             self.m_action[b, r, t] = v
         _read_only(self.m_action)
+        self.m_dual = _read_only(_float_matrix(self.m_dual_exact, "m_dual"))
+        # m_dual = QR; a positive diagonal makes R unique (I on an
+        # orthonormal m_dual).
+        r = np.linalg.qr(self.m_dual, mode="r")
+        self.m_dual_r = _read_only(r * np.where(np.diag(r) < 0, -1.0, 1.0)[:, None])
 
     @property
     def dim(self):
@@ -451,11 +468,6 @@ class HomogeneousSRStructure:
         """
         adapted = np.concatenate([self.m.basis, self.k.basis], axis=1)
         return _read_only(exactla.inverse(adapted).T[:, : self.m.dim])
-
-    @cached_property
-    def m_dual(self):
-        """Float mirror of ``m_dual_exact``."""
-        return _read_only(to_float(self.m_dual_exact))
 
     def _paired(self, left, right):
         """``algebra.brackets(left, right)`` paired with p = m_dual a:
@@ -485,14 +497,6 @@ class HomogeneousSRStructure:
         return {key: _int_or_fraction(v) for key, v in merged.items() if v}
 
     @cached_property
-    def m_field_exact(self):
-        """The motion of the m*-coordinates a_r = p(m_r) on k-circ:
-        adot_r = p([dH(p), m_r]) at p = m_dual a, as the nonzero (r, u, t, c)
-        with u <= t, sorted, c the coefficient of a_u a_t."""
-        return tuple(sorted((*key, c) for key, c in
-                            self._dh_pairings(self.m.basis).items()))
-
-    @cached_property
     def kappa(self):
         """The exact rate kappa of the closed-form flow, or None.
 
@@ -507,15 +511,6 @@ class HomogeneousSRStructure:
                 and field[0][3] == -field[1][3]:
             return field[1][3]
         return None
-
-    @cached_property
-    def m_action_exact(self):
-        """The k action on m: the nonzero (b, r, t, c), sorted, c the
-        coefficient of a_t in p([Z_b, m_r]) at p = m_dual a, which is the
-        m_t-coordinate of [Z_b, m_r] (the structure is reductive)."""
-        return tuple(sorted((b, r, t, c) for (b, r), vec in
-                            self._paired(self.k.basis, self.m.basis).items()
-                            for t, c in vec.items()))
 
     def freeze(self):
         """Mark every array of this structure read-only.

@@ -1,5 +1,6 @@
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -663,3 +664,25 @@ def test_nan_representation_exits_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err == (
         "error: invalid structure: representation matrices must be finite, "
         "square and of one shape\n")
+
+
+@pytest.mark.parametrize("scale", ["1/10000000", "10000000"])
+def test_check_does_not_depend_on_the_scale_of_the_m_basis(tmp_path, capsys,
+                                                            scale):
+    # The same momentum, with its m*-coordinates scaled as the m basis is.
+    # The residual 0.0196 read about 2e-9 on the small basis, which printed
+    # homogeneous.
+    data = srgo.load_model("cartan").to_dict()
+    data["m_basis"] = [[scale if x == "1" else x for x in row]
+                       for row in data["m_basis"]]
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(data))
+    s = float(Fraction(scale))
+    p0 = ",".join(repr(s * x) for x in (1.0, 0.3, 0.0, 0.02, 0.0))
+    assert run(["check", "--model", "cartan", "--p0", "1,0.3,0,0.02,0"]) == 1
+    want = json.loads(capsys.readouterr().out)
+    assert run(["check", "--model", str(model_file), "--p0", p0]) == 1
+    got = json.loads(capsys.readouterr().out)
+    assert want["verdict"] == got["verdict"] == "not_homogeneous"
+    assert got["p0"] == pytest.approx(want["p0"], rel=1e-15)
+    assert got["residual"] == pytest.approx(want["residual"], rel=1e-12)

@@ -135,10 +135,9 @@ def _band(relres, threshold=1e-8):
 
 @pytest.mark.parametrize("name", srgo.list_models())
 def test_batched_residuals_match_per_row_lstsq(name, models, mixed):
-    # The systems hold the dim m rows paired with the m basis. On a bundled
-    # (standard) m basis they are the nonzero rows of the reference's, so
-    # the residuals agree; on the mixed basis the rows are mixed too, and
-    # only the band and the z of a solvable row are basis-free.
+    # The systems hold dim m rows paired with the m basis, weighted by
+    # m_dual_r so that their residual is the reference's g-coordinate one,
+    # on the bundled (standard) m basis and on the mixed one alike.
     for s in (models[name].structure, mixed[name]):
         momenta = sample_momenta(s, 1000, np.random.default_rng(17))
         if name == "cartan":  # half of them on the homogeneous set p4 = p5 = 0
@@ -150,11 +149,45 @@ def test_batched_residuals_match_per_row_lstsq(name, models, mixed):
         for row, r, zr in zip(momenta, relres, z):
             ref, zref = _lstsq_reference(s, row)
             assert _band(r) == _band(ref)
-            if s is models[name].structure:
-                assert abs(r - ref) <= 1e-12
+            assert abs(r - ref) <= 1e-12
             if r < 1e-8:  # a certificate's witness: same z
                 assert np.max(np.abs(zr - zref), initial=0.0) <= 1e-12 * (
                     1.0 + np.max(np.abs(zref), initial=0.0))
+
+
+def _scaled_m(s, scale):
+    """s with its m basis multiplied by the exact ``scale``."""
+    m = srgo.Subspace(s.dim, exactla.matmul(
+        s.m.basis, exactla.fmat(np.diag([scale] * s.m.dim).tolist())))
+    return srgo.HomogeneousSRStructure(s.algebra, s.k, m, s.delta, s.metric)
+
+
+@pytest.mark.parametrize("name", ["cartan", "so3_kp"])
+def test_verdicts_do_not_depend_on_the_scale_of_the_m_basis(name, models):
+    # A model file may write its m basis at any scale; the residual is the
+    # g-coordinate one, so neither the verdicts nor the bands move.
+    s = models[name].structure
+    momenta = sample_momenta(s, 200, np.random.default_rng(8))
+    if name == "cartan":  # a quarter on p4 = p5 = 0, a quarter in the band
+        momenta[::4, 3:5] = 0.0
+        momenta[1::4, 4] = 0.0
+        momenta[1::4, 3] = 1e-6
+        momenta[1::4, 3] *= 10 ** -7.5 / feasibility_residuals(
+            s, momenta[1::4])[0]
+    relres = feasibility_residuals(s, momenta)[0]
+    verdicts = homogeneity_verdicts(s, momenta)
+    if name == "cartan":
+        assert {_band(r) for r in relres} == {0, 1, 2}
+        assert set(verdicts) == {HOMOGENEOUS, NOT_HOMOGENEOUS}
+    checks = [check_homogeneous(Momentum(p, s)).verdict for p in momenta]
+    for scale in (Fraction(1, 10**7), 10**7):
+        t = _scaled_m(s, scale)
+        scaled = feasibility_residuals(t, momenta)[0]
+        assert [_band(r) for r in scaled] == [_band(r) for r in relres]
+        assert np.allclose(scaled, relres, rtol=1e-9, atol=1e-15)
+        assert homogeneity_verdicts(t, momenta) == verdicts
+        assert [check_homogeneous(Momentum(p, t)).verdict
+                for p in momenta] == checks
 
 
 def test_scan_matches_per_row_checks(models):

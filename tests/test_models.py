@@ -56,7 +56,8 @@ def test_shared_structure_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         s.dmat[0, 0] = 1.0
     for a in (s.metric, s.k.basis, s.m.canonical, s.delta.basis,
-              s.grading[1].basis, s.m_dual, s.m_dual_exact, s.m_action):
+              s.grading[1].basis, s.m_dual, s.m_dual_exact, s.m_action,
+              s.m_dual_r):
         assert not a.flags.writeable
     rep = load_model("heisenberg").structure.representation
     assert not any(r.flags.writeable for r in rep)

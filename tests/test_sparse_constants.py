@@ -356,6 +356,15 @@ def test_float_forms_mirror_the_exact_ones(name, models, mixed):
             dense[b, r, t] = float(c)
         assert s.m_action.tobytes() == dense.tobytes()
         assert not s.m_action.flags.writeable
+        assert s.m_dual.tobytes() == exactla.to_float(s.m_dual_exact).tobytes()
+        # m_dual_r is the R of m_dual = QR with a positive diagonal: the
+        # identity on every bundled (orthonormal) m_dual.
+        r = s.m_dual_r
+        assert np.array_equal(r, np.triu(r)) and (np.diag(r) > 0).all()
+        assert np.allclose(r.T @ r, s.m_dual.T @ s.m_dual, rtol=0, atol=1e-12)
+        if s is models[name].structure:
+            assert np.array_equal(r, np.eye(s.m.dim))
+        assert not s.m_dual_r.flags.writeable
 
 
 def _rank_route(s, p):
