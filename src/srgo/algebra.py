@@ -9,12 +9,11 @@ structural checks (antisymmetry, Jacobi, reductivity, bracket generation,
 the k-invariance of the metric) run in exact arithmetic. Every exact
 bracket is one contraction of two bases, ``LieAlgebra.brackets``. A
 homogeneous structure contracts dH's matrix with the identity, once, into
-the vertical field on g*, which the integrator, the lift and the
-fixed-point search read. Paired with the map m_dual from m*-coordinates,
-the same contraction gives the motion of the m*-coordinates and the k
-action on m, each once, which the homogeneity test, its exact escalation,
-the tangency witness and the invariant enumeration read. A ``Subspace``
-reads membership off its canonical form, with no solve.
+the terms of the vertical field on g*, and reads its other forms off those
+terms at p = m_dual a, m_dual the map from m*-coordinates: paired with the
+m basis, the motion of the m*-coordinates; paired with the k basis, the
+k-invariance check. A ``Subspace`` reads membership off its canonical
+form, with no solve.
 """
 
 from collections import defaultdict
@@ -368,13 +367,13 @@ class HomogeneousSRStructure:
     The vertical field f_j(p) = p([dH(p), e_j]) = sum coef p_a p_k is
     ``vertical_terms_exact``, its nonzero (j, a, k, coef) with a <= k,
     sorted. On k-circ, in m*-coordinates a (p = m_dual a, a_r = p(m_r)),
-    the same brackets give ``m_field_exact``, the motion adot_r =
+    those terms paired with m_r give ``m_field_exact``, the motion adot_r =
     p([dH(p), m_r]) as the nonzero (r, u, t, c) with u <= t, sorted, c the
-    coefficient of a_u a_t; and ``m_action_exact``, the k action on m as
-    the nonzero (b, r, t, c), sorted, c the coefficient of a_t in
-    p([Z_b, m_r]). Float mirrors, all built here: ``m_dual``,
-    ``vertical_terms`` and ``m_field`` (float coefficients) and the dense
-    read-only ``m_action`` R of shape (dk, dm, dm), R[b, r, t] = c; a
+    coefficient of a_u a_t; paired with k they vanish (``validate``).
+    ``m_action_exact`` is the k action on m, the nonzero (b, r, t, c),
+    sorted, c the coefficient of a_t in p([Z_b, m_r]). Float mirrors, all
+    built here: ``m_dual``, ``vertical_terms`` (float coefficients) and the
+    dense read-only ``m_action`` R of shape (dk, dm, dm), R[b, r, t] = c; a
     coefficient, or an entry of the metric, its inverse, Dmat or m_dual,
     that overflows a float is a ValueError. ``m_dual_r`` is the
     upper-triangular R of m_dual = QR with a positive diagonal, so that
@@ -421,11 +420,6 @@ class HomogeneousSRStructure:
         self.m_basis_float = m.basis_float()
         self.delta_basis_float = delta.basis_float()
 
-        rep = self.validate()
-        if not rep.ok:
-            raise ValueError(f"invalid structure: {rep}")
-        self.grading = self._carnot_layers()
-
         # [X_a, e_j]_k (X_a column a) is the coefficient of p_k in p([X_a, e_j])
         merged = defaultdict(int)  # (j, a, k) -> coefficient, a <= k
         for (a, j), vec in algebra.brackets(
@@ -434,16 +428,24 @@ class HomogeneousSRStructure:
                 merged[j, min(a, kk), max(a, kk)] += v
         self.vertical_terms_exact = tuple(sorted(
             (*key, _int_or_fraction(v)) for key, v in merged.items() if v))
+
+        rep = self.validate()
+        if not rep.ok:
+            raise ValueError(f"invalid structure: {rep}")
+        self.grading = self._carnot_layers()
         self.m_field_exact = tuple(sorted(
-            (*key, c) for key, c in self._dh_pairings(m.basis).items()))
+            (*key, c) for key, c in self._field_on_k_circ(m.basis).items()))
         # c of (b, r, t, c) is the m_t-coordinate of [Z_b, m_r] (reductive).
+        dual = exactla.row_nonzeros(self.m_dual_exact)  # i -> [(t, m_dual[i, t])]
+        action = defaultdict(int)  # (b, r, t) -> coefficient
+        for (b, r), vec in algebra.brackets(k.basis, m.basis).items():
+            for i, v in vec.items():
+                for t, y in dual[i]:
+                    action[b, r, t] += v * y
         self.m_action_exact = tuple(sorted(
-            (b, r, t, c) for (b, r), vec in self._paired(k.basis, m.basis).items()
-            for t, c in vec.items()))
+            (*key, _int_or_fraction(c)) for key, c in action.items() if c))
         self.vertical_terms = _float_terms(self.vertical_terms_exact,
                                            "the vertical field")
-        self.m_field = _float_terms(self.m_field_exact,
-                                    "the motion of the m*-coordinates")
         self.m_action = np.zeros((k.dim, m.dim, m.dim))
         for b, r, t, v in _float_terms(self.m_action_exact, "the k action on m"):
             self.m_action[b, r, t] = v
@@ -469,31 +471,22 @@ class HomogeneousSRStructure:
         adapted = np.concatenate([self.m.basis, self.k.basis], axis=1)
         return _read_only(exactla.inverse(adapted).T[:, : self.m.dim])
 
-    def _paired(self, left, right):
-        """``algebra.brackets(left, right)`` paired with p = m_dual a:
-        {(u, r): {t: the coefficient of a_t in p([L_u, R_r])}}, nonzeros
-        only. That coefficient is the m_t-coordinate of [L_u, R_r] along k."""
-        # k -> [(t, m_dual[k, t])]
-        dual_rows = exactla.row_nonzeros(self.m_dual_exact)
-        out = {}
-        for key, vec in self.algebra.brackets(left, right).items():
-            acc = defaultdict(int)
-            for k, v in vec.items():
-                for t, y in dual_rows[k]:
-                    acc[t] += v * y
-            if nz := {t: _int_or_fraction(c) for t, c in acc.items() if c}:
-                out[key] = nz
-        return out
-
-    def _dh_pairings(self, right):
-        """p([dH(p), R_r]) at p = m_dual a, a quadratic form in a per column
-        r of ``right``: {(r, u, t): the coefficient of a_u a_t}, u <= t,
-        nonzeros only. dH(m_dual a) = sum_u a_u X_u with X = Dmat m_dual."""
-        x = exactla.matmul(self.dmat_exact, self.m_dual_exact)
-        merged = defaultdict(int)  # (r, u, t) -> coefficient, u <= t
-        for (u, r), vec in self._paired(x, right).items():
-            for t, c in vec.items():
-                merged[r, min(u, t), max(u, t)] += c
+    def _field_on_k_circ(self, columns):
+        """p([dH(p), X_r]) = sum_j X[j, r] f_j(p) at p = m_dual a, per column
+        X_r of ``columns``: {(r, u, t): the coefficient of a_u a_t}, u <= t,
+        nonzeros only. Each f_j needed is substituted once, off its terms."""
+        cols = exactla.row_nonzeros(columns)  # j -> [(r, X[j, r])]
+        dual = exactla.row_nonzeros(self.m_dual_exact)  # i -> [(t, m_dual[i, t])]
+        forms = defaultdict(lambda: defaultdict(int))  # j -> {(u, t): c}
+        for j, a, k, c in self.vertical_terms_exact:
+            for u, x in dual[a] if cols[j] else ():
+                for t, y in dual[k]:
+                    forms[j][min(u, t), max(u, t)] += c * x * y
+        merged = defaultdict(int)  # (r, u, t) -> coefficient
+        for j, form in forms.items():
+            for r, x in cols[j]:
+                for (u, t), c in form.items():
+                    merged[r, u, t] += x * c
         return {key: _int_or_fraction(v) for key, v in merged.items() if v}
 
     @cached_property
@@ -545,8 +538,8 @@ class HomogeneousSRStructure:
         if not m.contains_subspace(delta):
             report.add("delta is not contained in m")
         # A G-invariant structure on G/K is an Ad(K)-invariant one on m:
-        # H is k-invariant on k-circ, p([dH(p), Z_c]) = 0 for each Z_c.
-        if report.ok and self._dh_pairings(k.basis):
+        # p([dH(p), Z_c]) = 0 on k-circ, whose m_dual needs the checks above.
+        if report.ok and self._field_on_k_circ(k.basis):
             report.add("the metric on delta is not invariant under k")
         seed = subspace_sum(n, [delta, k])
         if lie_closure(g, seed).dim != n:
@@ -602,6 +595,9 @@ class HomogeneousSRStructure:
         return 0.5 * float(p @ self.dmat @ p)
 
     def annihilates_k(self, p):
-        if self.k.dim == 0:
-            return True
-        return float(np.max(np.abs(self.k_basis_float.T @ np.asarray(p, dtype=float)))) <= 1e-9
+        """Whether p is finite and pairs with k to at most 1e-9 (1 + max|p|):
+        the one rule for a momentum on the annihilator of k."""
+        p = np.asarray(p, dtype=float)
+        bound = 1e-9 * (1.0 + np.max(np.abs(p)))  # finite iff p is
+        return bool(np.isfinite(bound)
+                    and (np.abs(self.k_basis_float.T @ p) <= bound).all())

@@ -311,7 +311,7 @@ def _eigen_route(structure, steps, killing_kernel):
             f"eigenvector of K^(-1) B-hat with eigenvalue {lam.real:.6g}"
         )
         p = bhat @ x
-        if s.k.dim and np.max(np.abs(s.k_basis_float.T @ p)) > 1e-9:
+        if not s.annihilates_k(p):
             steps.append("candidate momentum fails to annihilate k; skipping")
             continue
         return p

@@ -27,11 +27,8 @@ class Momentum:
             raise ValueError("momentum has wrong dimension")
         if not np.all(np.isfinite(coords)):
             raise ValueError("momentum coordinates must be finite")
-        scale = 1.0 + float(np.max(np.abs(coords)))
-        if self.structure.k.dim:
-            pairing = self.structure.k_basis_float.T @ coords
-            if np.max(np.abs(pairing)) > 1e-9 * scale:
-                raise ValueError("momentum does not annihilate the isotropy algebra")
+        if not self.structure.annihilates_k(coords):
+            raise ValueError("momentum does not annihilate the isotropy algebra")
 
     def __iter__(self):
         return iter(self.coords)

@@ -5,12 +5,12 @@ z in the isotropy algebra satisfies p([X, g]) = 0, a linear system in z.
 On the annihilator of k its rows paired with k vanish: [k, k] lies in k,
 and H is k-invariant (the structure checks it). So the system is read in
 the m*-coordinates a = m_basis^T p that ``go`` uses, dim m rows off the
-structure's k action on m and the motion adot of a, weighted so that
-the residual is the one in g-coordinates and does not depend on the scale
-of the m basis. A momentum whose k-pairings are not exactly 0
-(``Momentum`` accepts them up to 1e-9 (1 + max|p|)) is decided at
-m_dual a, the momentum on the annihilator with the same m-pairings. A
-scan decides its
+structure's k action on m and the motion adot of a (the vertical terms at
+m_dual a, paired with the m basis), weighted so that the residual is the
+one in g-coordinates and does not depend on the scale of the m basis. A
+momentum whose k-pairings are not exactly 0 (``annihilates_k`` accepts
+them up to 1e-9 (1 + max|p|)) is decided at m_dual a, the momentum on the
+annihilator with the same m-pairings. A scan decides its
 rows in up to three steps. Given a linear witness L (``go`` passes the one
 its bracket test solves), the candidate z = L p decides every row whose
 residual is below the threshold: the least-squares residual is at most that
@@ -61,8 +61,9 @@ def feasibility_systems(structure, momenta):
     """A (B, dm, dk) and b (B, dm) of the systems A z = b of a (B, n) stack,
     at the m*-coordinates a = m_basis^T p of each row and p = m_dual a, the
     momentum on k-circ with the same m-pairings. Row r, before weighting, is
-    sum_b p([Z_b, m_r]) z_b = -adot_r(a), from ``m_action`` and ``m_field``.
-    The rows are weighted by ``m_dual_r``, so that |A z - b| is the
+    sum_b p([Z_b, m_r]) z_b = -adot_r(a), from ``m_action`` and
+    ``vertical_terms``: adot(a) is the vertical field at p paired with the m
+    basis. The rows are weighted by ``m_dual_r``, so that |A z - b| is the
     g-coordinate norm of the residual covector p([dH(p) + Z, .]), which lies
     on k-circ: the residual does not depend on how the m basis is scaled or
     mixed."""
@@ -71,7 +72,8 @@ def feasibility_systems(structure, momenta):
     a = momenta @ structure.m_basis_float
     rows = (a @ r.transpose(1, 0, 2).reshape(dm * dk, dm).T).reshape(
         len(momenta), dm, dk)
-    return w @ rows, -field_rows(structure.m_field, a) @ w.T
+    f = field_rows(structure.vertical_terms, a @ structure.m_dual.T)
+    return w @ rows, -(f @ structure.m_basis_float) @ w.T
 
 
 def feasibility_residuals(structure, momenta, witness=None):

@@ -481,8 +481,9 @@ def sample_momenta(structure, nsamples, rng):
     through the metric square root (pinning H to 1/2 exactly), the rest of
     the m-dual block is Gaussian fill, the k-pairings are identically zero
     by construction in the dual of the adapted basis. ``nsamples`` must be
-    positive. All rows are drawn and mapped at once; the result is bitwise
-    the one that drawing and mapping row by row gives.
+    positive, and a draw too large for memory is a ValueError. All rows are
+    drawn and mapped at once; the result is bitwise the one that drawing
+    and mapping row by row gives.
     """
     if nsamples <= 0:
         raise ValueError("samples must be positive")
@@ -501,7 +502,11 @@ def sample_momenta(structure, nsamples, rng):
     # per-row draws of rank, then null_dim, take them. The norm is
     # sqrt(u^T u) through matmul, bitwise the per-row np.linalg.norm;
     # np.linalg.norm along an axis sums differently, in the last bit.
-    x = rng.standard_normal((nsamples, rank + null_dim))[:, :, None]
+    try:
+        x = rng.standard_normal((nsamples, rank + null_dim))[:, :, None]
+    except MemoryError:
+        raise ValueError(f"{nsamples} samples need more memory than can be "
+                         f"allocated") from None
     u = x[:, :rank]
     u /= np.sqrt(np.swapaxes(u, 1, 2) @ u)
     target = sqrt_b @ u  # delta-pairings with (1/2)|B^{-1/2} target|^2 = 1/2

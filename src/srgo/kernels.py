@@ -2,9 +2,8 @@
 
 Everything here reads a quadratic field as its few nonzero terms
 (j, a, k, coef) of f_j(p) = sum coef p_a p_k: the structure's
-``vertical_terms`` (at most 4 at n ≤ 6, 30 on free_step2_rank6), and, for
-``field_rows`` alone, its ``m_field``, the motion of the m*-coordinates, with
-n = dim m. ``field_rows`` evaluates them on a (B, n) batch as
+``vertical_terms`` (at most 4 at n ≤ 6, 30 on free_step2_rank6).
+``field_rows`` evaluates them on a (B, n) batch as
 (P[:, a] * P[:, k]) @ S, with the index arrays and the scatter matrix S
 built once per term tuple; ``field_jacobian`` reads the Jacobian of one
 momentum or of a batch off the same arrays.

@@ -3,10 +3,13 @@
 No code in ``srgo`` calls any of these. Each is a direct formula over the
 stored structure constants, a structure's exact matrices or a trajectory:
 the float bracket, ad and coad maps, their exact counterparts, the
-Lie-Poisson bracket on g*, H as a polynomial on g*, exact evaluation of a
-polynomial, membership of one vector, and CSV written to a file.
+pairings p([dH(p), X_r]) on the annihilator of k by their own bracket
+contraction, the Lie-Poisson bracket on g*, H as a polynomial on g*, exact
+evaluation of a polynomial, membership of one vector, and CSV written to a
+file.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -99,6 +102,21 @@ def dH_exact(structure, p):
     """dH(p) = Dmat p, exactly."""
     return exactla.matvec(structure.dmat_exact,
                           structure.algebra._column(p)[:, 0])
+
+
+def dh_pairings(structure, columns):
+    """p([dH(p), X_r]) at p = m_dual a, a quadratic form in a per column X_r
+    of the exact matrix ``columns``: {(r, u, t): the coefficient of a_u a_t},
+    u <= t, nonzeros only. dH(m_dual a) = sum_u a_u Y_u with Y = Dmat m_dual:
+    the brackets of Y with the columns, paired with m_dual."""
+    y = exactla.matmul(structure.dmat_exact, structure.m_dual_exact)
+    dual_rows = exactla.row_nonzeros(structure.m_dual_exact)  # k -> [(t, value)]
+    merged = defaultdict(int)  # (r, u, t) -> coefficient, u <= t
+    for (u, r), vec in structure.algebra.brackets(y, columns).items():
+        for k, v in vec.items():
+            for t, x in dual_rows[k]:
+                merged[r, min(u, t), max(u, t)] += v * x
+    return {key: _int_or_fraction(c) for key, c in merged.items() if c}
 
 
 def contains(space, v):

@@ -220,10 +220,12 @@ def test_structure_reports_each_violation_once():
 def test_invariant_metrics_pass_the_k_invariance_check(models, mixed,
                                                        so3_plus_center):
     # The k-pairings the check reads vanish on every bundled structure, on
-    # its mixed m basis and on so3_plus_center (k central).
+    # its mixed m basis and on so3_plus_center (k central), read off the
+    # vertical terms and by the oracle's own bracket contraction.
     for s in [*(spec.structure for spec in models.values()),
               *mixed.values(), so3_plus_center.structure]:
-        assert s._dh_pairings(s.k.basis) == {}
+        assert s._field_on_k_circ(s.k.basis) == {}
+        assert oracles.dh_pairings(s, s.k.basis) == {}
 
 
 def test_bracket_beyond_the_float_range_is_rejected():

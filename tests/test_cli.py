@@ -505,6 +505,33 @@ def test_integrate_rejects_step_count_too_large_to_store(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["go", "--model", "cartan"],
+    ["integrate", "--model", "heisenberg", "--phase-portrait"],
+], ids=["go", "phase-portrait"])
+def test_samples_too_many_to_draw_exit_2(monkeypatch, capsys, argv):
+    # Each seeded generator's draw of more than 10^6 rows raises
+    # MemoryError, as numpy's does when it cannot allocate them, so no
+    # huge array is ever attempted. It was a traceback with exit 1.
+    real = np.random.default_rng
+
+    class Rng:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def standard_normal(self, size):
+            if size[0] > 10 ** 6:
+                raise MemoryError
+            return self._rng.standard_normal(size)
+
+    monkeypatch.setattr(np.random, "default_rng", Rng)
+    assert run(argv + ["--samples", "1000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: 1000000000000 samples need more memory "
+                            "than can be allocated\n")
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_phase_portrait_rejects_non_positive_samples(tmp_path, capsys,
                                                      samples):
@@ -612,7 +639,8 @@ def _heisenberg_file(tmp_path, edit):
 @_EVERY_SUBCOMMAND
 def test_m_forms_overflowing_a_float_exit_2(tmp_path, capsys, argv):
     # The m basis scaled by 10^-400 leaves the vertical field as it is, but
-    # the motion of the m*-coordinates gets coefficients of about 10^400.
+    # m_dual, and with it the motion of the m*-coordinates, gets entries of
+    # about 10^400.
     def shrink(data):
         data["m_basis"] = [[x if x == "0" else f"{x}/1{'0' * 400}"
                             for x in row] for row in data["m_basis"]]
@@ -620,8 +648,8 @@ def test_m_forms_overflowing_a_float_exit_2(tmp_path, capsys, argv):
     assert run(argv + ["--model", _heisenberg_file(tmp_path, shrink)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: the motion of the m*-coordinates has "
-                            "non-finite coefficients\n")
+    assert captured.err == ("error: m_dual has entries beyond the float "
+                            "range\n")
 
 
 @_EVERY_SUBCOMMAND

@@ -111,6 +111,16 @@ def test_the_new_bases_are_rational_and_well_conditioned(rewritten):
         assert any(v not in (0, 1) for v in s.m_dual_exact.flat), name
 
 
+@pytest.mark.parametrize("name", srgo.list_models())
+def test_m_field_is_the_bracket_route(name, rewritten):
+    # In Fraction arithmetic the restriction of the vertical terms to
+    # k-circ still equals the oracle's bracket contraction exactly.
+    s = rewritten[name][1]
+    assert dict(((r, u, t), c) for r, u, t, c in s.m_field_exact) == \
+        oracles.dh_pairings(s, s.m.basis)
+    assert s._field_on_k_circ(s.k.basis) == {}
+
+
 # The bundled models whose existence route divides out the radical part of m.
 QUOTIENT_MODELS = ["rolling_sphere", "sl2_axisym", "sl2_kp", "so3_axisym",
                    "so3_kp"]

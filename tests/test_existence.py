@@ -193,3 +193,47 @@ def test_degenerate_killing_form_fails_the_construction(so3_plus_center):
     assert not result.success and result.momentum is None
     assert result.route == ROUTE_EIGENVECTOR
     assert "Killing form is degenerate" in result.steps[-1]
+
+
+def _so3_squared():
+    """so(3) + so(3), k = span(X3), delta = span(X1, X2, Y1, Y2), metric
+    I: semisimple, so the eigenvector route reaches its momentum check."""
+    g = srgo.LieAlgebra.from_brackets(6, {
+        (0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1},
+        (3, 4): {5: 1}, (4, 5): {3: 1}, (5, 3): {4: 1}})
+    e = np.eye(6, dtype=int).tolist()
+    return srgo.HomogeneousSRStructure(
+        g, Subspace.from_vectors(6, [e[2]]),
+        Subspace.from_vectors(6, [e[0], e[1], e[3], e[4], e[5]]),
+        Subspace.from_vectors(6, [e[0], e[1], e[3], e[4]]), np.eye(4, dtype=int))
+
+
+@pytest.mark.parametrize("pairing, annihilates", [(1e-5, True), (1e-2, False)])
+def test_one_rule_for_annihilating_k(monkeypatch, pairing, annihilates):
+    # A covector with max|p| = 1e6 may pair with k up to 1e-9 (1 + 1e6),
+    # about 1e-3: Momentum, annihilates_k (the exist audit) and the
+    # eigenvector route give the same answer. The route's comparison
+    # operator is replaced by one whose only eigenvector yields q.
+    from srgo import existence
+
+    s = _so3_squared()
+    q = np.array([1e6, 0.0, pairing, 0.0, 0.0, 0.0])
+    assert s.annihilates_k(q) is annihilates
+    if annihilates:
+        Momentum(q, s)
+    else:
+        with pytest.raises(ValueError, match="does not annihilate"):
+            Momentum(q, s)
+    gamma = (q / np.linalg.norm(q))[:, None]
+    bhat = np.outer(q, q) / (q @ gamma[:, 0])  # bhat gamma = q
+    monkeypatch.setattr(existence, "_khat_extension",
+                        lambda structure, steps: (bhat, gamma))
+    steps = []
+    p = existence._eigen_route(s, steps, s.algebra.killing_kernel())
+    assert (p is not None) is annihilates
+    if annihilates:
+        assert np.allclose(np.abs(p), np.abs(q), rtol=1e-12, atol=0)
+    else:
+        assert "candidate momentum fails to annihilate k; skipping" in steps
+    assert not s.annihilates_k(np.array([np.nan, 0, 0, 0, 0, 0]))
+    assert not s.annihilates_k(np.array([np.inf, 0, 0, 0, 0, 0]))

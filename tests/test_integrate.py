@@ -150,6 +150,35 @@ def test_sample_momenta_deterministic(heisenberg):
     assert np.array_equal(a, b)
 
 
+class _DrawFails:
+    """A Generator stand-in whose every draw raises MemoryError, as numpy's
+    does when it cannot allocate the array; it allocates nothing."""
+
+    def standard_normal(self, size):
+        raise MemoryError
+
+
+def test_sample_momenta_too_many_to_draw_is_a_value_error(cartan):
+    with pytest.raises(ValueError, match="^1000000000000 samples need more "
+                       "memory than can be allocated$"):
+        sample_momenta(cartan.structure, 10 ** 12, _DrawFails())
+
+
+def test_vertical_rk4_too_many_steps_to_store_is_a_value_error(monkeypatch,
+                                                              cartan):
+    # The samples array is the first allocation; it fails without being
+    # attempted.
+    def zeros(shape, *args, **kwargs):
+        raise MemoryError
+
+    terms = cartan.structure.vertical_terms
+    vertical_rk4(terms, np.ones(6), 1e-3, 2)  # compile the block first
+    monkeypatch.setattr(np, "zeros", zeros)
+    with pytest.raises(ValueError, match="^1000000000000 steps need more "
+                       "memory than can be allocated for their samples$"):
+        vertical_rk4(terms, np.ones(6), 1e-3, 10 ** 12)
+
+
 def _sample_momenta_per_row(s, nsamples, rng):
     """sample_momenta as one draw and one set of matvecs per row."""
     e_coef, *_ = np.linalg.lstsq(s.m_basis_float, s.delta_basis_float,

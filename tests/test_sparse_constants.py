@@ -344,13 +344,53 @@ def test_m_forms_match_the_coadjoint_action_on_the_annihilator(
                 assert not any(exactla.matvec(s.k.basis.T, coad))
 
 
+def _assert_m_field_is_the_bracket_route(s):
+    """m_field_exact, read off the vertical terms at p = m_dual a, equals
+    the oracle's contraction of Dmat m_dual with the m basis exactly, and
+    the same restriction paired with the k basis is empty."""
+    assert dict(((r, u, t), c) for r, u, t, c in s.m_field_exact) == \
+        oracles.dh_pairings(s, s.m.basis)
+    assert s._field_on_k_circ(s.k.basis) == {}
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_m_field_is_the_bracket_route(name, models, mixed):
+    _assert_m_field_is_the_bracket_route(models[name].structure)
+    _assert_m_field_is_the_bracket_route(mixed[name])
+
+
+def test_m_field_is_the_bracket_route_on_so3_plus_center(so3_plus_center):
+    _assert_m_field_is_the_bracket_route(so3_plus_center.structure)
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_float_adot_reads_the_vertical_terms(name, models, mixed):
+    # feasibility_systems reads adot off the vertical terms at m_dual a. On
+    # the bundled bases it is bitwise field_rows over the float terms of
+    # m_field_exact; on the mixed ones it agrees to 1e-15 of the size of
+    # those terms, sum |c a_u a_t|, weighted alike (measured: up to 6.1e-16).
+    from srgo.homogeneity import feasibility_systems
+    from srgo.kernels import field_rows
+
+    for s in (models[name].structure, mixed[name]):
+        momenta = srgo.sample_momenta(s, 300, np.random.default_rng(len(name)))
+        a = momenta @ s.m_basis_float
+        terms = tuple((r, u, t, float(c)) for r, u, t, c in s.m_field_exact)
+        b = feasibility_systems(s, momenta)[1]
+        want = -field_rows(terms, a) @ s.m_dual_r.T
+        if s is models[name].structure:
+            assert np.array_equal(b, want)
+        else:  # both weighted by m_dual_r
+            size = field_rows(tuple((r, u, t, abs(c)) for r, u, t, c in terms),
+                              np.abs(a)) @ np.abs(s.m_dual_r.T)
+            assert (np.abs(b - want) <= 1e-15 * size).all()
+
+
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_float_forms_mirror_the_exact_ones(name, models, mixed):
     for s in (models[name].structure, mixed[name]):
         assert s.vertical_terms == tuple(
             (j, a, k, float(c)) for j, a, k, c in s.vertical_terms_exact)
-        assert s.m_field == tuple((r, u, t, float(c))
-                                  for r, u, t, c in s.m_field_exact)
         dense = np.zeros((s.k.dim, s.m.dim, s.m.dim))
         for b, r, t, c in s.m_action_exact:
             dense[b, r, t] = float(c)
