@@ -6,12 +6,15 @@ nilpotent structures, and statistical scans. The commutation test first
 solves exactly for a tangency witness, a Z(p) in k linear in p with
 coad(dH(p) + Z(p))p = 0 on the annihilator of k: one sparse rational
 system whose solution certifies vanishing brackets at every degree, and
-whose inconsistency proves that no such linear Z exists. Enumeration of
-invariants up to the degree cap then decides. It works in m*-coordinates
-a (p = m_dual a) throughout, on the structure's two forms there, which the
-homogeneity test reads too: adot, the vertical field as dim m exact
-quadratics in a (``m_field_exact``), and the k action on m
-(``m_action_exact``). The witness rows are read off both.
+whose inconsistency proves that no such linear Z exists. Its rows with
+one unknown are solved first, straight off the forms below; where they fix
+every unknown (on every bundled model with nontrivial k) one exact
+substitution checks the other rows, and only where they leave one open is
+the whole system built and eliminated. Enumeration of invariants up to the
+degree cap then decides. It works in m*-coordinates a (p = m_dual a)
+throughout, on the structure's two forms there, which the homogeneity test
+reads too: adot, the vertical field as dim m exact quadratics in a
+(``m_field_exact``), and the k action on m (``m_action_exact``).
 The invariants of each degree are the kernel of sparse derivation rows
 built from the k action, taken by ``exactla.nullspace_sparse``, and on
 the annihilator of k the bracket is {H, F} = sum_r dF/da_r * adot_r. The
@@ -24,12 +27,14 @@ and only the rest go through the batched SVD of
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import add
 
 import numpy as np
 
 from . import exactla
 from .algebra import Subspace, subspace_sum
+from .exactla import _int_or_fraction
 from .homogeneity import scan_homogeneous
 from .poly import Polynomial, monomials_of_degree
 
@@ -179,19 +184,98 @@ def _tangency_witness(structure):
     in a whose coefficients are linear in W; matching the coefficient of
     each a_u a_t (u <= t) to zero gives one sparse rational system in the
     dk * dm entries of W, read off the structure's ``m_field_exact`` and
-    ``m_action_exact`` and solved exactly by ``exactla.solve_sparse``.
-    Paired with Z_c the identity holds for every W: p([Z(p), Z_c]) = 0 as
-    [k, k] lies in k, and p([dH(p), Z_c]) = 0 as H is k-invariant (the
-    structure checks it). So these rows span the rows of every pairing with
-    a basis of g, and their canonical solution is that system's. Returns
-    L = W m_basis^T, or None when the system is inconsistent: then no Z(p)
-    in k linear in p closes the identity. With trivial k it returns None
-    without solving.
+    ``m_action_exact``. Paired with Z_c the identity holds for every W:
+    p([Z(p), Z_c]) = 0 as [k, k] lies in k, and p([dH(p), Z_c]) = 0 as H is
+    k-invariant (the structure checks it). So these rows span the rows of
+    every pairing with a basis of g, and their canonical solution is that
+    system's.
+
+    The rows with one unknown are solved first (``_witness_pins``), before
+    any row is built. An entry they fix has that value in every solution,
+    so two of them that fix one entry to different values prove the system
+    inconsistent, and when they fix every entry the system has at most
+    that one solution, which is then the canonical one: one exact
+    substitution checks it against every row. Otherwise the rows are built
+    in full and solved by ``exactla.solve_sparse``
+    (``_witness_by_elimination``).
+    Returns L = W m_basis^T, or None when the system is inconsistent: then
+    no Z(p) in k linear in p closes the identity. With trivial k it returns
+    None without solving.
     """
     s = structure
     dk, dm = s.k.dim, s.m.dim
     if dk == 0:
         return None
+    pins = _witness_pins(s)
+    if pins is None:
+        return None
+    if len(pins) < dk * dm:
+        return _witness_by_elimination(s)
+    rows = [[pins[b * dm + u] for u in range(dm)] for b in range(dk)]
+    if not _satisfies_witness_rows(s, rows):
+        return None
+    w = np.empty((dk, dm), dtype=object)
+    w[:] = rows
+    return exactla.matmul(w, s.m.basis.T)
+
+
+def _witness_pins(structure):
+    """The entries of W that the witness rows with one unknown fix, as
+    {b * dm + u: W[b, u]}, or None when two of them fix one entry to
+    different values.
+
+    Let L_rt list the (b, g) of the terms (b, r, t, g) of
+    ``m_action_exact``. Row (r, u, t) holds L_rt at the columns b * dm + u
+    and, when u != t, L_ru at the columns b * dm + t: the two groups hit
+    different columns and no (b, r, t) repeats, so the row has |L_rt| +
+    |L_ru| entries, none cancelled. With L_rt = [(b, g)] and u = t or L_ru
+    empty it reads g W[b, u] = -c, c the coefficient of a_u a_t in adot_r
+    (0 without a term). The quotient is an int wherever it divides exactly.
+    """
+    s = structure
+    dm = s.m.dim
+    groups = defaultdict(list)  # (r, t) -> L_rt
+    for b, r, t, g in s.m_action_exact:
+        groups[r, t].append((b, g))
+    field_c = {(r, u, t): c for r, u, t, c in s.m_field_exact}
+    pins = {}
+    for (r, t), l_rt in groups.items():
+        if len(l_rt) != 1:
+            continue
+        (b, g), = l_rt
+        for u in range(dm):
+            if u != t and (r, u) in groups:
+                continue
+            c = field_c.get((r, u, t) if u <= t else (r, t, u), 0)
+            if type(c) is int and type(g) is int and not c % g:
+                v = -c // g
+            else:
+                v = _int_or_fraction(Fraction(-c, g))
+            if pins.setdefault(b * dm + u, v) != v:
+                return None
+    return pins
+
+
+def _satisfies_witness_rows(structure, w):
+    """Whether W, given as its dk rows of dm entries, zeroes every witness
+    row: adot_r + sum_b (W a)_b p([Z_b, m_r]) summed exactly at each
+    (r, u, t), u <= t."""
+    s = structure
+    w_rows = [[(q, x) for q, x in enumerate(row) if x] for row in w]
+    acc = {(r, u, t): c for r, u, t, c in s.m_field_exact}
+    for b, r, t, g in s.m_action_exact:
+        for q, x in w_rows[b]:
+            key = (r, q, t) if q <= t else (r, t, q)
+            acc[key] = acc.get(key, 0) + g * x
+    return not any(acc.values())
+
+
+def _witness_by_elimination(structure):
+    """L = W m_basis^T from the witness rows built in full and solved by
+    ``exactla.solve_sparse``, or None when they are inconsistent; the route
+    of ``_tangency_witness`` where the one-unknown rows leave W open."""
+    s = structure
+    dk, dm = s.k.dim, s.m.dim
     # Row (r, u, t), u <= t, sets the coefficient of a_u a_t in
     # adot_r + sum_b (W a)_b p([Z_b, m_r]) to zero.
     rows = defaultdict(lambda: [defaultdict(int), 0])  # key -> [{col: .}, rhs]

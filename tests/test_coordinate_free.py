@@ -11,8 +11,9 @@ becomes P^T p. The +-1/2 entries make the constants and the m* data
 non-integral, so the exact layers run on Fractions here, where every
 bundled model holds ints.
 
-Witness values are not compared: the free variables of the witness solve
-depend on the basis. Only what the basis cannot change is.
+Witness values are not compared across the bases: the free variables of
+the witness solve depend on the basis. Only what the basis cannot change
+is.
 """
 
 from fractions import Fraction
@@ -37,7 +38,13 @@ from srgo import (
 )
 from srgo import exactla
 from srgo.existence import _intersection
-from srgo.go import _bracket_on_m, _m_vertical_field, _verify_witness
+from srgo.go import (
+    _bracket_on_m,
+    _m_vertical_field,
+    _tangency_witness,
+    _verify_witness,
+    _witness_by_elimination,
+)
 
 HALVES = [Fraction(1, 2), Fraction(-1, 2)]
 
@@ -119,6 +126,31 @@ def test_m_field_is_the_bracket_route(name, rewritten):
     assert dict(((r, u, t), c) for r, u, t, c in s.m_field_exact) == \
         oracles.dh_pairings(s, s.m.basis)
     assert s._field_on_k_circ(s.k.basis) == {}
+
+
+@pytest.mark.parametrize("name", srgo.list_models())
+def test_witness_is_pinned_as_on_the_bundled_basis(name, rewritten,
+                                                   monkeypatch):
+    # The one-unknown rows fix W in the new basis too, or prove the system
+    # inconsistent, without elimination; W, in Fractions now, is the one
+    # that the full rows and exactla.solve_sparse give, type by type.
+    s = rewritten[name][1]
+    if s.k.dim == 0:
+        assert _tangency_witness(s) is None
+        return
+    reference = _witness_by_elimination(s)
+    calls = []
+    solve = exactla.solve_sparse
+    monkeypatch.setattr(exactla, "solve_sparse",
+                        lambda *args: calls.append(args) or solve(*args))
+    got = _tangency_witness(s)
+    assert calls == []
+    if reference is None:
+        assert got is None
+    else:
+        assert got.shape == reference.shape
+        assert [(x, type(x)) for x in got.flat] == \
+            [(x, type(x)) for x in reference.flat]
 
 
 # The bundled models whose existence route divides out the radical part of m.

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from srgo.go import (
     _m_vertical_field,
     _tangency_witness,
     _verify_witness,
+    _witness_by_elimination,
+    _witness_pins,
 )
 from srgo.poly import Polynomial, monomials_of_degree, poly_from_string
 
@@ -223,6 +226,173 @@ def test_verify_witness_rejects_a_changed_entry(models, witnesses):
         changed = w.copy()
         changed[a, q] += 1
         assert not _verify_witness(s, changed), (a, q)
+
+
+def _elimination_reference(s):
+    """The witness that the full rows and ``exactla.solve_sparse`` give;
+    trivial k has none to look for."""
+    return None if s.k.dim == 0 else _witness_by_elimination(s)
+
+
+def _same_entries(a, b):
+    """Both None, or the same shape and, entry by entry, equal values of
+    the same type."""
+    if a is None or b is None:
+        return a is None and b is None
+    return a.shape == b.shape and all(
+        x == y and type(x) is type(y) for x, y in zip(a.flat, b.flat))
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """A list that gets one entry per ``exactla.solve_sparse`` call."""
+    calls = []
+    solve = exactla.solve_sparse
+
+    def spy(rows, ncols):
+        calls.append(ncols)
+        return solve(rows, ncols)
+
+    monkeypatch.setattr(exactla, "solve_sparse", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", srgo.list_models())
+def test_witness_equals_the_elimination_route(name, models, mixed,
+                                              monkeypatch):
+    # Where the pins leave W open, the route must hand on the elimination's
+    # result unchanged. A stand-in records that call instead of running it,
+    # which takes seconds on the mixed rank6 basis; the elimination itself
+    # is checked on the mixed bases by the g-coordinate oracle
+    # (test_witness_on_mixed_m_bases_passes_the_exact_identity).
+    handed_on = object()
+    calls = []
+
+    def eliminate(structure):
+        calls.append(structure)
+        return handed_on
+
+    monkeypatch.setattr(srgo.go, "_witness_by_elimination", eliminate)
+    for s in (models[name].structure, mixed[name]):
+        calls.clear()
+        got = _tangency_witness(s)
+        if calls:
+            assert calls == [s] and got is handed_on
+        else:
+            assert _same_entries(got, _elimination_reference(s))
+
+
+def test_witness_equals_the_elimination_route_on_so3_plus_center(
+        so3_plus_center, solve_calls):
+    # k = span(Z) acts trivially on m, so no row holds an unknown and the
+    # rows of the nonzero field are solved, and found inconsistent.
+    s = so3_plus_center.structure
+    assert _witness_pins(s) == {}
+    assert _tangency_witness(s) is None
+    assert solve_calls == [3]
+    assert _elimination_reference(s) is None
+
+
+def test_bundled_witnesses_are_pinned_without_elimination(models,
+                                                          solve_calls):
+    # On every bundled model with nontrivial k the one-unknown rows fix W,
+    # or prove the system inconsistent (cartan), so nothing is eliminated.
+    nontrivial = [n for n in srgo.list_models() if models[n].structure.k.dim]
+    assert len(nontrivial) == 11
+    for name in nontrivial:
+        _tangency_witness(models[name].structure)
+    assert solve_calls == []
+
+
+def test_mixed_bases_fall_back_to_elimination(mixed, solve_calls):
+    # Mixing the m basis fills the k action in, so the one-unknown rows
+    # leave W open on free_step2_rank3, whose 18 unknowns are then solved.
+    s = mixed["free_step2_rank3"]
+    pins = _witness_pins(s)
+    assert pins is not None and len(pins) < s.k.dim * s.m.dim
+    assert _tangency_witness(s) is not None
+    assert solve_calls == [18]
+
+
+def test_cartan_witness_ends_on_conflicting_pins(cartan, solve_calls):
+    assert _witness_pins(cartan.structure) is None
+    assert _tangency_witness(cartan.structure) is None
+    assert solve_calls == []
+
+
+def _stand_in(dk, dm, action, field):
+    """What ``_tangency_witness`` reads of a structure: dk, dm, an m basis
+    (the last dm coordinates of g = k + m), the k action on m as
+    {(b, r, t): g} and adot as {(r, u, t): c}."""
+    basis = exactla.fmat([[int(i == dk + j) for j in range(dm)]
+                          for i in range(dk + dm)])
+    return SimpleNamespace(
+        k=SimpleNamespace(dim=dk),
+        m=SimpleNamespace(dim=dm, basis=basis),
+        m_action_exact=tuple(sorted((*key, g) for key, g in action.items())),
+        m_field_exact=tuple(sorted((*key, c) for key, c in field.items())))
+
+
+def _field_closed_by(action, w):
+    """The adot that W closes: minus sum_b (W a)_b p([Z_b, m_r]) at each
+    (r, u, t), u <= t."""
+    out = {}
+    for (b, r, t), g in action.items():
+        for q, x in enumerate(w[b]):
+            key = (r, min(q, t), max(q, t))
+            out[key] = out.get(key, 0) - g * x
+    return {key: c for key, c in out.items() if c}
+
+
+def test_conflicting_pins_prove_inconsistency(solve_calls):
+    # Rows (0, 0, 0) and (1, 0, 0) each hold W[0, 0] alone: W[0, 0] = -1
+    # and W[0, 0] = -2.
+    s = _stand_in(1, 2, {(0, 0, 0): 1, (0, 1, 0): 1},
+                  {(0, 0, 0): 1, (1, 0, 0): 2})
+    assert _witness_pins(s) is None
+    assert _tangency_witness(s) is None
+    assert solve_calls == []
+    assert _witness_by_elimination(s) is None
+
+
+def test_pinned_witness_failing_a_wider_row_is_none(solve_calls):
+    # The one-unknown rows pin W = 0; row (1, 0, 1) reads
+    # W[0, 0] + W[0, 1] = -1, which that W does not meet.
+    s = _stand_in(1, 2, {(0, 0, 0): 1, (0, 1, 0): 1, (0, 1, 1): 1},
+                  {(1, 0, 1): 1})
+    assert _witness_pins(s) == {0: 0, 1: 0}
+    assert _tangency_witness(s) is None
+    assert solve_calls == []
+    assert _witness_by_elimination(s) is None
+
+
+def test_an_unpinned_entry_falls_back_to_elimination(solve_calls):
+    # W[1, 0] sits only in rows with two unknowns; row (0, 0, 0),
+    # W[0, 0] + W[1, 0] = -c, fixes it once W[0, 0] is pinned.
+    action = {(0, 0, 0): 1, (1, 0, 0): 1, (0, 0, 1): 1,
+              (0, 1, 0): 1, (1, 1, 1): 1}
+    w = [[1, Fraction(1, 2)], [3, -4]]
+    s = _stand_in(2, 2, action, _field_closed_by(action, w))
+    assert set(_witness_pins(s)) == {0, 1, 3}
+    got = _tangency_witness(s)
+    assert solve_calls == [4]
+    assert _same_entries(got, _witness_by_elimination(s))
+    assert _same_entries(got, exactla.fmat([[0, 0, *row] for row in w]))
+
+
+@pytest.mark.parametrize("g, c, value", [
+    (2, 4, -2), (2, -4, 2), (2, 1, Fraction(-1, 2)), (2, -1, Fraction(1, 2)),
+    (Fraction(1, 2), 1, -2), (Fraction(1, 2), Fraction(3, 2), -3),
+    (Fraction(2, 3), Fraction(1, 3), Fraction(-1, 2))])
+def test_pins_are_held_normalised(g, c, value):
+    # An int that divides exactly gives an int, any other quotient a
+    # normalised rational.
+    s = _stand_in(1, 1, {(0, 0, 0): g}, {(0, 0, 0): c})
+    pins = _witness_pins(s)
+    assert pins == {0: value} and type(pins[0]) is type(value)
+    got = _tangency_witness(s)
+    assert _same_entries(got, exactla.fmat([[0, value]]))
+    assert _same_entries(got, _witness_by_elimination(s))
 
 
 def test_bracket_refutes_cartan(cartan):
