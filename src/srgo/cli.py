@@ -10,9 +10,16 @@ Each ``cmd_<name>(spec, args)`` does only its own work and returns
 text after "<model>: ". ``main`` loads the model, runs the command,
 writes the output and prints the summary, and turns bad input into
 ``error: ...`` with exit 2.
+
+``main`` builds the argument parser once per process, on its first call,
+and reuses it; ``build_parser`` returns a fresh one. The parser holds no
+command: ``main`` looks ``cmd_<subcommand>`` up in this module by name at
+each call, so a rebinding of a ``cmd_*`` name (a test's monkeypatch, a
+tracer's wrapper) takes effect on the next call.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -197,7 +204,6 @@ def build_parser():
 
     p = sub.add_parser("validate", help="exact structural checks")
     common(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("integrate", help="vertical flow to CSV")
     common(p, p0=True, sampled=True)
@@ -209,30 +215,32 @@ def build_parser():
                    help="emit field arrows and trajectories on H = 1/2")
     p.add_argument("--horizontal", action="store_true",
                    help="include group points (the model needs a representation)")
-    p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("check", help="homogeneity of one momentum")
     common(p, p0=True)
     p.add_argument("--tol", type=float, default=1e-8,
                    help="relative residual threshold")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("go", help="geodesic-orbit analysis")
     common(p, sampled=True)
     p.add_argument("--degree-cap", type=int, default=4)
-    p.set_defaults(func=cmd_go)
 
     p = sub.add_parser("exist", help="construct a homogeneous geodesic")
     common(p)
-    p.set_defaults(func=cmd_exist)
     return parser
+
+
+@functools.cache
+def _parser():
+    """The parser ``main`` uses, built on its first call and then reused."""
+    return build_parser()
 
 
 def main(argv=None):
     """Run one subcommand: load the model, run, write the output, then one
     summary line on stderr. Bad input, an unwritable --out included, prints
     ``error: ...`` instead and exits 2."""
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     portrait = getattr(args, "phase_portrait", False)
     if args.command in ("integrate", "check") and args.p0 is None and not portrait:
@@ -246,9 +254,10 @@ def main(argv=None):
                          f"--phase-portrait does not use {option}")
         args.seed = 0 if args.seed is None else args.seed
         args.samples = 1000 if args.samples is None else args.samples
+    command = globals()[f"cmd_{args.command}"]
     try:
         spec = _load(args.model)
-        output, summary, code = args.func(spec, args)
+        output, summary, code = command(spec, args)
         _emit(output, args.out)
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

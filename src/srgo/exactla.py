@@ -5,7 +5,8 @@ held as a Python int, any other as a ``fractions.Fraction``. Most values
 are integral (every bundled structure constant is), and int arithmetic is
 several times cheaper than Fraction's. Division is the one operation that
 leaves the rationals on ints (``int / int`` is a float), so every division
-here goes through Fraction. ``_int_or_fraction`` normalises a value, and
+here goes through Fraction, save an int by an int that divides it, which
+``//`` does exactly. ``_int_or_fraction`` normalises a value, and
 every matrix or vector returned here holds normalised entries.
 
 All elimination runs through one sparse eliminator, ``_echelon``, which
@@ -167,7 +168,8 @@ def _echelon(rows):
     leading 1. The pivot rows span the row space and lead at distinct
     columns, so the pivot columns are those of ``rref``. Entries come in
     normalised, so integral ones are ints; a pivot row is divided by its
-    lead through Fraction.
+    lead with ``//`` where both are ints and the lead divides the entry,
+    and through Fraction otherwise.
     """
     pivots = {}
     for coeffs in rows:
@@ -176,8 +178,12 @@ def _echelon(rows):
             col = min(row)
             f = row.pop(col)
             if col not in pivots:
-                pivots[col] = row if f == 1 else {
-                    c: _int_or_fraction(Fraction(v) / f) for c, v in row.items()}
+                if f != 1:
+                    whole = type(f) is int
+                    row = {c: v // f if whole and type(v) is int and not v % f
+                           else _int_or_fraction(Fraction(v) / f)
+                           for c, v in row.items()}
+                pivots[col] = row
                 break
             for c, v in pivots[col].items():
                 w = row.get(c, 0) - f * v

@@ -340,9 +340,13 @@ def _trajectory(s, samples, last, step, casimirs):
     start is kept whatever its diagnostics.
     """
     momenta = samples[: last + 1]
+    # dmat is zero off the rows and columns of delta, and the momenta are
+    # finite, so H sums the same nonzero terms in the same order on them.
+    support = np.flatnonzero(s.dmat.any(axis=0))
+    on = momenta[:, support]
     with np.errstate(over="ignore", invalid="ignore"):
-        diagnostics = {
-            "H": 0.5 * np.einsum("ti,ij,tj->t", momenta, s.dmat, momenta)}
+        diagnostics = {"H": 0.5 * np.einsum(
+            "ti,ij,tj->t", on, s.dmat[np.ix_(support, support)], on)}
         for name, poly in (casimirs or {}).items():
             diagnostics[name] = poly(momenta)
     finite = np.logical_and.reduce([np.isfinite(v) for v in diagnostics.values()])

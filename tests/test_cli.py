@@ -714,3 +714,73 @@ def test_check_does_not_depend_on_the_scale_of_the_m_basis(tmp_path, capsys,
     assert want["verdict"] == got["verdict"] == "not_homogeneous"
     assert got["p0"] == pytest.approx(want["p0"], rel=1e-15)
     assert got["residual"] == pytest.approx(want["residual"], rel=1e-12)
+
+
+def test_parser_is_built_once_across_every_subcommand(tmp_path, monkeypatch):
+    cli._parser.cache_clear()
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(None) or real())
+    out = str(tmp_path / "o")
+    for argv in (["validate"], ["integrate", "--p0=1,0,1", "--T", "0.01"],
+                 ["check", "--p0=1,0,1"], ["go", "--samples", "5"],
+                 ["exist"]):
+        assert run(argv + ["--model", "heisenberg", "--out", out]) == 0
+    assert len(built) == 1
+
+
+def test_no_option_carries_from_one_call_to_the_next(tmp_path, capsys,
+                                                     monkeypatch):
+    seen = []
+    real = cli.cmd_integrate
+
+    def spy(spec, args):
+        seen.append(dict(vars(args)))
+        return real(spec, args)
+
+    monkeypatch.setattr(cli, "cmd_integrate", spy)
+    out = str(tmp_path / "o")
+    integrate = ["integrate", "--model", "heisenberg", "--T", "0.01",
+                 "--out", out]
+    assert run(integrate + ["--phase-portrait", "--seed", "3",
+                            "--samples", "5"]) == 0
+    assert run(integrate + ["--p0=1,0,1"]) == 0
+    assert seen[0]["seed"] == 3 and seen[0]["samples"] == 5
+    assert seen[1] == {**seen[0], "phase_portrait": False, "p0": "1,0,1",
+                       "seed": 0, "samples": 1000}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(integrate + ["--p0=1,0,1", "--seed", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: integrate without --phase-portrait does not use --seed\n")
+
+    go = ["go", "--model", "heisenberg", "--out", out]
+    assert run(go + ["--samples", "20"]) == 0
+    assert run(go) == 0
+    assert json.loads((tmp_path / "o").read_text())["scan"]["samples"] == 1000
+
+
+def test_a_rebound_command_runs_after_the_parser_is_cached(monkeypatch,
+                                                           capsys):
+    assert run(["check", "--model", "heisenberg", "--p0=1,0,1"]) == 0
+    monkeypatch.setattr(cli, "cmd_check",
+                        lambda spec, args: ("stub\n", "stubbed", 4))
+    capsys.readouterr()
+    assert run(["check", "--model", "heisenberg", "--p0=1,0,1"]) == 4
+    assert capsys.readouterr() == ("stub\n", "heisenberg: stubbed\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--model", "heisenberg"], "srgo: error: check requires --p0\n"),
+    (["go", "--model", "heisenberg", "--jobs", "2"],
+     "srgo: error: unrecognized arguments: --jobs 2\n"),
+])
+def test_a_parser_error_reads_the_same_on_every_call(capsys, argv, message):
+    usage = "usage: srgo [-h] {validate,integrate,check,go,exist} ...\n"
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", usage + message)

@@ -286,6 +286,17 @@ def test_eliminations_equal_the_gauss_jordan_oracle(normalised, a, data):
     assert all(normalised(v) for m in outputs for v in m.flat)
 
 
+def test_a_pivot_row_stays_on_ints_where_its_lead_divides_it():
+    pivots = exactla._echelon([{0: -2, 1: 4, 2: -6},
+                               {1: 3, 2: 2, 3: Fraction(3, 2)},
+                               {2: Fraction(1, 2), 3: 1}])
+    assert pivots == {0: {1: -2, 2: 3},
+                      1: {2: Fraction(2, 3), 3: Fraction(1, 2)},
+                      2: {3: 2}}
+    assert [[type(v) for v in pivots[p].values()] for p in range(3)] == [
+        [int, int], [Fraction, Fraction], [int]]
+
+
 def _dense_matmul(a, b):
     out = exactla.fzeros(a.shape[0], b.shape[1])
     for i in range(a.shape[0]):

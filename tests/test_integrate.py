@@ -18,7 +18,13 @@ from srgo import (
     integrate_vertical_batch,
     sample_momenta,
 )
-from srgo.integrate import CSV_BLOCK_ROWS, LIFT_CHUNK, Trajectory, _csv_rows
+from srgo.integrate import (
+    CSV_BLOCK_ROWS,
+    LIFT_CHUNK,
+    Trajectory,
+    _csv_rows,
+    _trajectory,
+)
 from srgo.kernels import (
     CHECK_EVERY,
     field_jacobian,
@@ -92,6 +98,29 @@ def test_blowup_aborts_with_truncation(models):
     assert traj.aborted
     assert traj.n_samples < 1001
     assert np.all(np.isfinite(traj.momenta))
+
+
+@pytest.mark.parametrize("name", srgo.list_models())
+def test_h_on_the_support_of_dmat_equals_the_full_sum_bitwise(models, name):
+    # H sums only over the rows and columns of delta, where dmat is
+    # nonzero. The full sum adds exact zeros to the same terms, so the two
+    # agree to the bit: on sampled and arbitrary momenta, on momenta with
+    # zero delta-pairings (H = 0, whose sign must not flip) and up to a
+    # row whose H overflows, where the trajectory ends.
+    s = models[name].structure
+    rng = np.random.default_rng(4)
+    blind = rng.standard_normal((2, s.dim))
+    blind[:, s.dmat.any(axis=0)] = -0.0
+    blind[1] *= -1
+    sampled = sample_momenta(s, 32, rng)
+    rows = np.vstack([sampled, rng.standard_normal((32, s.dim)),
+                      1e150 * sampled[:2], blind, 1e200 * sampled[:1]])
+    with np.errstate(over="ignore"):
+        want = 0.5 * np.einsum("ti,ij,tj->t", rows, s.dmat, rows)
+    traj = _trajectory(s, rows, len(rows) - 1, 1e-3, None)
+    assert traj.aborted and traj.n_samples == len(rows) - 1
+    assert traj.diagnostics["H"].tobytes() == want[:-1].tobytes()
+    assert want[-3:-1].tobytes() == np.zeros(2).tobytes()
 
 
 def test_drifts_of_a_non_finite_start_are_nan(models):
