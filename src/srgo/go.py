@@ -19,10 +19,11 @@ The invariants of each degree are the kernel of sparse derivation rows
 built from the k action, taken by ``exactla.nullspace_sparse``, and on
 the annihilator of k the bracket is {H, F} = sum_r dF/da_r * adot_r. The
 tests keep the g-coordinate route, a Lie-Poisson bracket on g*, as the
-oracle that gives the same polynomials. The scan of ``go_verdict``
-gets the witness too: Z(p) = L p decides each sampled momentum it closes,
-and only the rest go through the batched SVD of
-``homogeneity.feasibility_residuals``.
+oracle that gives the same polynomials. The witness also decides the
+scan of ``go_verdict``: Z(p) = L p closes the homogeneity system of every
+momentum on the annihilator, so every geodesic is homogeneous and the scan
+is reported as implied, every sample homogeneous, with none drawn. Models
+without a witness are scanned by ``homogeneity.scan_homogeneous``.
 """
 
 from collections import defaultdict
@@ -35,7 +36,7 @@ import numpy as np
 from . import exactla
 from .algebra import Subspace, subspace_sum
 from .exactla import _int_or_fraction
-from .homogeneity import scan_homogeneous
+from .homogeneity import ScanSummary, scan_homogeneous
 from .poly import Polynomial, monomials_of_degree
 
 GO_AFFIRMED = "GO_affirmed_up_to_degree"
@@ -230,24 +231,33 @@ def _witness_pins(structure):
     different columns and no (b, r, t) repeats, so the row has |L_rt| +
     |L_ru| entries, none cancelled. With L_rt = [(b, g)] and u = t or L_ru
     empty it reads g W[b, u] = -c, c the coefficient of a_u a_t in adot_r
-    (0 without a term). The quotient is an int wherever it divides exactly.
+    (0 without a term). So each one-term group visits t and the u of r that
+    no group holds, listed once per r. The quotient is an int wherever it
+    divides exactly.
     """
     s = structure
     dm = s.m.dim
     groups = defaultdict(list)  # (r, t) -> L_rt
+    held = defaultdict(set)  # r -> {t : L_rt nonempty}
     for b, r, t, g in s.m_action_exact:
         groups[r, t].append((b, g))
-    field_c = {(r, u, t): c for r, u, t, c in s.m_field_exact}
+        held[r].add(t)
+    open_u = {r: [u for u in range(dm) if u not in ts]
+              for r, ts in held.items()}
+    field_c = defaultdict(dict)  # r -> {(u, t): c}, u <= t
+    for r, u, t, c in s.m_field_exact:
+        field_c[r][u, t] = c
     pins = {}
     for (r, t), l_rt in groups.items():
         if len(l_rt) != 1:
             continue
         (b, g), = l_rt
-        for u in range(dm):
-            if u != t and (r, u) in groups:
-                continue
-            c = field_c.get((r, u, t) if u <= t else (r, t, u), 0)
-            if type(c) is int and type(g) is int and not c % g:
+        c_r = field_c[r]
+        for u in (t, *open_u[r]):
+            c = c_r.get((u, t) if u <= t else (t, u), 0)
+            if not c:
+                v = 0
+            elif type(c) is int and type(g) is int and not c % g:
                 v = -c // g
             else:
                 v = _int_or_fraction(Fraction(-c, g))
@@ -448,7 +458,7 @@ class GoVerdict:
     degree_cap: int
     bracket: BracketReport
     skew: SkewReport | None
-    scan: "ScanSummary"  # noqa: F821
+    scan: ScanSummary
     notes: list = field(default_factory=list)
     refutation_witness: dict | None = None
 
@@ -465,12 +475,19 @@ class GoVerdict:
 
 
 def go_verdict(structure, degree_cap=4, samples=1000, seed=0) -> GoVerdict:
-    """Combine the commutation test, the skew obstruction and a scan."""
+    """Combine the commutation test, the skew obstruction and a scan.
+
+    A tangency witness implies the scan: all ``samples`` homogeneous, none
+    refuted, no momentum drawn.
+    """
     if samples <= 0:
         raise ValueError("samples must be positive")
     bracket = go_test_bracket(structure, degree_cap)
     skew = None if structure.grading is None else carnot_skew_test(structure)
-    scan = scan_homogeneous(structure, samples, seed, witness=bracket.witness)
+    if bracket.witness is None:
+        scan = scan_homogeneous(structure, samples, seed)
+    else:  # coad(dH(p) + Lp)p = 0 holds exactly for every p on k-circ
+        scan = ScanSummary(samples, samples, 0, 0, seed, [])
     notes = []
     exact_isotropy = structure.isotropy_exact
     connected = structure.isotropy_connected

@@ -10,14 +10,12 @@ m_dual a, paired with the m basis), weighted so that the residual is the
 one in g-coordinates and does not depend on the scale of the m basis. A
 momentum whose k-pairings are not exactly 0 (``annihilates_k`` accepts
 them up to 1e-9 (1 + max|p|)) is decided at m_dual a, the momentum on the
-annihilator with the same m-pairings. A scan decides its
-rows in up to three steps. Given a linear witness L (``go`` passes the one
-its bracket test solves), the candidate z = L p decides every row whose
-residual is below the threshold: the least-squares residual is at most that
-of any z. The rows it leaves open are solved by one batched SVD, and a
-borderline residual escalates to the exact forms, solved over the
-rationals. ``check_homogeneous`` always takes the SVD route, since its
-certificate prints the least-squares z and residual.
+annihilator with the same m-pairings. A scan solves its rows by one
+batched SVD, and a borderline residual escalates to the exact forms, solved
+over the rationals. ``go`` scans only where its bracket test finds no
+linear witness L: one that exists closes coad(dH(p) + Lp)p = 0 exactly at
+every p on the annihilator, so every geodesic is homogeneous and the scan
+is implied, with no momentum drawn.
 """
 
 from collections import defaultdict
@@ -76,16 +74,14 @@ def feasibility_systems(structure, momenta):
     return w @ rows, -(f @ structure.m_basis_float) @ w.T
 
 
-def feasibility_residuals(structure, momenta, witness=None):
+def feasibility_residuals(structure, momenta):
     """Relative least-squares residuals of the systems of a (B, n) stack.
 
     Each row is solved through a batched SVD with lstsq's cutoff (singular
     values up to eps * max(n, dk) * sigma_max count as zero), in blocks of
     RESIDUAL_BLOCK_ROWS. Returns (relres, z) of shapes (B,) and (B, dk),
     with relres = |A z - b| / (1 + |b|) for the minimum-norm z; a row whose
-    system is not finite gets NaN in both. Given a float (dk, n) witness L,
-    z = L p instead, with no SVD: its relres bounds the least-squares one
-    from above.
+    system is not finite gets NaN in both.
     """
     momenta = np.asarray(momenta, dtype=float)
     nrows, n = momenta.shape
@@ -102,10 +98,7 @@ def feasibility_residuals(structure, momenta, witness=None):
                 ok = slice(None)
             else:
                 a, b = a[ok], b[ok]
-            if witness is not None:
-                zb = momenta[block][ok] @ witness.T
-                res = (a @ zb[:, :, None])[:, :, 0] - b
-            elif dk:
+            if dk:
                 u, sv, vt = np.linalg.svd(a, full_matrices=False)
                 keep = sv > cutoff * sv[:, :1]
                 coef = np.where(keep, (b[:, None, :] @ u)[:, 0]
@@ -190,42 +183,16 @@ def check_homogeneous(p: Momentum, threshold=DEFAULT_THRESHOLD) -> HomogeneityCe
     return HomogeneityCertificate(verdict, witness, relres, threshold)
 
 
-def _float_witness(witness):
-    """A witness L as a float array; None for no witness, or for one with
-    an entry beyond the float range (then every row takes the SVD route)."""
-    if witness is None:
-        return None
-    try:
-        return np.asarray(witness, dtype=float)
-    except OverflowError:
-        return None
-
-
-def homogeneity_verdicts(structure, momenta, threshold=DEFAULT_THRESHOLD,
-                         witness=None):
+def homogeneity_verdicts(structure, momenta, threshold=DEFAULT_THRESHOLD):
     """check_homogeneous's verdict for each row of a (B, n) stack of
     momenta annihilating k (as sample_momenta draws them).
 
-    A linear witness L (exact or float, shape (dk, n)) decides first: a row
-    whose residual at z = L p is below the threshold is homogeneous. The
-    other rows get their residuals from one feasibility_residuals call;
-    only those in the exact band are escalated, one at a time. A witness
-    that closes no row changes no verdict. Where it closes one, the exact
-    least-squares residual is at most its own, but the SVD's cutoff can
-    lift the float one by about eps * sigma_max * |z|: that the verdicts
-    still agree is checked by the tests, not proved.
+    The residuals come from one feasibility_residuals call; only the rows
+    in the exact band are escalated, one at a time.
     """
     _check_threshold(threshold)
     momenta = np.asarray(momenta, dtype=float)
-    relres = np.full(len(momenta), np.nan)
-    todo = np.ones(len(momenta), dtype=bool)
-    witness = _float_witness(witness)
-    if witness is not None:
-        closed, _ = feasibility_residuals(structure, momenta, witness)
-        todo = ~(closed < threshold)
-        relres[~todo] = closed[~todo]
-    if todo.any():
-        relres[todo] = feasibility_residuals(structure, momenta[todo])[0]
+    relres = feasibility_residuals(structure, momenta)[0]
     verdicts = _float_verdicts(relres, threshold)
     for i in np.flatnonzero(np.equal(verdicts, None)):
         verdicts[i] = _escalate(Momentum(momenta[i], structure),
@@ -283,17 +250,12 @@ class ScanSummary:
         }
 
 
-def scan_homogeneous(structure, samples, seed=0, threshold=DEFAULT_THRESHOLD,
-                     witness=None) -> ScanSummary:
-    """Homogeneity census over seeded momenta on the H = 1/2 level set.
-
-    ``witness`` is an optional linear witness L, handed to
-    homogeneity_verdicts to decide the rows it closes without an SVD.
-    """
+def scan_homogeneous(structure, samples, seed=0,
+                     threshold=DEFAULT_THRESHOLD) -> ScanSummary:
+    """Homogeneity census over seeded momenta on the H = 1/2 level set."""
     rng = np.random.default_rng(seed)
     momenta = sample_momenta(structure, samples, rng)
-    verdicts = np.array(homogeneity_verdicts(structure, momenta, threshold,
-                                             witness))
+    verdicts = np.array(homogeneity_verdicts(structure, momenta, threshold))
     refuted = verdicts == NOT_HOMOGENEOUS
     n_homogeneous = int(np.count_nonzero(verdicts == HOMOGENEOUS))
     n_not = int(np.count_nonzero(refuted))

@@ -191,3 +191,31 @@ def to_csv(traj, path):
     """Write a trajectory's CSV to ``path``, as the CLI streams it."""
     with open(path, "w") as fh:
         fh.writelines(traj.csv_chunks())
+
+
+def witness_pins(structure):
+    """``go._witness_pins`` as one loop over every u of each one-term group
+    (r, t), skipping each u that a group (r, u) holds, with c looked up in
+    one dict of all of ``m_field_exact``."""
+    s = structure
+    dm = s.m.dim
+    groups = defaultdict(list)  # (r, t) -> L_rt
+    for b, r, t, g in s.m_action_exact:
+        groups[r, t].append((b, g))
+    field_c = {(r, u, t): c for r, u, t, c in s.m_field_exact}
+    pins = {}
+    for (r, t), l_rt in groups.items():
+        if len(l_rt) != 1:
+            continue
+        (b, g), = l_rt
+        for u in range(dm):
+            if u != t and (r, u) in groups:
+                continue
+            c = field_c.get((r, u, t) if u <= t else (r, t, u), 0)
+            if type(c) is int and type(g) is int and not c % g:
+                v = -c // g
+            else:
+                v = _int_or_fraction(Fraction(-c, g))
+            if pins.setdefault(b * dm + u, v) != v:
+                return None
+    return pins

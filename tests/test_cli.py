@@ -505,14 +505,10 @@ def test_integrate_rejects_step_count_too_large_to_store(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["go", "--model", "cartan"],
-    ["integrate", "--model", "heisenberg", "--phase-portrait"],
-], ids=["go", "phase-portrait"])
-def test_samples_too_many_to_draw_exit_2(monkeypatch, capsys, argv):
-    # Each seeded generator's draw of more than 10^6 rows raises
-    # MemoryError, as numpy's does when it cannot allocate them, so no
-    # huge array is ever attempted. It was a traceback with exit 1.
+def _draws_fail_beyond_a_million(monkeypatch):
+    """Make each seeded generator's draw of more than 10^6 rows raise
+    MemoryError, as numpy's does when it cannot allocate them, so that no
+    huge array is ever attempted."""
     real = np.random.default_rng
 
     class Rng:
@@ -525,11 +521,37 @@ def test_samples_too_many_to_draw_exit_2(monkeypatch, capsys, argv):
             return self._rng.standard_normal(size)
 
     monkeypatch.setattr(np.random, "default_rng", Rng)
+
+
+@pytest.mark.parametrize("argv", [
+    ["go", "--model", "cartan"],
+    ["integrate", "--model", "heisenberg", "--phase-portrait"],
+], ids=["go", "phase-portrait"])
+def test_samples_too_many_to_draw_exit_2(monkeypatch, capsys, argv):
+    # It was a traceback with exit 1.
+    _draws_fail_beyond_a_million(monkeypatch)
     assert run(argv + ["--samples", "1000000000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: 1000000000000 samples need more memory "
                             "than can be allocated\n")
+
+
+def test_samples_on_a_witness_model_are_implied_not_drawn(monkeypatch,
+                                                         tmp_path):
+    # heisenberg's tangency witness implies the scan, so no draw is tried.
+    _draws_fail_beyond_a_million(monkeypatch)
+    out = tmp_path / "go.json"
+    assert run(["go", "--model", "heisenberg", "--samples", "1000000000000",
+                "--out", str(out)]) == 0
+    scan = json.loads(out.read_text())["scan"]
+    assert scan["samples"] == scan["homogeneous"] == 1000000000000
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_go_rejects_non_positive_samples_on_a_witness_model(capsys, samples):
+    assert run(["go", "--model", "heisenberg", "--samples", samples]) == 2
+    assert "samples must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -30,6 +30,7 @@ from srgo.go import (
     _witness_by_elimination,
     _witness_pins,
 )
+from srgo.homogeneity import _exact_feasible
 from srgo.poly import Polynomial, monomials_of_degree, poly_from_string
 
 
@@ -395,6 +396,20 @@ def test_pins_are_held_normalised(g, c, value):
     assert _same_entries(got, _witness_by_elimination(s))
 
 
+@pytest.mark.parametrize("name", srgo.list_models())
+def test_pins_equal_the_every_u_loop(name, models, mixed):
+    # Visiting only t and the u no group holds gives the dict that the loop
+    # over every u gives: the same keys, values and value types.
+    for s in (models[name].structure, mixed[name]):
+        got, want = _witness_pins(s), oracles.witness_pins(s)
+        if want is None:
+            assert got is None, name
+            continue
+        assert got == want, name
+        assert {q: type(v) for q, v in got.items()} == {
+            q: type(v) for q, v in want.items()}, name
+
+
 def test_bracket_refutes_cartan(cartan):
     report = go_test_bracket(cartan.structure)
     assert not report.all_vanish
@@ -515,22 +530,51 @@ def test_go_verdicts(verdicts):
 
 @pytest.mark.parametrize("name", srgo.list_models())
 def test_go_scan_equals_scan_without_witness(models, monkeypatch, name):
-    # go hands its bracket test's witness to the scan; the scan it reports
-    # is the one that solves every sampled system by SVD.
+    # A witness implies the scan, so go draws and solves nothing there; the
+    # scan it reports is the one that solves every sampled system by SVD.
+    # The four models without one are scanned once, with no witness.
     s = models[name].structure
-    handed = []
+    scans, draws = [], []
     real = srgo.go.scan_homogeneous
+    real_draw = srgo.homogeneity.sample_momenta
 
-    def spy(*args, **kwargs):
-        handed.append(kwargs.get("witness"))
+    def scan(*args, **kwargs):
+        scans.append((args, kwargs))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(srgo.go, "scan_homogeneous", spy)
+    def draw(structure, nsamples, rng):
+        draws.append(nsamples)
+        return real_draw(structure, nsamples, rng)
+
+    monkeypatch.setattr(srgo.go, "scan_homogeneous", scan)
+    monkeypatch.setattr(srgo.homogeneity, "sample_momenta", draw)
+    monkeypatch.setattr(srgo.integrate, "sample_momenta", draw)
+    scanned = name in ("cartan", "rolling_sphere", "so3_generic",
+                       "biinvariant_compact")
     for seed in (0, 7):
         verdict = go_verdict(s, seed=seed)
-        assert handed.pop() is verdict.bracket.witness
+        assert (verdict.bracket.witness is None) == scanned
+        if scanned:
+            assert scans == [((s, 1000, seed), {})] and draws == [1000]
+        else:
+            assert scans == [] and draws == []
         assert verdict.to_dict()["scan"] == (
             real(s, 1000, seed).to_dict()), (name, seed)
+        scans.clear()
+        draws.clear()
+
+
+def test_witness_closes_sampled_systems_exactly(models, witnesses):
+    # The implication behind the implied scan, with no float tolerance: at
+    # the rational coordinates of sampled momenta, the feasibility system
+    # of every witness model is consistent over the rationals.
+    found = [name for name, w in witnesses.items() if w is not None]
+    assert len(found) == 10
+    rng = np.random.default_rng(3)
+    for name in found:
+        s = models[name].structure
+        for p in srgo.sample_momenta(s, 3, rng):
+            assert _exact_feasible(Momentum(p, s)) is not None, name
 
 
 def test_refutation_witness_content(verdicts):
