@@ -6,12 +6,12 @@ nilpotent structures, and statistical scans. The commutation test first
 solves exactly for a tangency witness, a Z(p) in k linear in p with
 coad(dH(p) + Z(p))p = 0 on the annihilator of k: one sparse rational
 system whose solution certifies vanishing brackets at every degree, and
-whose inconsistency proves that no such linear Z exists. Its rows with
-one unknown are solved first, straight off the forms below; where they fix
-every unknown (on every bundled model with nontrivial k) one exact
-substitution checks the other rows, and only where they leave one open is
-the whole system built and eliminated. Enumeration of invariants up to the
-degree cap then decides. It works in m*-coordinates a (p = m_dual a)
+whose inconsistency proves that no such linear Z exists. It is solved by
+one presolve: its rows with one unknown are solved first, straight off the
+forms below, each entry they fix is substituted into the other rows, and
+only the rows left with an open entry are eliminated (none on any bundled
+model with nontrivial k). Without a witness, enumeration of invariants up
+to the degree cap decides. It works in m*-coordinates a (p = m_dual a)
 throughout, on the structure's two forms there, which the homogeneity test
 reads too: adot, the vertical field as dim m exact quadratics in a
 (``m_field_exact``), and the k action on m (``m_action_exact``).
@@ -191,14 +191,15 @@ def _tangency_witness(structure):
     every pairing with a basis of g, and their canonical solution is that
     system's.
 
-    The rows with one unknown are solved first (``_witness_pins``), before
-    any row is built. An entry they fix has that value in every solution,
-    so two of them that fix one entry to different values prove the system
-    inconsistent, and when they fix every entry the system has at most
-    that one solution, which is then the canonical one: one exact
-    substitution checks it against every row. Otherwise the rows are built
-    in full and solved by ``exactla.solve_sparse``
-    (``_witness_by_elimination``).
+    The system is presolved: the rows with one unknown are solved first
+    (``_witness_pins``), and two of them that fix one entry to different
+    values prove it inconsistent. A pinned entry has that value in every
+    solution, so its column lies outside the span of the other columns:
+    each pinned W[b, q] moves to the right-hand side of every row it
+    touches, a row left with no open entry must then read 0, and the rows
+    that keep an open entry go to ``exactla.solve_sparse``. Their pivots
+    and canonical solution (free entries 0) are those of the whole system,
+    so writing the pins into that solution gives its canonical W.
     Returns L = W m_basis^T, or None when the system is inconsistent: then
     no Z(p) in k linear in p closes the identity. With trivial k it returns
     None without solving.
@@ -210,14 +211,30 @@ def _tangency_witness(structure):
     pins = _witness_pins(s)
     if pins is None:
         return None
-    if len(pins) < dk * dm:
-        return _witness_by_elimination(s)
-    rows = [[pins[b * dm + u] for u in range(dm)] for b in range(dk)]
-    if not _satisfies_witness_rows(s, rows):
+    # b -> [(q, W[b, q])] over its open entries (None) and nonzero pins
+    w_rows = [[(q, pins.get(b * dm + q)) for q in range(dm)
+               if pins.get(b * dm + q, 1)] for b in range(dk)]
+    # Row (r, u, t), u <= t, sets the coefficient of a_u a_t in
+    # adot_r + sum_b (W a)_b p([Z_b, m_r]) to zero. No (b, r, t) repeats,
+    # so each open entry of a row gets one coefficient.
+    rows = defaultdict(lambda: [{}, 0])  # key -> [{open col: .}, rhs]
+    for r, u, t, c in s.m_field_exact:
+        rows[r, u, t][1] = -c
+    for b, r, t, g in s.m_action_exact:  # g a_t in p([Z_b, m_r])
+        for q, v in w_rows[b]:  # W[b, q] a_q * g a_t
+            row = rows[r, min(q, t), max(q, t)]
+            if v is None:
+                row[0][b * dm + q] = g
+            else:
+                row[1] -= g * v
+    if any(rhs for coeffs, rhs in rows.values() if not coeffs):
         return None
-    w = np.empty((dk, dm), dtype=object)
-    w[:] = rows
-    return exactla.matmul(w, s.m.basis.T)
+    sol = exactla.solve_sparse(
+        (rows[key] for key in sorted(rows) if rows[key][0]), dk * dm)
+    if sol is None:
+        return None
+    sol[list(pins)] = list(pins.values())
+    return exactla.matmul(sol.reshape(dk, dm), s.m.basis.T)
 
 
 def _witness_pins(structure):
@@ -264,40 +281,6 @@ def _witness_pins(structure):
             if pins.setdefault(b * dm + u, v) != v:
                 return None
     return pins
-
-
-def _satisfies_witness_rows(structure, w):
-    """Whether W, given as its dk rows of dm entries, zeroes every witness
-    row: adot_r + sum_b (W a)_b p([Z_b, m_r]) summed exactly at each
-    (r, u, t), u <= t."""
-    s = structure
-    w_rows = [[(q, x) for q, x in enumerate(row) if x] for row in w]
-    acc = {(r, u, t): c for r, u, t, c in s.m_field_exact}
-    for b, r, t, g in s.m_action_exact:
-        for q, x in w_rows[b]:
-            key = (r, q, t) if q <= t else (r, t, q)
-            acc[key] = acc.get(key, 0) + g * x
-    return not any(acc.values())
-
-
-def _witness_by_elimination(structure):
-    """L = W m_basis^T from the witness rows built in full and solved by
-    ``exactla.solve_sparse``, or None when they are inconsistent; the route
-    of ``_tangency_witness`` where the one-unknown rows leave W open."""
-    s = structure
-    dk, dm = s.k.dim, s.m.dim
-    # Row (r, u, t), u <= t, sets the coefficient of a_u a_t in
-    # adot_r + sum_b (W a)_b p([Z_b, m_r]) to zero.
-    rows = defaultdict(lambda: [defaultdict(int), 0])  # key -> [{col: .}, rhs]
-    for r, u, t, c in s.m_field_exact:
-        rows[r, u, t][1] = -c
-    for b, r, t, g in s.m_action_exact:  # g a_t in p([Z_b, m_r])
-        for q in range(dm):  # W[b, q] a_q * g a_t
-            rows[r, min(q, t), max(q, t)][0][b * dm + q] += g
-    sol = exactla.solve_sparse((rows[key] for key in sorted(rows)), dk * dm)
-    if sol is None:
-        return None
-    return exactla.matmul(sol.reshape(dk, dm), s.m.basis.T)
 
 
 def _verify_witness(structure, l_exact):
@@ -406,41 +389,35 @@ def carnot_skew_test(structure) -> SkewReport:
     first. For each delta-basis X the operator (projection onto delta-perp)
     o ad X restricted to delta-perp must be skew for a geodesic-orbit
     structure; for graded structures a failure refutes the GO property.
+    The layers satisfy [V_1, V_i] = V_(i+1), so every [X, Y] with Y in
+    delta-perp lies in delta-perp already, and delta-perp's basis is its
+    canonical form: coordinate j of the bracket is its entry at pivot row
+    p_j, read off the nonzeros with no solve.
     """
     s = structure
-    g = s.algebra
-    n = s.dim
     if s.grading is None:
         raise ValueError("the skew test needs a graded structure")
-    delta_perp = subspace_sum(n, s.grading[1:])
-    basis = np.concatenate([s.delta.basis, delta_perp.basis], axis=1)
-    dd, dp = s.delta.dim, delta_perp.dim
-    # Every [X_a, Y_b] in the basis delta + delta_perp, by one solve.
-    w = exactla.fzeros(n, dd * dp)
-    for (a, b), vec in g.brackets(s.delta.basis, delta_perp.basis).items():
-        for k, v in vec.items():
-            w[k, a * dp + b] = v
-    coords = exactla.solve(basis, w)
-    if coords is None:
-        raise ValueError("ad X does not preserve delta + delta_perp")
+    delta_perp = subspace_sum(s.dim, s.grading[1:])
+    coord = {p: j for j, (p, _) in enumerate(delta_perp._pivot_columns)}
+    ops = [{} for _ in range(s.delta.dim)]  # a -> {(j, b): [X_a, Y_b]_j}
+    for (a, b), vec in s.algebra.brackets(s.delta.basis,
+                                          delta_perp.basis).items():
+        ops[a].update(((coord[k], b), v) for k, v in vec.items() if k in coord)
     worst = 0.0
     failing = None
     failing_asym = 0.0
     all_zero = True
-    for a in range(dd):
-        x = s.delta.basis[:, a]
-        exact = coords[dd:, a * dp:(a + 1) * dp]
-        mat = exactla.to_float(exact) if dp else np.zeros((0, 0))
-        asym = float(np.max(np.abs(mat + mat.T))) if dp else 0.0
-        if np.max(np.abs(mat), initial=0.0) > 0:
-            all_zero = False
-        worst = max(worst, asym)
+    for a, op in enumerate(ops):
         # Skewness is decided on the exact coordinates; the float asymmetry
-        # is reported and picks the worst failing direction.
-        skew = all(exact[r, c] + exact[c, r] == 0
-                   for r in range(dp) for c in range(r, dp))
+        # max |M + M^T|, summed as the dense float matrix would be, is
+        # reported and picks the worst failing direction.
+        asym = max((abs(float(x) + float(op.get((b, j), 0)))
+                    for (j, b), x in op.items()), default=0.0)
+        all_zero = all_zero and not any(map(float, op.values()))
+        worst = max(worst, asym)
+        skew = all(x + op.get((b, j), 0) == 0 for (j, b), x in op.items())
         if not skew and (failing is None or asym > failing_asym):
-            failing = np.asarray(x, dtype=float)
+            failing = np.asarray(s.delta.basis[:, a], dtype=float)
             failing_asym = asym
     is_skew = failing is None
     if not is_skew:

@@ -58,6 +58,22 @@ def witnesses(models):
             for name, spec in models.items()}
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """A list that gets, per ``exactla.solve_sparse`` call, the sorted
+    columns that the rows it receives hold."""
+    calls = []
+    solve = exactla.solve_sparse
+
+    def spy(rows, ncols):
+        rows = list(rows)
+        calls.append(sorted({c for coeffs, _ in rows for c in coeffs}))
+        return solve(rows, ncols)
+
+    monkeypatch.setattr(exactla, "solve_sparse", spy)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def so3_plus_center():
     """g = so(3) + R Z with Z central, k = span(Z), m = so(3), delta =

@@ -5,8 +5,9 @@ stored structure constants, a structure's exact matrices or a trajectory:
 the float bracket, ad and coad maps, their exact counterparts, the
 pairings p([dH(p), X_r]) on the annihilator of k by their own bracket
 contraction, the Lie-Poisson bracket on g*, H as a polynomial on g*, exact
-evaluation of a polynomial, membership of one vector, and CSV written to a
-file.
+evaluation of a polynomial, membership of one vector, CSV written to a
+file, the tangency witness by eliminating every row of its system, and
+the skew test's coordinates by one exact solve.
 """
 
 from collections import defaultdict
@@ -15,7 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from srgo import exactla
+from srgo.algebra import subspace_sum
 from srgo.exactla import _int_or_fraction
+from srgo.go import SkewReport
 from srgo.poly import Polynomial
 
 
@@ -219,3 +222,79 @@ def witness_pins(structure):
             if pins.setdefault(b * dm + u, v) != v:
                 return None
     return pins
+
+
+def witness_by_elimination(structure):
+    """L = W m_basis^T from every row of the witness system of
+    ``go._tangency_witness``, no entry pinned first, solved by
+    ``exactla.solve_sparse``; None when the rows are inconsistent or k is
+    trivial."""
+    s = structure
+    dk, dm = s.k.dim, s.m.dim
+    if dk == 0:
+        return None
+    # Row (r, u, t), u <= t, sets the coefficient of a_u a_t in
+    # adot_r + sum_b (W a)_b p([Z_b, m_r]) to zero.
+    rows = defaultdict(lambda: [defaultdict(int), 0])  # key -> [{col: .}, rhs]
+    for r, u, t, c in s.m_field_exact:
+        rows[r, u, t][1] = -c
+    for b, r, t, g in s.m_action_exact:  # g a_t in p([Z_b, m_r])
+        for q in range(dm):  # W[b, q] a_q * g a_t
+            rows[r, min(q, t), max(q, t)][0][b * dm + q] += g
+    sol = exactla.solve_sparse((rows[key] for key in sorted(rows)), dk * dm)
+    if sol is None:
+        return None
+    return exactla.matmul(sol.reshape(dk, dm), s.m.basis.T)
+
+
+def skew_coordinates(structure):
+    """Per delta-basis X_a, the exact dp x dp matrix whose column b holds
+    the delta-perp coordinates of [X_a, Y_b], Y_b the delta-perp basis:
+    every bracket solved in the basis delta + delta-perp at once, by
+    ``exactla.solve``. delta-perp is the sum of the grading layers after
+    the first."""
+    s = structure
+    n = s.dim
+    delta_perp = subspace_sum(n, s.grading[1:])
+    basis = np.concatenate([s.delta.basis, delta_perp.basis], axis=1)
+    dd, dp = s.delta.dim, delta_perp.dim
+    w = exactla.fzeros(n, dd * dp)
+    for (a, b), vec in s.algebra.brackets(s.delta.basis,
+                                          delta_perp.basis).items():
+        for k, v in vec.items():
+            w[k, a * dp + b] = v
+    coords = exactla.solve(basis, w)
+    if coords is None:
+        raise ValueError("ad X does not preserve delta + delta_perp")
+    return [coords[dd:, a * dp:(a + 1) * dp] for a in range(dd)]
+
+
+def skew_report(structure):
+    """``go.carnot_skew_test`` as it reads the dense float matrices of
+    ``skew_coordinates``: the asymmetry max|M + M^T| per direction, skewness
+    decided on the exact entries."""
+    s = structure
+    worst = 0.0
+    failing = None
+    failing_asym = 0.0
+    all_zero = True
+    for a, exact in enumerate(skew_coordinates(s)):
+        dp = exact.shape[0]
+        mat = exactla.to_float(exact) if dp else np.zeros((0, 0))
+        asym = float(np.max(np.abs(mat + mat.T))) if dp else 0.0
+        if np.max(np.abs(mat), initial=0.0) > 0:
+            all_zero = False
+        worst = max(worst, asym)
+        skew = all(exact[r, c] + exact[c, r] == 0
+                   for r in range(dp) for c in range(r, dp))
+        if not skew and (failing is None or asym > failing_asym):
+            failing = np.asarray(s.delta.basis[:, a], dtype=float)
+            failing_asym = asym
+    is_skew = failing is None
+    if not is_skew:
+        conclusion = "not geodesic orbit (projected ad X not skew)"
+    elif all_zero:
+        conclusion = "skew and nilpotent forces zero: step at most 2"
+    else:
+        conclusion = "skew holds"
+    return SkewReport(worst, is_skew, failing, conclusion)

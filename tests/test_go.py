@@ -27,7 +27,6 @@ from srgo.go import (
     _m_vertical_field,
     _tangency_witness,
     _verify_witness,
-    _witness_by_elimination,
     _witness_pins,
 )
 from srgo.homogeneity import _exact_feasible
@@ -229,12 +228,6 @@ def test_verify_witness_rejects_a_changed_entry(models, witnesses):
         assert not _verify_witness(s, changed), (a, q)
 
 
-def _elimination_reference(s):
-    """The witness that the full rows and ``exactla.solve_sparse`` give;
-    trivial k has none to look for."""
-    return None if s.k.dim == 0 else _witness_by_elimination(s)
-
-
 def _same_entries(a, b):
     """Both None, or the same shape and, entry by entry, equal values of
     the same type."""
@@ -244,75 +237,57 @@ def _same_entries(a, b):
         x == y and type(x) is type(y) for x, y in zip(a.flat, b.flat))
 
 
-@pytest.fixture
-def solve_calls(monkeypatch):
-    """A list that gets one entry per ``exactla.solve_sparse`` call."""
-    calls = []
-    solve = exactla.solve_sparse
-
-    def spy(rows, ncols):
-        calls.append(ncols)
-        return solve(rows, ncols)
-
-    monkeypatch.setattr(exactla, "solve_sparse", spy)
-    return calls
-
-
 @pytest.mark.parametrize("name", srgo.list_models())
 def test_witness_equals_the_elimination_route(name, models, mixed,
-                                              monkeypatch):
-    # Where the pins leave W open, the route must hand on the elimination's
-    # result unchanged. A stand-in records that call instead of running it,
-    # which takes seconds on the mixed rank6 basis; the elimination itself
-    # is checked on the mixed bases by the g-coordinate oracle
-    # (test_witness_on_mixed_m_bases_passes_the_exact_identity).
-    handed_on = object()
-    calls = []
-
-    def eliminate(structure):
-        calls.append(structure)
-        return handed_on
-
-    monkeypatch.setattr(srgo.go, "_witness_by_elimination", eliminate)
+                                              solve_calls):
+    # The presolve gives the W that eliminating every row gives, entry by
+    # entry and type by type, and no pinned column reaches the eliminator.
+    # The mixed rank6 basis is left to the g-coordinate oracle
+    # (test_witness_on_mixed_m_bases_passes_the_exact_identity): its full
+    # elimination takes seconds.
     for s in (models[name].structure, mixed[name]):
-        calls.clear()
+        if s is mixed["free_step2_rank6"]:
+            continue
+        solve_calls.clear()
         got = _tangency_witness(s)
-        if calls:
-            assert calls == [s] and got is handed_on
-        else:
-            assert _same_entries(got, _elimination_reference(s))
+        pins = _witness_pins(s) or {}
+        assert not any(set(cols) & pins.keys() for cols in solve_calls)
+        assert _same_entries(got, oracles.witness_by_elimination(s))
 
 
 def test_witness_equals_the_elimination_route_on_so3_plus_center(
         so3_plus_center, solve_calls):
-    # k = span(Z) acts trivially on m, so no row holds an unknown and the
-    # rows of the nonzero field are solved, and found inconsistent.
+    # k = span(Z) acts trivially on m, so no row holds an unknown, and a
+    # row of the nonzero field is left reading 0 = -c, c != 0: None, with
+    # no solve.
     s = so3_plus_center.structure
     assert _witness_pins(s) == {}
     assert _tangency_witness(s) is None
-    assert solve_calls == [3]
-    assert _elimination_reference(s) is None
+    assert solve_calls == []
+    assert oracles.witness_by_elimination(s) is None
 
 
 def test_bundled_witnesses_are_pinned_without_elimination(models,
                                                           solve_calls):
     # On every bundled model with nontrivial k the one-unknown rows fix W,
-    # or prove the system inconsistent (cartan), so nothing is eliminated.
+    # or prove the system inconsistent (cartan), so no row with an open
+    # entry reaches the eliminator.
     nontrivial = [n for n in srgo.list_models() if models[n].structure.k.dim]
     assert len(nontrivial) == 11
     for name in nontrivial:
         _tangency_witness(models[name].structure)
-    assert solve_calls == []
+    assert not any(solve_calls)
 
 
 def test_mixed_bases_fall_back_to_elimination(mixed, solve_calls):
     # Mixing the m basis fills the k action in, so the one-unknown rows
-    # leave W open on free_step2_rank3, whose 18 unknowns are then solved.
+    # leave W open on free_step2_rank3; exactly its unpinned entries, of
+    # 18, are then solved.
     s = mixed["free_step2_rank3"]
     pins = _witness_pins(s)
     assert pins is not None and len(pins) < s.k.dim * s.m.dim
     assert _tangency_witness(s) is not None
-    assert solve_calls == [18]
+    assert solve_calls == [sorted(set(range(18)) - pins.keys())]
 
 
 def test_cartan_witness_ends_on_conflicting_pins(cartan, solve_calls):
@@ -353,7 +328,7 @@ def test_conflicting_pins_prove_inconsistency(solve_calls):
     assert _witness_pins(s) is None
     assert _tangency_witness(s) is None
     assert solve_calls == []
-    assert _witness_by_elimination(s) is None
+    assert oracles.witness_by_elimination(s) is None
 
 
 def test_pinned_witness_failing_a_wider_row_is_none(solve_calls):
@@ -364,7 +339,7 @@ def test_pinned_witness_failing_a_wider_row_is_none(solve_calls):
     assert _witness_pins(s) == {0: 0, 1: 0}
     assert _tangency_witness(s) is None
     assert solve_calls == []
-    assert _witness_by_elimination(s) is None
+    assert oracles.witness_by_elimination(s) is None
 
 
 def test_an_unpinned_entry_falls_back_to_elimination(solve_calls):
@@ -376,8 +351,8 @@ def test_an_unpinned_entry_falls_back_to_elimination(solve_calls):
     s = _stand_in(2, 2, action, _field_closed_by(action, w))
     assert set(_witness_pins(s)) == {0, 1, 3}
     got = _tangency_witness(s)
-    assert solve_calls == [4]
-    assert _same_entries(got, _witness_by_elimination(s))
+    assert solve_calls == [[2]]  # W[1, 0] alone reaches the eliminator
+    assert _same_entries(got, oracles.witness_by_elimination(s))
     assert _same_entries(got, exactla.fmat([[0, 0, *row] for row in w]))
 
 
@@ -393,7 +368,7 @@ def test_pins_are_held_normalised(g, c, value):
     assert pins == {0: value} and type(pins[0]) is type(value)
     got = _tangency_witness(s)
     assert _same_entries(got, exactla.fmat([[0, value]]))
-    assert _same_entries(got, _witness_by_elimination(s))
+    assert _same_entries(got, oracles.witness_by_elimination(s))
 
 
 @pytest.mark.parametrize("name", srgo.list_models())
@@ -466,12 +441,13 @@ def test_skew_decided_exactly():
     assert 0 < report.max_asymmetry < 1e-12
     assert not report.is_skew
     assert list(report.failing_direction) == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert report.to_dict() == oracles.skew_report(s).to_dict()
 
 
-def test_skew_test_and_m_actions_take_one_solve(models, monkeypatch):
-    # Every bracket [X, Y] of the skew test goes into one exact solve with
-    # many right-hand sides; the m action is read off the k action and
-    # m_dual, with no solve.
+@pytest.fixture
+def dense_solves(monkeypatch):
+    """A list that gets the right-hand side's shape per ``exactla.solve``
+    call."""
     calls = []
     solve = exactla.solve
 
@@ -480,13 +456,43 @@ def test_skew_test_and_m_actions_take_one_solve(models, monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(exactla, "solve", counted)
+    return calls
+
+
+# The bundled models whose Carnot layers stratify m.
+GRADED_MODELS = ["cartan", "free_step2_rank2", "free_step2_rank3",
+                 "free_step2_rank4", "free_step2_rank5", "free_step2_rank6",
+                 "heisenberg"]
+
+
+@pytest.mark.parametrize("name", GRADED_MODELS)
+def test_skew_equals_the_solve_oracle(name, models, mixed, dense_solves):
+    # Reading each bracket's coordinates at the pivot rows of delta-perp's
+    # canonical basis gives the report that solving every bracket in the
+    # basis delta + delta-perp gives, float asymmetry bit for bit.
+    # GRADED_MODELS lists every graded bundled model.
+    assert {n for n, spec in models.items()
+            if spec.structure.grading is not None} == set(GRADED_MODELS)
+    for s in (models[name].structure, mixed[name]):
+        assert s.grading is not None
+        dense_solves.clear()
+        got = carnot_skew_test(s)
+        assert dense_solves == []
+        assert got.to_dict() == oracles.skew_report(s).to_dict()
+
+
+def test_go_verdict_makes_no_solve_call(models, dense_solves):
+    for name, spec in models.items():
+        go_verdict(spec.structure, samples=10)
+        assert dense_solves == [], name
+
+
+def test_m_actions_take_no_solve(models, dense_solves):
+    # The m action is read off the k action and m_dual, with no solve.
     s = models["free_step2_rank3"].structure
-    assert carnot_skew_test(s).is_skew
-    assert calls == [(s.dim, 3 * 3)]  # dim delta * dim delta_perp
     s.m_dual_exact  # the structure's one inverse, cached and shared
-    calls.clear()
     actions = _m_action_matrices(s)
-    assert calls == []
+    assert dense_solves == []
     assert len(actions) == s.k.dim
     assert all(r.shape == (s.m.dim, s.m.dim) for r in actions)
 
