@@ -10,8 +10,12 @@ whose inconsistency proves that no such linear Z exists. It is solved by
 one presolve: its rows with one unknown are solved first, straight off the
 forms below, each entry they fix is substituted into the other rows, and
 only the rows left with an open entry are eliminated (none on any bundled
-model with nontrivial k). Without a witness, enumeration of invariants up
-to the degree cap decides. It works in m*-coordinates a (p = m_dual a)
+model with nontrivial k). With trivial k no row holds an unknown, and the
+witness is the empty L exactly when the vertical field vanishes. Without a
+witness and with trivial k, the coordinates a_r generate every invariant
+and {H, .} is a derivation on the annihilator, so the brackets
+{H, a_r} = adot_r decide every degree; otherwise enumeration of invariants
+up to the degree cap decides. It works in m*-coordinates a (p = m_dual a)
 throughout, on the structure's two forms there, which the homogeneity test
 reads too: adot, the vertical field as dim m exact quadratics in a
 (``m_field_exact``), and the k action on m (``m_action_exact``).
@@ -201,13 +205,12 @@ def _tangency_witness(structure):
     and canonical solution (free entries 0) are those of the whole system,
     so writing the pins into that solution gives its canonical W.
     Returns L = W m_basis^T, or None when the system is inconsistent: then
-    no Z(p) in k linear in p closes the identity. With trivial k it returns
-    None without solving.
+    no Z(p) in k linear in p closes the identity. With trivial k no row holds
+    an unknown, so L is the empty (0 x n) matrix when the field vanishes and
+    None otherwise.
     """
     s = structure
     dk, dm = s.k.dim, s.m.dim
-    if dk == 0:
-        return None
     pins = _witness_pins(s)
     if pins is None:
         return None
@@ -345,16 +348,23 @@ def go_test_bracket(structure, degree_cap=4) -> BracketReport:
     """Poisson commutation of H with the invariant algebra, exact.
 
     A linear tangency witness certifies {H, F} = 0 for every invariant
-    polynomial of every degree; when none exists, invariants up to the cap
-    are enumerated and bracketed one by one.
+    polynomial of every degree. When none exists and k is trivial, the
+    brackets {H, a_r} = adot_r of the coordinates, which generate every
+    invariant, certify at every degree that some {H, F} is nonzero; the
+    nonzero ones are listed. Otherwise invariants up to the cap are
+    enumerated and bracketed one by one.
     """
     if degree_cap < 2:
         raise ValueError("degree_cap must be at least 2")
     witness = _tangency_witness(structure)
     if witness is not None:
         return BracketReport(True, degree_cap, True, witness=witness)
-    basis = invariant_polynomials(structure, degree_cap)
     adot = _m_vertical_field(structure)
+    if structure.k.dim == 0:  # {H, a_r} = adot_r, and some adot_r != 0
+        nonzero = [(repr(Polynomial.coordinate(len(adot), r)), repr(f))
+                   for r, f in enumerate(adot) if not f.is_zero()]
+        return BracketReport(False, degree_cap, True, nonzero)
+    basis = invariant_polynomials(structure, degree_cap)
     nonzero = []
     for f in basis.polynomials:
         restricted = _bracket_on_m(f, adot)
@@ -392,7 +402,9 @@ def carnot_skew_test(structure) -> SkewReport:
     The layers satisfy [V_1, V_i] = V_(i+1), so every [X, Y] with Y in
     delta-perp lies in delta-perp already, and delta-perp's basis is its
     canonical form: coordinate j of the bracket is its entry at pivot row
-    p_j, read off the nonzeros with no solve.
+    p_j, read off the nonzeros with no solve. So ad X maps each layer into
+    the next and is nilpotent on delta-perp, and a nilpotent skew matrix is
+    0: the test holds exactly when the structure has step at most 2.
     """
     s = structure
     if s.grading is None:
@@ -406,26 +418,20 @@ def carnot_skew_test(structure) -> SkewReport:
     worst = 0.0
     failing = None
     failing_asym = 0.0
-    all_zero = True
     for a, op in enumerate(ops):
         # Skewness is decided on the exact coordinates; the float asymmetry
         # max |M + M^T|, summed as the dense float matrix would be, is
         # reported and picks the worst failing direction.
         asym = max((abs(float(x) + float(op.get((b, j), 0)))
                     for (j, b), x in op.items()), default=0.0)
-        all_zero = all_zero and not any(map(float, op.values()))
         worst = max(worst, asym)
         skew = all(x + op.get((b, j), 0) == 0 for (j, b), x in op.items())
         if not skew and (failing is None or asym > failing_asym):
             failing = np.asarray(s.delta.basis[:, a], dtype=float)
             failing_asym = asym
     is_skew = failing is None
-    if not is_skew:
-        conclusion = "not geodesic orbit (projected ad X not skew)"
-    elif all_zero:
-        conclusion = "skew and nilpotent forces zero: step at most 2"
-    else:
-        conclusion = "skew holds"
+    conclusion = ("skew and nilpotent forces zero: step at most 2" if is_skew
+                  else "not geodesic orbit (projected ad X not skew)")
     return SkewReport(worst, is_skew, failing, conclusion)
 
 

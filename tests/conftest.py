@@ -91,6 +91,32 @@ def so3_plus_center():
 
 
 @pytest.fixture(scope="session")
+def heisenberg_trivial_k():
+    """The Heisenberg group itself: [X, Y] = Z, k = 0, m = g, delta =
+    span(X, Y), identity metric. Its vertical field is nonzero."""
+    g = srgo.LieAlgebra.from_brackets(3, {(0, 1): {2: 1}},
+                                      labels=["X", "Y", "Z"])
+    e = np.eye(3, dtype=int).tolist()
+    s = srgo.HomogeneousSRStructure(
+        g, srgo.Subspace.from_vectors(3, []),
+        srgo.Subspace.from_vectors(3, e),
+        srgo.Subspace.from_vectors(3, e[:2]), np.eye(2, dtype=int).tolist())
+    return srgo.ModelSpec("heisenberg_trivial_k", s)
+
+
+@pytest.fixture(scope="session")
+def abelian_r3():
+    """R^3 abelian, k = 0, m = delta = g, identity metric. Its vertical
+    field vanishes."""
+    g = srgo.LieAlgebra.from_brackets(3, {}, labels=["X1", "X2", "X3"])
+    e = np.eye(3, dtype=int).tolist()
+    full = srgo.Subspace.from_vectors(3, e)
+    s = srgo.HomogeneousSRStructure(
+        g, srgo.Subspace.from_vectors(3, []), full, full, e)
+    return srgo.ModelSpec("abelian_r3", s)
+
+
+@pytest.fixture(scope="session")
 def mixed(models):
     """name -> the model's structure with its m basis mixed by an invertible
     rational matrix (upper triangular, i + 2 on the diagonal, 1/2 above).

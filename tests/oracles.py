@@ -227,12 +227,11 @@ def witness_pins(structure):
 def witness_by_elimination(structure):
     """L = W m_basis^T from every row of the witness system of
     ``go._tangency_witness``, no entry pinned first, solved by
-    ``exactla.solve_sparse``; None when the rows are inconsistent or k is
-    trivial."""
+    ``exactla.solve_sparse``; None when the rows are inconsistent. With
+    trivial k no row holds an unknown, so they are consistent exactly when
+    the field vanishes, and L is then empty."""
     s = structure
     dk, dm = s.k.dim, s.m.dim
-    if dk == 0:
-        return None
     # Row (r, u, t), u <= t, sets the coefficient of a_u a_t in
     # adot_r + sum_b (W a)_b p([Z_b, m_r]) to zero.
     rows = defaultdict(lambda: [defaultdict(int), 0])  # key -> [{col: .}, rhs]

@@ -133,11 +133,9 @@ def test_witness_is_pinned_as_on_the_bundled_basis(name, rewritten,
     # The one-unknown rows fix W in the new basis too, or prove the system
     # inconsistent, so no row with an open entry reaches the eliminator;
     # W, in Fractions now, is the one that eliminating every row gives,
-    # type by type.
+    # type by type. With trivial k no row holds an unknown: W is empty
+    # where the field vanishes (biinvariant_compact), None elsewhere.
     s = rewritten[name][1]
-    if s.k.dim == 0:
-        assert _tangency_witness(s) is None
-        return
     got = _tangency_witness(s)
     assert not any(solve_calls)
     reference = oracles.witness_by_elimination(s)

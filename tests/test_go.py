@@ -21,6 +21,7 @@ from srgo.go import (
     GO_AFFIRMED,
     GO_EVIDENCE,
     GO_REFUTED,
+    BracketReport,
     _bracket_on_m,
     _compose_linear_exact,
     _m_action_matrices,
@@ -175,6 +176,60 @@ def test_trivial_isotropy_gives_all_monomials(models):
     assert len(basis.by_degree[2]) == 6
 
 
+TRIVIAL_K = ["biinvariant_compact", "rolling_sphere", "so3_generic"]
+
+
+def _enumerated_report(s, cap):
+    """The invariant basis up to the cap and the report that bracketing each
+    of its members gives: the enumeration, oracle of the degree-1 route."""
+    adot = _m_vertical_field(s)
+    basis = invariant_polynomials(s, cap)
+    nonzero = []
+    for f in basis.polynomials:
+        restricted = _bracket_on_m(f, adot)
+        if not restricted.is_zero():
+            nonzero.append((repr(f), repr(restricted)))
+    return basis, BracketReport(not nonzero, cap, False, nonzero)
+
+
+@pytest.mark.parametrize("case", [*TRIVIAL_K,
+                                  *(f"mixed:{name}" for name in TRIVIAL_K),
+                                  "heisenberg_trivial_k", "abelian_r3"])
+def test_trivial_k_is_decided_at_degree_1(case, request, models, mixed,
+                                          monkeypatch):
+    # With k = 0 the a_r generate every invariant and {H, .} is a
+    # derivation on k-circ, so the brackets {H, a_r} = adot_r decide every
+    # degree: the nonzero ones are the degree-1 prefix of the enumeration's
+    # list at cap 4, the verdict is the enumeration's, and go never builds
+    # an invariant basis.
+    if case in models:
+        s = models[case].structure
+    elif case.startswith("mixed:"):
+        s = mixed[case.removeprefix("mixed:")]
+    else:
+        s = request.getfixturevalue(case).structure
+    assert s.k.dim == 0
+    basis, want = _enumerated_report(s, 4)
+    degree_1 = {repr(f) for f in basis.by_degree[1]}
+    prefix = [e for e in want.nonzero if e[0] in degree_1]
+    assert want.nonzero[:len(prefix)] == prefix
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("invariant_polynomials ran")
+
+    monkeypatch.setattr(srgo.go, "invariant_polynomials", no_basis)
+    got = go_test_bracket(s, 4)
+    assert got.certified_all_degrees
+    assert got.all_vanish == want.all_vanish
+    assert got.nonzero == prefix
+    verdict = go_verdict(s, samples=50)
+    monkeypatch.setattr(srgo.go, "go_test_bracket", lambda *args: want)
+    enumerated = go_verdict(s, samples=50)
+    assert verdict.verdict == enumerated.verdict
+    assert verdict.refutation_witness == enumerated.refutation_witness
+    assert verdict.scan.to_dict() == enumerated.scan.to_dict()
+
+
 def test_bracket_witness_certifies(models):
     for name in ["heisenberg", "so3_axisym", "sl2_kp",
                  "free_step2_rank2", "free_step2_rank4"]:
@@ -185,11 +240,13 @@ def test_bracket_witness_certifies(models):
 
 
 def test_witness_exists_except_on_four_models(witnesses):
-    # Trivial k (biinvariant_compact, rolling_sphere, so3_generic) has no
-    # witness to look for; on cartan the exact system is inconsistent.
+    # On cartan the exact system is inconsistent. With trivial k no row
+    # holds an unknown: the nonzero fields of rolling_sphere and so3_generic
+    # leave a row reading 0 = -c, c != 0, and biinvariant_compact's zero
+    # field gives the empty (0 x 3) witness.
     missing = {name for name, w in witnesses.items() if w is None}
-    assert missing == {"biinvariant_compact", "cartan", "rolling_sphere",
-                       "so3_generic"}
+    assert missing == {"cartan", "rolling_sphere", "so3_generic"}
+    assert witnesses["biinvariant_compact"].shape == (0, 3)
     assert {"free_step2_rank5", "free_step2_rank6"} <= witnesses.keys()
 
 
@@ -394,18 +451,9 @@ def test_bracket_refutes_cartan(cartan):
     assert "p3" in inv_reprs
 
 
-def test_bracket_abelian_all_vanish():
+def test_bracket_abelian_all_vanish(abelian_r3):
     # Euclidean case: abelian algebra, trivial isotropy.
-    g = LieAlgebra.from_brackets(3, {})
-    ident = np.eye(3, dtype=int).tolist()
-    s = srgo.HomogeneousSRStructure(
-        g,
-        Subspace.from_vectors(3, []),
-        Subspace.from_vectors(3, ident),
-        Subspace.from_vectors(3, ident),
-        ident,
-    )
-    report = go_test_bracket(s, degree_cap=3)
+    report = go_test_bracket(abelian_r3.structure, degree_cap=3)
     assert report.all_vanish
 
 
@@ -481,6 +529,22 @@ def test_skew_equals_the_solve_oracle(name, models, mixed, dense_solves):
         assert got.to_dict() == oracles.skew_report(s).to_dict()
 
 
+def test_skew_holds_exactly_at_step_at_most_2(models, mixed, abelian_r3,
+                                              heisenberg_trivial_k):
+    # For X in V_1 the projected ad X maps each layer into the next, so it
+    # is nilpotent on delta-perp, and a nilpotent skew matrix is 0: the
+    # test holds exactly on step 1 or 2, the paper's theorem that a GO
+    # Carnot group has step at most 2, and then concludes so.
+    structures = [abelian_r3.structure, heisenberg_trivial_k.structure]
+    for name in GRADED_MODELS:
+        structures += [models[name].structure, mixed[name]]
+    assert {len(s.grading) for s in structures} == {1, 2, 3}
+    for s in structures:
+        report = carnot_skew_test(s)
+        assert report.is_skew == (len(s.grading) <= 2)
+        assert ("step at most 2" in report.step_conclusion) == report.is_skew
+
+
 def test_go_verdict_makes_no_solve_call(models, dense_solves):
     for name, spec in models.items():
         go_verdict(spec.structure, samples=10)
@@ -538,7 +602,7 @@ def test_go_verdicts(verdicts):
 def test_go_scan_equals_scan_without_witness(models, monkeypatch, name):
     # A witness implies the scan, so go draws and solves nothing there; the
     # scan it reports is the one that solves every sampled system by SVD.
-    # The four models without one are scanned once, with no witness.
+    # The three models without one are scanned once, with no witness.
     s = models[name].structure
     scans, draws = [], []
     real = srgo.go.scan_homogeneous
@@ -555,8 +619,7 @@ def test_go_scan_equals_scan_without_witness(models, monkeypatch, name):
     monkeypatch.setattr(srgo.go, "scan_homogeneous", scan)
     monkeypatch.setattr(srgo.homogeneity, "sample_momenta", draw)
     monkeypatch.setattr(srgo.integrate, "sample_momenta", draw)
-    scanned = name in ("cartan", "rolling_sphere", "so3_generic",
-                       "biinvariant_compact")
+    scanned = name in ("cartan", "rolling_sphere", "so3_generic")
     for seed in (0, 7):
         verdict = go_verdict(s, seed=seed)
         assert (verdict.bracket.witness is None) == scanned
@@ -575,7 +638,7 @@ def test_witness_closes_sampled_systems_exactly(models, witnesses):
     # the rational coordinates of sampled momenta, the feasibility system
     # of every witness model is consistent over the rationals.
     found = [name for name, w in witnesses.items() if w is not None]
-    assert len(found) == 10
+    assert len(found) == 11
     rng = np.random.default_rng(3)
     for name in found:
         s = models[name].structure

@@ -232,7 +232,7 @@ def test_witness_first_verdicts_equal_svd_verdicts(models, witnesses, seed):
     # Where a witness exists, go reports every sampled momentum homogeneous
     # without solving one; the SVD verdicts of sampled momenta agree.
     found = [name for name, w in witnesses.items() if w is not None]
-    assert len(found) == 10
+    assert len(found) == 11
     rng = np.random.default_rng(seed)
     for name in found:
         s = models[name].structure

@@ -7,9 +7,13 @@ reprs of the degree-4 invariant basis, so that an int where a Fraction used
 to be (``repr(Fraction(3))`` is not ``repr(3)``) cannot change any output.
 The saved-file digests were retaken when the file stopped holding the
 derived ``grading`` and ``kappa``; the file is otherwise unchanged.
-``go --degree-cap 6`` is pinned too on the models that take the enumeration
-route; those digests were taken before polynomial coefficients were held
-as ints.
+``go --degree-cap 6`` is pinned too on the four models that took the
+enumeration route; those digests were taken before polynomial coefficients
+were held as ints. The ``go`` digests of the three models with trivial k
+were retaken when ``go`` decided them from the degree-1 brackets: their
+``certified_all_degrees`` turned true, rolling_sphere and so3_generic list
+only their degree-1 nonzero brackets, and biinvariant_compact gained the
+tangency-witness note.
 
 The CLI contract around those bytes is pinned as well: the exit code and
 the standard-error line of ``validate``, ``exist``, ``go --seed 0`` and
@@ -29,7 +33,7 @@ DIGESTS = {
     "biinvariant_compact": (
         "56a1d08bb8d94acf9c0f9f4c717740c5ceddbdf3f0da79d529f8b38b0c30bb9b",
         "5239f181c7032d8968cd73587a476a09b5f3fe2fe499834a44a80385197c4eee",
-        "cb4aa25e97e16a3fcfe854e00742d7090149dbe8acc6f238dbb93bb31371a464",
+        "15101e35f1d06f6cdefa3bbaa0b348b9448d8ccfb6c5a91b6b0fa1c8667f19c1",
         "27f52d417ffe2cc5a834f9c50bdc515252d4eb2b1d1e62a55cd853a7b37c2501",
         "bb4798db21c7d063c3a599069106c11eb313333da272ee1d35f17a5e57c06f69",
     ),
@@ -85,7 +89,7 @@ DIGESTS = {
     "rolling_sphere": (
         "3665811bfa0d75c4d5ef2265e9285e5904058e580033dd78ceb7e322f1e28df5",
         "c949bfcfb976fc0f11f5454119fe2bb9b5f9476849a186d417afec0adc95b2a5",
-        "10d9128cc5a1f3c49684442e4ade5cbd7242a059cde1a9a59eb4cc229f760f66",
+        "59f216c3f5395efe40ebf27abeffee10c6b3e5104d1f7b7858b2c04aa057d266",
         "c1ed89950e6a8c9c04a2fdc602cae647f70945936227a8f12ea0bb0aeb2c4618",
         "d34438ec08c4dba6e6376fdfff8f4928002e62951f5631f18dc19381a70ccfbf",
     ),
@@ -113,7 +117,7 @@ DIGESTS = {
     "so3_generic": (
         "24809df45d00190c05560f046980a82205daf79b9e85e56c46b49a98691182cb",
         "cf9adf04cd41a9ef96dac32d0ed42d22ee2d730b2ec7938133aa22fb42666b9b",
-        "dfef2ecdff0cf43926d7401bc791b13cf07a9d1447ac6d5d06a6e4d401860b34",
+        "6aa9340ce02e26a04c22cbb81e4e85608a97631219505f11a4fda511d16022ab",
         "526df582766313593f75e3de9f449781cef1f8b982c33415190f0c1651faa44e",
         "bb4798db21c7d063c3a599069106c11eb313333da272ee1d35f17a5e57c06f69",
     ),
@@ -127,17 +131,20 @@ DIGESTS = {
 }
 
 
-# model -> go --degree-cap 6 --seed 0, on the four models with no tangency
-# witness, where go enumerates invariants up to the cap and brackets each.
+# model -> go --degree-cap 6 --seed 0. cartan has no tangency witness, so go
+# enumerates its invariants up to the cap and brackets each. k is trivial on
+# the other three: rolling_sphere and so3_generic are decided by the
+# brackets {H, a_r} = adot_r of their coordinates, and biinvariant_compact's
+# zero field gives the empty witness.
 GO6_DIGESTS = {
     "biinvariant_compact":
-        "82eb35a0a2ac4db4f89843c8722e67f470edfac6286c7adb3c2294fd1776fe5a",
+        "b448c15b9733c1b7f56b71a17d37200f28f0e851801e3abefb408e7a2dae923b",
     "cartan":
         "6fbf39775cff041ae324343e98f766fee6957b26a20ef003ea67c7dd1d8ae2de",
     "rolling_sphere":
-        "37d8f30a97e33ee7e39e5b3ffac8f9587295cd11bbbb4ae8573c7d6c00c46360",
+        "cf6a45357c107c5ac6eb408989177266552c87faf9a67c6b580f62f82a89b924",
     "so3_generic":
-        "3072cb96846aadcb2c007127ac967acec303af6d7b694544496ccb166a1d7d30",
+        "f9390bd51d6461eeaf53a22e6f3b7e355d33985bf08e4aae0aac72400948e969",
 }
 
 
@@ -169,7 +176,7 @@ def test_outputs_match_their_pinned_digests(name, models, invariant_basis,
 def test_enumeration_route_matches_its_pinned_digest_at_cap_6(name,
                                                               witnesses,
                                                               tmp_path):
-    assert witnesses[name] is None  # the enumeration route, not the witness
+    assert (witnesses[name] is None) == (name != "biinvariant_compact")
     out = tmp_path / "go6.json"
     cli.main(["go", "--degree-cap", "6", "--seed", "0", "--model", name,
               "--out", str(out)])
