@@ -1,33 +1,35 @@
 """Geodesic-orbit analysis.
 
-Three routes: exact bases of isotropy-invariant polynomials with the
-Poisson-commutation test, the skew-symmetry obstruction for graded
-nilpotent structures, and statistical scans. The commutation test first
-solves exactly for a tangency witness, a Z(p) in k linear in p with
-coad(dH(p) + Z(p))p = 0 on the annihilator of k: one sparse rational
-system whose solution certifies vanishing brackets at every degree, and
-whose inconsistency proves that no such linear Z exists. It is solved by
-one presolve: its rows with one unknown are solved first, straight off the
-forms below, each entry they fix is substituted into the other rows, and
-only the rows left with an open entry are eliminated (none on any bundled
-model with nontrivial k). With trivial k no row holds an unknown, and the
-witness is the empty L exactly when the vertical field vanishes. Without a
-witness and with trivial k, the coordinates a_r generate every invariant
-and {H, .} is a derivation on the annihilator, so the brackets
-{H, a_r} = adot_r decide every degree; otherwise enumeration of invariants
-up to the degree cap decides. It works in m*-coordinates a (p = m_dual a)
-throughout, on the structure's two forms there, which the homogeneity test
-reads too: adot, the vertical field as dim m exact quadratics in a
-(``m_field_exact``), and the k action on m (``m_action_exact``).
-The invariants of each degree are the kernel of sparse derivation rows
-built from the k action, taken by ``exactla.nullspace_sparse``, and on
-the annihilator of k the bracket is {H, F} = sum_r dF/da_r * adot_r. The
-tests keep the g-coordinate route, a Lie-Poisson bracket on g*, as the
-oracle that gives the same polynomials. The witness also decides the
-scan of ``go_verdict``: Z(p) = L p closes the homogeneity system of every
-momentum on the annihilator, so every geodesic is homogeneous and the scan
-is reported as implied, every sample homogeneous, with none drawn. Models
-without a witness are scanned by ``homogeneity.scan_homogeneous``.
+``go_verdict`` decides in this order, each step only if the ones before
+leave it open:
+
+1. The Carnot step. On a graded structure the skew test holds exactly at
+   step at most 2 (a nilpotent skew matrix is 0), where it brackets
+   nothing. At step 3 or more with exact isotropy it refutes GO at every
+   degree, the paper's theorem, and no bracket test runs: ``bracket`` is
+   None, ``null`` in the JSON, as ``skew`` is on an ungraded structure.
+2. The tangency witness, a Z(p) in k linear in p with
+   coad(dH(p) + Z(p))p = 0 on the annihilator of k: one sparse rational
+   system, read off the forms below and presolved from its rows with one
+   unknown. A solution certifies vanishing brackets at every degree and
+   implies the scan; an inconsistent system proves that no linear Z exists.
+   With trivial k no row holds an unknown, and the witness is the empty L
+   exactly when the vertical field vanishes.
+3. Trivial k without a witness: the coordinates a_r generate every
+   invariant and {H, .} is a derivation on the annihilator, so the brackets
+   {H, a_r} = adot_r decide every degree.
+4. Otherwise the invariants are enumerated up to the degree cap and
+   bracketed one by one.
+
+It works in m*-coordinates a (p = m_dual a) throughout, on the structure's
+two forms there, which the homogeneity test reads too: adot, the vertical
+field as dim m exact quadratics in a (``m_field_exact``), and the k action
+on m (``m_action_exact``). The invariants of each degree are the kernel of
+sparse derivation rows built from the k action, taken by
+``exactla.nullspace_sparse``, and on the annihilator of k the bracket is
+{H, F} = sum_r dF/da_r * adot_r. Structures without a witness are
+scanned by ``homogeneity.scan_homogeneous``, which supplies the
+counterexample momenta of a refutation.
 """
 
 from collections import defaultdict
@@ -399,47 +401,43 @@ def carnot_skew_test(structure) -> SkewReport:
     first. For each delta-basis X the operator (projection onto delta-perp)
     o ad X restricted to delta-perp must be skew for a geodesic-orbit
     structure; for graded structures a failure refutes the GO property.
-    The layers satisfy [V_1, V_i] = V_(i+1), so every [X, Y] with Y in
-    delta-perp lies in delta-perp already, and delta-perp's basis is its
-    canonical form: coordinate j of the bracket is its entry at pivot row
-    p_j, read off the nonzeros with no solve. So ad X maps each layer into
-    the next and is nilpotent on delta-perp, and a nilpotent skew matrix is
-    0: the test holds exactly when the structure has step at most 2.
+    ad X maps each layer into the next, so it is nilpotent on delta-perp,
+    and a nilpotent skew matrix is 0: the test holds exactly when the
+    structure has step at most 2, and then every such operator is 0, so the
+    report is a constant and nothing is bracketed. At step 3 or more the
+    directions whose operator is not 0 fail. Every [X, Y] with Y in
+    delta-perp lies in delta-perp ([V_1, V_i] = V_(i+1)), and delta-perp's
+    basis is its canonical form: coordinate j of the bracket is its entry
+    at pivot row p_j, read off the nonzeros with no solve.
     """
     s = structure
     if s.grading is None:
         raise ValueError("the skew test needs a graded structure")
+    if len(s.grading) <= 2:
+        return SkewReport(0.0, True, None,
+                          "skew and nilpotent forces zero: step at most 2")
     delta_perp = subspace_sum(s.dim, s.grading[1:])
     coord = {p: j for j, (p, _) in enumerate(delta_perp._pivot_columns)}
     ops = [{} for _ in range(s.delta.dim)]  # a -> {(j, b): [X_a, Y_b]_j}
     for (a, b), vec in s.algebra.brackets(s.delta.basis,
                                           delta_perp.basis).items():
         ops[a].update(((coord[k], b), v) for k, v in vec.items() if k in coord)
-    worst = 0.0
-    failing = None
-    failing_asym = 0.0
-    for a, op in enumerate(ops):
-        # Skewness is decided on the exact coordinates; the float asymmetry
-        # max |M + M^T|, summed as the dense float matrix would be, is
-        # reported and picks the worst failing direction.
-        asym = max((abs(float(x) + float(op.get((b, j), 0)))
-                    for (j, b), x in op.items()), default=0.0)
-        worst = max(worst, asym)
-        skew = all(x + op.get((b, j), 0) == 0 for (j, b), x in op.items())
-        if not skew and (failing is None or asym > failing_asym):
-            failing = np.asarray(s.delta.basis[:, a], dtype=float)
-            failing_asym = asym
-    is_skew = failing is None
-    conclusion = ("skew and nilpotent forces zero: step at most 2" if is_skew
-                  else "not geodesic orbit (projected ad X not skew)")
-    return SkewReport(worst, is_skew, failing, conclusion)
+    # The float asymmetry max |M + M^T| of each failing direction, summed as
+    # the dense float matrix would be; the worst one is reported.
+    asym = {a: max(abs(float(x) + float(op.get((b, j), 0)))
+                   for (j, b), x in op.items())
+            for a, op in enumerate(ops) if op}
+    worst = max(asym, key=asym.get)
+    return SkewReport(asym[worst], False,
+                      np.asarray(s.delta.basis[:, worst], dtype=float),
+                      "not geodesic orbit (projected ad X not skew)")
 
 
 @dataclass
 class GoVerdict:
     verdict: str
     degree_cap: int
-    bracket: BracketReport
+    bracket: BracketReport | None
     skew: SkewReport | None
     scan: ScanSummary
     notes: list = field(default_factory=list)
@@ -449,7 +447,7 @@ class GoVerdict:
         return {
             "verdict": self.verdict,
             "degree_cap": self.degree_cap,
-            "bracket": self.bracket.to_dict(),
+            "bracket": None if self.bracket is None else self.bracket.to_dict(),
             "skew": None if self.skew is None else self.skew.to_dict(),
             "scan": self.scan.to_dict(),
             "notes": self.notes,
@@ -458,42 +456,44 @@ class GoVerdict:
 
 
 def go_verdict(structure, degree_cap=4, samples=1000, seed=0) -> GoVerdict:
-    """Combine the commutation test, the skew obstruction and a scan.
+    """Combine the skew obstruction, the commutation test and a scan.
 
-    A tangency witness implies the scan: all ``samples`` homogeneous, none
-    refuted, no momentum drawn.
+    A graded structure of step 3 or more with exact isotropy is refuted by
+    the skew test at every degree, so the commutation test is not run and
+    ``bracket`` is None. A tangency witness implies the scan: all
+    ``samples`` homogeneous, none refuted, no momentum drawn.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
-    bracket = go_test_bracket(structure, degree_cap)
+    if degree_cap < 2:
+        raise ValueError("degree_cap must be at least 2")
     skew = None if structure.grading is None else carnot_skew_test(structure)
-    if bracket.witness is None:
+    exact_isotropy = structure.isotropy_exact
+    connected = structure.isotropy_connected
+    refuted = skew is not None and not skew.is_skew and exact_isotropy
+    bracket = None if refuted else go_test_bracket(structure, degree_cap)
+    if bracket is None or bracket.witness is None:
         scan = scan_homogeneous(structure, samples, seed)
     else:  # coad(dH(p) + Lp)p = 0 holds exactly for every p on k-circ
         scan = ScanSummary(samples, samples, 0, 0, seed, [])
     notes = []
-    exact_isotropy = structure.isotropy_exact
-    connected = structure.isotropy_connected
     if not exact_isotropy:
         notes.append("isotropy data marked incomplete; verdict is evidence only")
     if not connected:
         notes.append("isotropy group has extra components; "
                      "infinitesimal invariants are not conclusive")
+    momenta = [[float(v) for v in p] for p in scan.counterexamples[:3]]
 
-    if skew is not None and not skew.is_skew and exact_isotropy:
+    if refuted:
         witness = {
             "skew_failure_direction": [float(v) for v in skew.failing_direction],
-            "counterexample_momenta": [
-                [float(v) for v in p] for p in scan.counterexamples[:3]
-            ],
+            "counterexample_momenta": momenta,
         }
-        return GoVerdict(GO_REFUTED, degree_cap, bracket, skew, scan, notes, witness)
+        return GoVerdict(GO_REFUTED, degree_cap, None, skew, scan, notes, witness)
     if not bracket.all_vanish and exact_isotropy and connected:
         witness = {
             "noncommuting_invariant": bracket.nonzero[0][0],
-            "counterexample_momenta": [
-                [float(v) for v in p] for p in scan.counterexamples[:3]
-            ],
+            "counterexample_momenta": momenta,
         }
         return GoVerdict(GO_REFUTED, degree_cap, bracket, skew, scan, notes, witness)
     if bracket.all_vanish and exact_isotropy and connected:

@@ -334,6 +334,17 @@ def test_go_command(tmp_path):
     assert json.loads(out.read_text())["verdict"] == "GO_refuted_with_witness"
 
 
+@pytest.mark.parametrize("cap", ["1", "0", "-3"])
+@pytest.mark.parametrize("name", ["cartan", "heisenberg", "rolling_sphere"])
+def test_go_rejects_a_degree_cap_below_2(capsys, name, cap):
+    # The cap is checked before any route, also where the skew test would
+    # refute (cartan) and no bracket test runs.
+    assert run(["go", "--model", name, "--degree-cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degree_cap must be at least 2\n"
+
+
 def test_go_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["go", "--model", "cartan", "--samples", "50", "--seed", "7"]

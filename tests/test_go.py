@@ -239,7 +239,7 @@ def test_bracket_witness_certifies(models):
         assert report.witness is not None, name
 
 
-def test_witness_exists_except_on_four_models(witnesses):
+def test_witness_exists_except_on_three_models(witnesses):
     # On cartan the exact system is inconsistent. With trivial k no row
     # holds an unknown: the nonzero fields of rolling_sphere and so3_generic
     # leave a row reading 0 = -c, c != 0, and biinvariant_compact's zero
@@ -472,16 +472,23 @@ def test_skew_holds_on_step2(models):
         assert "step at most 2" in report.step_conclusion
 
 
-def test_skew_decided_exactly():
-    # Step-3 rank-2 Carnot algebra whose third-layer brackets are 1e-15:
-    # the float asymmetry is below any float cutoff, the exact one is not.
+@pytest.fixture(scope="module")
+def tiny_step_3():
+    """Step-3 rank-2 Carnot algebra whose third-layer brackets are 1e-15,
+    with trivial isotropy."""
     tiny = Fraction(1, 10 ** 15)
     g = LieAlgebra.from_brackets(
         5, {(0, 1): {2: 1}, (0, 2): {3: tiny}, (1, 2): {4: tiny}})
     ident = np.eye(5, dtype=int).tolist()
-    s = HomogeneousSRStructure(
+    return HomogeneousSRStructure(
         g, Subspace.from_vectors(5, []), Subspace.from_vectors(5, ident),
         Subspace.from_vectors(5, ident[:2]), [[1, 0], [0, 1]])
+
+
+def test_skew_decided_exactly(tiny_step_3):
+    # The float asymmetry is below any float cutoff, the exact one is not.
+    s = tiny_step_3
+    ident = np.eye(5, dtype=int).tolist()
     # No grading is declared: the layers are derived from the bracket.
     assert [v.dim for v in s.grading] == [2, 1, 2]
     assert s.grading[2] == Subspace.from_vectors(5, ident[3:])
@@ -529,20 +536,83 @@ def test_skew_equals_the_solve_oracle(name, models, mixed, dense_solves):
         assert got.to_dict() == oracles.skew_report(s).to_dict()
 
 
-def test_skew_holds_exactly_at_step_at_most_2(models, mixed, abelian_r3,
-                                              heisenberg_trivial_k):
-    # For X in V_1 the projected ad X maps each layer into the next, so it
-    # is nilpotent on delta-perp, and a nilpotent skew matrix is 0: the
-    # test holds exactly on step 1 or 2, the paper's theorem that a GO
-    # Carnot group has step at most 2, and then concludes so.
-    structures = [abelian_r3.structure, heisenberg_trivial_k.structure]
+@pytest.fixture
+def graded_structures(models, mixed, abelian_r3, heisenberg_trivial_k,
+                      tiny_step_3):
+    """The graded structures at hand: the graded bundled models, their
+    mixed m bases, abelian_r3 (step 1), heisenberg_trivial_k and
+    tiny_step_3."""
+    structures = [abelian_r3.structure, heisenberg_trivial_k.structure,
+                  tiny_step_3]
     for name in GRADED_MODELS:
         structures += [models[name].structure, mixed[name]]
     assert {len(s.grading) for s in structures} == {1, 2, 3}
-    for s in structures:
+    return structures
+
+
+def test_skew_holds_exactly_at_step_at_most_2(graded_structures):
+    # For X in V_1 the projected ad X maps each layer into the next, so it
+    # is nilpotent on delta-perp, and a nilpotent skew matrix is 0: the
+    # test holds exactly on step 1 or 2, the paper's theorem that a GO
+    # Carnot group has step at most 2, and then concludes so. The report
+    # is the solve oracle's, which checks every entry.
+    for s in graded_structures:
         report = carnot_skew_test(s)
         assert report.is_skew == (len(s.grading) <= 2)
         assert ("step at most 2" in report.step_conclusion) == report.is_skew
+        assert report.to_dict() == oracles.skew_report(s).to_dict()
+
+
+def test_skew_brackets_nothing_at_step_at_most_2(graded_structures,
+                                                 monkeypatch):
+    # At step 1 or 2 every projected ad X is 0, so the report is a
+    # constant: no bracket is formed and delta-perp is not built.
+    def fail(*args, **kwargs):
+        raise AssertionError("bracketed")
+
+    monkeypatch.setattr(LieAlgebra, "brackets", fail)
+    monkeypatch.setattr(srgo.go, "subspace_sum", fail)
+    for s in graded_structures:
+        if len(s.grading) <= 2:
+            report = carnot_skew_test(s)
+            assert (report.max_asymmetry, report.is_skew,
+                    report.failing_direction) == (0.0, True, None)
+
+
+def test_step_3_refutes_without_the_bracket_test(graded_structures,
+                                                 monkeypatch):
+    # At step 3 or more with exact isotropy the skew test refutes GO at
+    # every degree (cartan, its mixed basis and tiny_step_3), so go_verdict
+    # neither runs the bracket test nor builds an invariant basis, reports
+    # the bracket as null and the skew test's failing direction.
+    def fail(*args, **kwargs):
+        raise AssertionError("bracket test ran")
+
+    monkeypatch.setattr(srgo.go, "go_test_bracket", fail)
+    monkeypatch.setattr(srgo.go, "invariant_polynomials", fail)
+    step_3 = [s for s in graded_structures if len(s.grading) >= 3]
+    assert len(step_3) == 3 and all(s.isotropy_exact for s in step_3)
+    for s in step_3:
+        for cap in (4, 6):
+            v = go_verdict(s, degree_cap=cap, samples=100)
+            assert v.verdict == GO_REFUTED and v.bracket is None
+            assert v.to_dict()["bracket"] is None
+            assert v.refutation_witness["skew_failure_direction"] == list(
+                v.skew.failing_direction)
+
+
+def test_go_verdicts_match_known_facts(models):
+    # The verdict of every bundled model at caps 4 and 6 and three seeds is
+    # the one its facts record.
+    want = {"affirmed": GO_AFFIRMED, "refuted": GO_REFUTED}
+    for name, spec in models.items():
+        fact = spec.known_facts["go"]
+        expected = (GO_EVIDENCE if fact.startswith("evidence_only")
+                    else want[fact])
+        for cap in (4, 6):
+            for seed in (0, 7, 123):
+                verdict = go_verdict(spec.structure, degree_cap=cap, seed=seed)
+                assert verdict.verdict == expected, (name, cap, seed)
 
 
 def test_go_verdict_makes_no_solve_call(models, dense_solves):
@@ -622,7 +692,8 @@ def test_go_scan_equals_scan_without_witness(models, monkeypatch, name):
     scanned = name in ("cartan", "rolling_sphere", "so3_generic")
     for seed in (0, 7):
         verdict = go_verdict(s, seed=seed)
-        assert (verdict.bracket.witness is None) == scanned
+        bracket = verdict.bracket  # None on cartan: the skew test refutes
+        assert (bracket is None or bracket.witness is None) == scanned
         if scanned:
             assert scans == [((s, 1000, seed), {})] and draws == [1000]
         else:
@@ -658,10 +729,13 @@ def test_rolling_sphere_evidence(verdicts):
     assert any("incomplete" in n for n in v.notes)
 
 
-def test_two_refutation_routes_agree(verdicts):
+def test_two_refutation_routes_agree(verdicts, cartan):
+    # go stops at the skew refutation; the bracket test, run on its own,
+    # refutes too.
     v = verdicts["cartan"]
     assert not v.skew.is_skew
-    assert not v.bracket.all_vanish
+    assert v.bracket is None
+    assert not go_test_bracket(cartan.structure).all_vanish
 
 
 def test_verdict_serialization(verdicts):

@@ -13,7 +13,10 @@ were held as ints. The ``go`` digests of the three models with trivial k
 were retaken when ``go`` decided them from the degree-1 brackets: their
 ``certified_all_degrees`` turned true, rolling_sphere and so3_generic list
 only their degree-1 nonzero brackets, and biinvariant_compact gained the
-tangency-witness note.
+tangency-witness note. cartan's two ``go`` digests were retaken when its
+skew refutation stopped running the bracket test: ``bracket`` became
+``null``, and every other byte is the same. The enumeration route, which
+no bundled model takes since, is pinned on the ``so3_plus_center`` fixture.
 
 The CLI contract around those bytes is pinned as well: the exit code and
 the standard-error line of ``validate``, ``exist``, ``go --seed 0`` and
@@ -22,6 +25,7 @@ taken before every subcommand shared one exit path in ``cli.main``.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -40,7 +44,7 @@ DIGESTS = {
     "cartan": (
         "bb24d757d352011ae9bba8ea66d6a10add50e04f4626f30b801cb179cecfc798",
         "be14ccba2b42591172b1714b19d67883cf7b50042c89594060212c1d873253e2",
-        "cd863567ce1e29d602eba178106951555ee5c5301ec8fe9057be429d8b75f025",
+        "5c7cf0517c3840649871439df8dcef4eef434c8f0b288ff82132f96e7708a052",
         "a54f58e20a427fe7aaf81f29e6e8bd43b47f7872e418e2ba5736ecce7a97ecba",
         "1bb694c37059e43a0f7983269cc8548d868a6a673b6c1868c4dbda111ba729b6",
     ),
@@ -131,16 +135,16 @@ DIGESTS = {
 }
 
 
-# model -> go --degree-cap 6 --seed 0. cartan has no tangency witness, so go
-# enumerates its invariants up to the cap and brackets each. k is trivial on
-# the other three: rolling_sphere and so3_generic are decided by the
-# brackets {H, a_r} = adot_r of their coordinates, and biinvariant_compact's
-# zero field gives the empty witness.
+# model -> go --degree-cap 6 --seed 0. cartan (step 3) is refuted by the
+# skew test, with no bracket test. k is trivial on the other three:
+# rolling_sphere and so3_generic are decided by the brackets
+# {H, a_r} = adot_r of their coordinates, and biinvariant_compact's zero
+# field gives the empty witness.
 GO6_DIGESTS = {
     "biinvariant_compact":
         "b448c15b9733c1b7f56b71a17d37200f28f0e851801e3abefb408e7a2dae923b",
     "cartan":
-        "6fbf39775cff041ae324343e98f766fee6957b26a20ef003ea67c7dd1d8ae2de",
+        "6435e681c2b64d0b943059c4583e02cd845f9f02fd444d8fd229cff3eef971ef",
     "rolling_sphere":
         "cf6a45357c107c5ac6eb408989177266552c87faf9a67c6b580f62f82a89b924",
     "so3_generic":
@@ -173,14 +177,31 @@ def test_outputs_match_their_pinned_digests(name, models, invariant_basis,
 
 
 @pytest.mark.parametrize("name", sorted(GO6_DIGESTS))
-def test_enumeration_route_matches_its_pinned_digest_at_cap_6(name,
-                                                              witnesses,
-                                                              tmp_path):
+def test_go_at_cap_6_matches_its_pinned_digest(name, witnesses, tmp_path):
     assert (witnesses[name] is None) == (name != "biinvariant_compact")
     out = tmp_path / "go6.json"
     cli.main(["go", "--degree-cap", "6", "--seed", "0", "--model", name,
               "--out", str(out)])
     assert _sha256(out.read_bytes()) == GO6_DIGESTS[name]
+
+
+def test_enumeration_route_matches_its_pinned_digest_on_so3_plus_center(
+        so3_plus_center, monkeypatch):
+    # Ungraded, dk = 1 and no tangency witness: go_verdict enumerates the
+    # invariants up to the cap and brackets each. The digest was taken
+    # before graded structures stopped running the bracket test.
+    caps = []
+    real = srgo.go.invariant_polynomials
+
+    def spy(structure, degree_cap):
+        caps.append(degree_cap)
+        return real(structure, degree_cap)
+
+    monkeypatch.setattr(srgo.go, "invariant_polynomials", spy)
+    verdict = srgo.go_verdict(so3_plus_center.structure, degree_cap=6)
+    assert caps == [6]
+    assert _sha256(json.dumps(verdict.to_dict(), sort_keys=True).encode()) \
+        == "5a66843fac507674136b34e5d6535f8109b5c90b42eb8a0b0afc06c6506eb467"
 
 
 # model -> (exist's route, go --seed 0 verdict, check's verdict at the
